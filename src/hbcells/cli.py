@@ -101,8 +101,10 @@ def cmd_dims(args):
 
 def _cell_matrix(args, E):
     if args.cell is not None:
-        data = json.loads(args.cell)
-        N = hb.CellMatrix.from_json(data, args.field)
+        try:
+            N = hb.CellMatrix.from_json(json.loads(args.cell), args.field)
+        except (KeyError, TypeError) as exc:
+            raise UsageExit(f"--cell is not a cell matrix object with 'm' and 'N' ({exc!r})")
         if N.E != E:
             raise UsageExit("--cell staircase disagrees with --m/--d")
         return N
@@ -155,7 +157,10 @@ def _parse_assignment(text, E):
         if not 1 <= k <= len(slots):
             raise UsageExit(f"parameter {name} out of range (S(E) has {len(slots)} slots)")
         num, _, den = val.partition("/")
-        values[slots[k - 1]] = QQ.of(int(num), int(den) if den else 1)
+        try:
+            values[slots[k - 1]] = QQ.of(int(num), int(den) if den else 1)
+        except ZeroDivisionError:
+            raise UsageExit(f"zero denominator in {piece!r}")
     missing = [k + 1 for k, s in enumerate(slots) if s not in values]
     if missing:
         raise UsageExit(f"incomplete assignment: missing p{', p'.join(map(str, missing))}")

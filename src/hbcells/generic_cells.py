@@ -17,7 +17,8 @@ import itertools
 from .errors import DomainError
 from .field import QQ
 from .groebner import MonomialIdeal
-from .poly import Polynomial, exact_quotient, mono_div, mono_lcm, mono_mul, mono_degree
+from .poly import (Polynomial, _normal_form_dict, exact_quotient, mono_div, mono_lcm,
+                   mono_mul, mono_degree)
 
 
 class GenericFamily:
@@ -128,50 +129,22 @@ def buchberger_equations(family):
     monomial when there is a choice.  Each coefficient polynomial of the
     final remainder is one equation.
     """
-    members = family.member_polynomials()
-    leads = sorted(((terms, max(terms)) for terms in members), key=lambda p: p[1], reverse=True)
-    npar = family.nparams
-    zero = Polynomial.zero(QQ, npar)
+    members = [(terms, max(terms)) for terms in family.member_polynomials()]
+    reducers = sorted(((lead, [(m, c) for m, c in terms.items() if m != lead])
+                       for terms, lead in members), key=lambda r: r[0], reverse=True)
     eqs = []
-    for (fa, la), (fb, lb) in itertools.combinations([(t, max(t)) for t in members], 2):
+    for (fa, la), (fb, lb) in itertools.combinations(members, 2):
         L = mono_lcm(la, lb)
-        work = {}
         ua, ub = mono_div(L, la), mono_div(L, lb)
-        for m, cp in fa.items():
-            key = mono_mul(ua, m)
-            work[key] = work.get(key, zero) + cp
+        work = {mono_mul(ua, m): cp for m, cp in fa.items()}
         for m, cp in fb.items():
             key = mono_mul(ub, m)
-            v = work.get(key, zero) - cp
-            if v.is_zero:
-                work.pop(key, None)
-            else:
+            v = work[key] - cp if key in work else -cp
+            if v:
                 work[key] = v
-        rem = {}
-        while work:
-            mono = max(work)
-            cp = work.pop(mono)
-            if cp.is_zero:
-                continue
-            reducer = None
-            for terms, lead in leads:
-                if all(e >= l for e, l in zip(mono, lead)):
-                    reducer = (terms, lead)
-                    break
-            if reducer is None:
-                rem[mono] = cp
-                continue
-            terms, lead = reducer
-            u = mono_div(mono, lead)
-            for m, tail_cp in terms.items():
-                if m == lead:
-                    continue
-                key = mono_mul(u, m)
-                v = work.get(key, zero) - cp * tail_cp
-                if v.is_zero:
-                    work.pop(key, None)
-                else:
-                    work[key] = v
+            else:
+                work.pop(key, None)
+        rem = _normal_form_dict(work, reducers)
         for mono in sorted(rem, reverse=True):
             eqs.append(rem[mono])
     return _normalize(eqs)

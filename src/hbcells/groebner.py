@@ -6,6 +6,9 @@ ideals, colength, and a rank-based count of graded minimal generators.
 This module is the independent verification oracle for everything the
 cell machinery produces, so it never consults the structured formulas it
 is used to check.
+
+Every division here is the kernel ``poly._normal_form_dict``, imported under
+that name, applied to the ``.monic()`` forms of the basis.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import math
 
 from .errors import DomainError
 from .linalg import echelon_insert
-from .poly import (Polynomial, mono_div, mono_divides, mono_lcm, mono_mul)
+from .poly import (Polynomial, _normal_form_dict, _reducers, mono_div, mono_divides,
+                   mono_lcm, mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -28,15 +32,9 @@ class MonomialIdeal:
 
     def __init__(self, nvars, gens):
         gens = sorted(set(tuple(g) for g in gens), reverse=True)
-        minimal = []
-        for g in gens:
-            if not any(mono_divides(h, g) for h in minimal if h != g):
-                minimal.append(g)
-        # a second sweep: drop anything divisible by a later (smaller) generator
-        final = [g for g in minimal
-                 if not any(h != g and mono_divides(h, g) for h in minimal)]
+        minimal = [g for g in gens if not any(h != g and mono_divides(h, g) for h in gens)]
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", tuple(final))
+        object.__setattr__(self, "gens", tuple(minimal))
 
     def contains(self, mono):
         return any(mono_divides(g, mono) for g in self.gens)
@@ -110,35 +108,6 @@ def s_polynomial(f, g):
     return a - b
 
 
-def _normal_form_dict(work, leads):
-    """Fully reduce a term dict against (lt, lc, terms) triples, in place."""
-    rem = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
-        for lt, lc_inv, tail in leads:
-            if mono_divides(lt, m):
-                q = c * lc_inv
-                u = mono_div(m, lt)
-                for tm, tc in tail:
-                    key = mono_mul(u, tm)
-                    v = work.get(key)
-                    v = -(q * tc) if v is None else v - q * tc
-                    if v:
-                        work[key] = v
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            rem[m] = c
-    return rem
-
-
-def _leads(basis, field):
-    one = field.one
-    return [(g.lt, field.div(one, g.lc), g.terms[1:]) for g in basis]
-
-
 def reduce(f, basis):
     """Multivariate division: f = sum q_i b_i + r, no term of r reducible.
 
@@ -148,47 +117,22 @@ def reduce(f, basis):
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("reduction basis contains the zero polynomial")
-    field = f.field
+    field, nv = f.field, f.nvars
     quots = [{} for _ in basis]
-    leads = [(i, g.lt, field.div(field.one, g.lc), g.terms[1:]) for i, g in enumerate(basis)]
-    work = dict(f.terms)
-    rem = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
-        for i, lt, lc_inv, tail in leads:
-            if mono_divides(lt, m):
-                q = c * lc_inv
-                u = mono_div(m, lt)
-                quots[i][u] = quots[i].get(u, field.zero) + q
-                for tm, tc in tail:
-                    key = mono_mul(u, tm)
-                    v = work.get(key)
-                    v = -(q * tc) if v is None else v - q * tc
-                    if v:
-                        work[key] = v
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            rem[m] = c
-    nv = f.nvars
+    rem = _normal_form_dict(dict(f.terms), _reducers(basis), quots)
     return (Polynomial.from_dict(field, nv, rem),
-            [Polynomial.from_dict(field, nv, qd) for qd in quots])
+            [Polynomial.from_dict(field, nv, qd).scale(field.div(field.one, g.lc))
+             for qd, g in zip(quots, basis)])
 
 
 def normal_form(f, basis):
     """Remainder of ``f`` on division by ``basis``."""
-    if f.is_zero:
-        return f
-    rem = _normal_form_dict(dict(f.terms), _leads(basis, f.field))
+    rem = _normal_form_dict(dict(f.terms), _reducers(basis))
     return Polynomial.from_dict(f.field, f.nvars, rem)
 
 
 def reduces_to_zero(f, basis):
-    if f.is_zero:
-        return True
-    return not _normal_form_dict(dict(f.terms), _leads(basis, f.field))
+    return not _normal_form_dict(dict(f.terms), _reducers(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +179,18 @@ def buchberger_reduced(gens):
     pairs = []
     for g in start:
         pairs = _gm_update(G, pairs, g.monic())
+    reducers = _reducers(G)  # grows with G
     while pairs:
         best = min(range(len(pairs)), key=lambda k: (pairs[k][0], pairs[k][1], pairs[k][2]))
         L, i, j = pairs.pop(best)
         s = s_polynomial(G[i], G[j])
         if s.is_zero:
             continue
-        rem = _normal_form_dict(dict(s.terms), _leads(G, field))
+        rem = _normal_form_dict(dict(s.terms), reducers)
         if rem:
             r = Polynomial.from_dict(field, s.nvars, rem).monic()
             pairs = _gm_update(G, pairs, r)
+            reducers += _reducers([r])
     # minimalize: drop elements whose lead is divisible by another lead
     G.sort(key=lambda g: g.lt)
     minimal = []
@@ -254,8 +200,7 @@ def buchberger_reduced(gens):
     # interreduce tails
     reduced = []
     for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        rem = _normal_form_dict(dict(g.terms), _leads(others, field))
+        rem = _normal_form_dict(dict(g.terms), _reducers(minimal[:k] + minimal[k + 1:]))
         reduced.append(Polynomial.from_dict(field, g.nvars, rem).monic())
     reduced.sort(key=lambda g: g.lt, reverse=True)
     return reduced
@@ -264,14 +209,14 @@ def buchberger_reduced(gens):
 def is_groebner_basis(fs):
     """Check Buchberger's criterion directly (coprime pairs skipped)."""
     fs = [f for f in fs if not f.is_zero]
-    leads = _leads(fs, fs[0].field)
+    reducers = _reducers(fs)
     for f, g in itertools.combinations(fs, 2):
         if mono_lcm(f.lt, g.lt) == mono_mul(f.lt, g.lt):
             continue
         s = s_polynomial(f, g)
         if s.is_zero:
             continue
-        if _normal_form_dict(dict(s.terms), leads):
+        if _normal_form_dict(dict(s.terms), reducers):
             return False
     return True
 

@@ -29,7 +29,7 @@ import random
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
 from .groebner import (buchberger_reduced, leading_term_ideal, reduces_to_zero)
-from .poly import Polynomial, UniPoly, divide_univariate
+from .poly import Polynomial, UniPoly, _normal_form_dict, _reducers, divide_univariate
 from .staircase import Staircase, staircase_from_monomial_ideal
 
 
@@ -306,24 +306,25 @@ def minors_ideal(N):
     return fs
 
 
-def _y_coefficients(g, fs, lowest, E):
+def _y_coefficients(g, fs, lowest):
     """Write g as sum of k[y]-multiples of f_lowest..f_t (Groebner cell shape).
 
-    Repeatedly cancels the leading term of g with y^(b-m_i) f_i where i is
-    forced by the x-degree; quotients therefore stay in k[y], which is what
-    makes the cell matrix entries unique.
+    Divides g by f_lowest..f_t in that order.  The leads x^(t-i) y^(m_i)
+    decrease with i and m is nondecreasing, so the first f_i whose lead
+    divides a term is the one forced by the x-degree; a quotient needing x,
+    or a remainder, means g does not have the expected shape.  Quotients
+    therefore stay in k[y], which is what makes the cell matrix entries
+    unique.
     """
     field = g.field
-    t = E.t
-    coefs = {i: UniPoly.zero(field) for i in range(lowest, t + 1)}
-    while not g.is_zero:
-        alpha, b = g.lt
-        i = t - alpha
-        if i < lowest or b < E.m[i]:
-            raise DomainError("generators do not define an ideal with the expected staircase")
-        c = g.lc
-        coefs[i] = coefs[i] + UniPoly.y_power(field, b - E.m[i], c)
-        g = g - fs[i].mul_term((0, b - E.m[i]), c)
+    quots = [{} for _ in fs[lowest:]]
+    rem = _normal_form_dict(dict(g.terms), _reducers(fs[lowest:]), quots)
+    if rem or any(u[0] for qd in quots for u in qd):
+        raise DomainError("generators do not define an ideal with the expected staircase")
+    coefs = {}
+    for i, qd in enumerate(quots, lowest):
+        top = max((b for _, b in qd), default=-1)
+        coefs[i] = UniPoly(field, [qd.get((0, b), field.zero) for b in range(top + 1)])
     return coefs
 
 
@@ -362,7 +363,7 @@ def canonical_matrix(gens):
     for k in range(t, 0, -1):
         dk = E.d[k - 1]
         g = fs[k - 1].mul_term((0, dk), field.one) - x * fs[k]
-        coefs = _y_coefficients(g, fs, k - 1, E)
+        coefs = _y_coefficients(g, fs, k - 1)
         # relation: y^(d_k) f_{k-1} - x f_k + sum n_(j+1,k) f_j = 0
         nkk = -coefs[k - 1]
         if nkk.degree >= dk:

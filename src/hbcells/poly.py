@@ -9,6 +9,11 @@ A :class:`Polynomial` is an immutable association of monomials to nonzero
 coefficients, stored as a term tuple sorted in decreasing lex order so the
 leading term is ``terms[0]``.  A :class:`UniPoly` is a dense univariate
 polynomial in y, used for the entries of cell matrices.
+
+All division happens in one kernel, :func:`_normal_form_dict`, which divides
+a term dict by monic polynomials (no coefficient is inverted in its loop);
+Groebner reduction, exact quotients, the generic-cell equations and the
+k[y]-coefficients of the canonical matrix all go through it.
 """
 
 from __future__ import annotations
@@ -148,6 +153,9 @@ class Polynomial:
     @property
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     @property
     def lt(self):
@@ -464,31 +472,57 @@ class UniPoly:
         return f"UniPoly({self.to_str()})"
 
 
-def exact_quotient(f, g):
-    """f / g when g divides f exactly, else None."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    field = f.field
-    lg, cg = g.terms[0] if g.terms else ((), None)
-    work = dict(f.terms)
-    quot = {}
+def _normal_form_dict(work, reducers, quots=None):
+    """Divide the term dict ``work`` (consumed) by monic polynomials.
+
+    ``reducers`` lists (lead, tail) pairs of monic polynomials.  Each step
+    cancels the largest remaining monomial with the first reducer whose lead
+    divides it, so the order of the list fixes the preference.  Returns the
+    remainder dict.  When ``quots`` (one dict per reducer) is given, the
+    quotient terms are recorded as ``quots[k][u] = c``; for a fixed reducer
+    ``u`` strictly decreases, so no term is written twice.
+    """
+    rem = {}
     while work:
         m = max(work)
-        if not mono_divides(lg, m):
-            return None
         c = work.pop(m)
-        q = field.div(c, cg)
-        u = mono_div(m, lg)
-        quot[u] = q
-        for tm, tc in g.terms[1:]:
-            key = mono_mul(u, tm)
-            v = work.get(key)
-            v = -(q * tc) if v is None else v - q * tc
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-    return Polynomial.from_dict(field, f.nvars, quot)
+        for k, (lead, tail) in enumerate(reducers):
+            if mono_divides(lead, m):
+                u = mono_div(m, lead)
+                if quots is not None:
+                    quots[k][u] = c
+                for tm, tc in tail:
+                    key = mono_mul(u, tm)
+                    v = work.get(key)
+                    v = -(c * tc) if v is None else v - c * tc
+                    if v:
+                        work[key] = v
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _reducers(basis):
+    """The (lead, tail) pairs of the monic forms of ``basis``, in order."""
+    return [(g.lt, g.terms[1:]) for g in map(Polynomial.monic, basis)]
+
+
+def exact_quotient(f, g):
+    """f / g when g divides f exactly, else None.
+
+    Division by a single polynomial is unique, so a zero remainder is
+    exactly divisibility.
+    """
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    quots = [{}]
+    if _normal_form_dict(dict(f.terms), _reducers([g]), quots):
+        return None
+    field, lc = f.field, g.lc
+    return Polynomial.from_dict(field, f.nvars, {u: field.div(c, lc) for u, c in quots[0].items()})
 
 
 def divide_univariate(f, h):

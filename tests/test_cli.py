@@ -142,3 +142,9 @@ def test_usage_error_exit_codes(capsys):
     assert code == 2 and "--m or --d" in err
     code, _, err = run(capsys, "generic", "--gens", "x1 + x2", "--n", "3")
     assert code == 2 and "monomial" in err
+    code, _, err = run(capsys, "minors", "--m", "0,1", "--cell", "{}")
+    assert code == 2 and "usage error" in err
+    code, _, err = run(capsys, "minors", "--m", "0,1", "--cell", "[1]")
+    assert code == 2 and "usage error" in err
+    code, _, err = run(capsys, "betti", "--m", "0,2,2", "--p", "p1=1/0")
+    assert code == 2 and "zero denominator" in err

@@ -58,6 +58,17 @@ def test_reduce_already_reduced():
     assert r == f and qs[0].is_zero
 
 
+def test_reduce_non_monic_basis_over_gf7():
+    F = GF(7)
+    f = P("3*x^3*y + 5*x*y^2 + 2*y + 1", F)
+    basis = [P("2*x*y + 3", F), P("4*y^2 + x", F)]
+    r, qs = reduce(f, basis)
+    assert not r.is_zero
+    assert f == sum((q * b for q, b in zip(qs, basis)), r)
+    for mono, _ in r.terms:
+        assert not any(mono_divides(b.lt, mono) for b in basis)
+
+
 def test_reduce_remainder_irreducible():
     rng = random.Random(4)
     for _ in range(40):

@@ -8,8 +8,8 @@ import pytest
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.groebner import buchberger_reduced, leading_term_ideal
-from hbcells.hilbert_burch import (CellKind, CellMatrix, canonical_frame,
-                                   canonical_matrix, cell_dimension,
+from hbcells.hilbert_burch import (CellKind, CellMatrix, _y_coefficients,
+                                   canonical_frame, canonical_matrix, cell_dimension,
                                    cell_kinds_of_ideal,
                                    cell_matrix_from_parameters, minors_ideal,
                                    random_cell_matrix, slot_set,
@@ -273,6 +273,17 @@ def test_canonicalize_rejects_bad_ideals():
         canonical_matrix(parse_ideal("x - 1, x", ("x", "y")))  # unit ideal
     with pytest.raises(ValueError):
         canonical_matrix([Polynomial.zero(QQ, 2)])
+
+
+def test_y_coefficients_shape():
+    # staircase m = (0, 1): f_0 = x, f_1 = y
+    fs = [P("x"), P("y")]
+    coefs = _y_coefficients(P("x*y + y^2 + y"), fs, 0)
+    assert coefs == {0: UniPoly(QQ, (0, 1)), 1: UniPoly(QQ, (1, 1))}
+    with pytest.raises(DomainError):
+        _y_coefficients(P("x*y"), fs, 1)  # the quotient by f_1 needs x
+    with pytest.raises(DomainError):
+        _y_coefficients(P("y + x"), fs, 1)  # x is left as a remainder
 
 
 def test_round_trip_characteristic_two():

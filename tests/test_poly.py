@@ -150,6 +150,15 @@ def test_exact_quotient():
     assert exact_quotient(f, g) == poly_of("x + y")
     assert exact_quotient(f, poly_of("x + 1")) is None
     assert exact_quotient(Polynomial.zero(QQ, 2), g).is_zero
+    # the lead divides but a later term does not
+    assert exact_quotient(poly_of("x^2 + y"), poly_of("x")) is None
+    q = exact_quotient(poly_of("3/2*x*y"), poly_of("1/2*x"))
+    assert q == poly_of("3*y") and isinstance(q.lc, int)
+
+
+def test_polynomial_truthiness():
+    assert not Polynomial.zero(QQ, 2)
+    assert poly_of("x - 1")
 
 
 # -- univariate division ----------------------------------------------------
