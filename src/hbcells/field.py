@@ -144,7 +144,8 @@ class FFElement:
         if isinstance(other, FFElement):
             return self.field is other.field and self.val == other.val
         if isinstance(other, int):
-            return self.val == self.field.of(other).val
+            # only the canonical value, so that equal objects hash alike
+            return other == self.val and self.field.of(other).val == other
         return NotImplemented
 
     def __hash__(self):

@@ -215,7 +215,10 @@ def eliminate_linear(eqs, nparams, names=None):
 
     Scans equations in order and parameters by index, replacing the first
     eligible parameter by minus the rest of its equation (divided by the
-    scalar coefficient); repeats until nothing is eligible.
+    scalar coefficient); repeats until nothing is eligible.  Only the
+    equations that contain the parameter are rewritten; the others pass
+    through unchanged (they are already monic), and the dedupe still runs
+    over the whole list, so the first of two equal equations is kept.
     """
     names = tuple(f"a{k + 1}" for k in range(nparams)) if names is None else tuple(names)
     eqs = _normalize(list(eqs))
@@ -235,7 +238,8 @@ def eliminate_linear(eqs, nparams, names=None):
         rest = eq - Polynomial.monomial(QQ, nparams, lam, c)
         expr = rest.scale(QQ.div(-1, c))
         eliminated.append((k, expr))
-        eqs = _normalize(e.substitute(k, expr) for e in eqs)
+        eqs = _normalize([e.substitute(k, expr) if any(m[k] for m, _ in e.terms) else e
+                          for e in eqs])
     gone = {k for k, _ in eliminated}
     survivors = [k for k in range(nparams) if k not in gone]
     return EliminationReport(names, eliminated, survivors, prune_multiples(eqs))

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add, le, sub
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .field import QQ
 
 
@@ -38,21 +39,21 @@ def lex_compare(a, b):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """Exponent-wise a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a):
@@ -191,9 +192,15 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _same_field(self, other):
+        """Raise DomainError unless ``other`` lives over the same field."""
+        if other.field is not self.field and other.field != self.field:
+            raise DomainError(f"polynomials over {self.field!r} and {other.field!r} do not mix")
+
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
+        self._same_field(other)
         d = dict(self.terms)
         for m, c in other.terms:
             v = d.get(m)
@@ -207,6 +214,7 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
+        self._same_field(other)
         d = dict(self.terms)
         for m, c in other.terms:
             v = d.get(m)
@@ -222,12 +230,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            self._same_field(other)
             if len(self.terms) > len(other.terms):
                 self, other = other, self
             d = {}
             for m1, c1 in self.terms:
                 for m2, c2 in other.terms:
-                    m = tuple(x + y for x, y in zip(m1, m2))
+                    m = tuple(map(add, m1, m2))
                     v = d.get(m)
                     v = c1 * c2 if v is None else v + c1 * c2
                     if v:
@@ -259,7 +268,7 @@ class Polynomial:
             return Polynomial.zero(self.field, self.nvars)
         return Polynomial._raw(
             self.field, self.nvars,
-            tuple((tuple(x + y for x, y in zip(m, mono)), c * cc) for m, cc in self.terms))
+            tuple((tuple(map(add, m, mono)), c * cc) for m, cc in self.terms))
 
     def monic(self):
         if not self.terms:
@@ -271,17 +280,28 @@ class Polynomial:
         return self.scale(inv)
 
     def substitute(self, i, replacement):
-        """Substitute ``replacement`` (a Polynomial) for variable i."""
-        one = Polynomial.constant(self.field, self.nvars, self.field.one)
-        powers = [one]
+        """Substitute ``replacement`` (a Polynomial) for variable i.
+
+        Terms free of variable i go into the result under their own monomial;
+        only the others are expanded against the powers of ``replacement``.
+        """
+        powers = [replacement]  # powers[e - 1] is replacement^e
         acc = {}
         for m, c in self.terms:
             e = m[i]
-            while e >= len(powers):
+            if not e:
+                v = acc.get(m)
+                v = c if v is None else v + c
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+                continue
+            while e > len(powers):
                 powers.append(powers[-1] * replacement)
             rest = m[:i] + (0,) + m[i + 1:]
-            for pm, pc in powers[e].terms:
-                key = tuple(a + b for a, b in zip(pm, rest))
+            for pm, pc in powers[e - 1].terms:
+                key = tuple(map(add, pm, rest))
                 v = acc.get(key)
                 v = pc * c if v is None else v + pc * c
                 if v:
@@ -306,7 +326,8 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return ((self.field is other.field or self.field == other.field)
+                and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.nvars, self.terms))
@@ -630,7 +651,7 @@ def parse_polynomial(text, variables, field=QQ):
             take()
             c2, m2 = parse_factor()
             coeff = coeff * c2
-            mono = tuple(a + b for a, b in zip(mono, m2))
+            mono = mono_mul(mono, m2)
         return coeff, mono
 
     acc = {}

@@ -1,5 +1,8 @@
 """Generic cell equations, linear elimination, and their soundness."""
 
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -13,6 +16,7 @@ from hbcells.generic_cells import (affine_space_check, back_substitute,
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
+from hbcells.poly import monomials_of_degree
 from hbcells.staircase import Staircase, enumerate_staircases
 
 EX21 = [(0, 0, 4), (0, 4, 0), (1, 2, 1), (3, 0, 1)]                      # n=3
@@ -107,6 +111,26 @@ def test_elimination_is_sound():
         from hbcells.poly import exact_quotient
         for eq in replayed - residual:
             assert any(exact_quotient(eq, r) is not None for r in residual)
+
+
+# md5 over json.dumps(report.to_json(with_log=True), sort_keys=True) of every
+# report in test_elimination_reports_are_unchanged, in its order.  A faster
+# eliminate_linear must keep every report, substitution log included,
+# byte-identical.
+ELIMINATION_DIGEST = "f319ffe05fe331d09a9e573265d4cc00"
+
+
+def test_elimination_reports_are_unchanged():
+    cases = [(E.generators(minimal=True), 2, graded)
+             for d in range(1, 9) for E in enumerate_staircases(d)
+             for graded in (True, False)]
+    cases += [(list(gens), 3, True) for size in range(1, 4)
+              for gens in itertools.combinations(monomials_of_degree(3, 3), size)]
+    digest = hashlib.md5()
+    for gens, n, graded in cases:
+        _, rep = cell_report(gens, n, graded)
+        digest.update(json.dumps(rep.to_json(with_log=True), sort_keys=True).encode())
+    assert digest.hexdigest() == ELIMINATION_DIGEST
 
 
 def test_elimination_never_inverts_parameters():

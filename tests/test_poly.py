@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbcells.errors import ParseError
+from hbcells.errors import DomainError, ParseError
 from hbcells.field import GF, QQ
 from hbcells.poly import (Polynomial, UniPoly, divide_univariate, exact_quotient,
                           lex_compare, parse_polynomial, polynomial_to_str)
@@ -58,6 +58,27 @@ def test_gf4_is_a_field():
             assert a * (F4.one / a) == F4.one
     w = elems[2]
     assert w * w == w + F4.one  # w^2 = w + 1
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), GF5, GF(7)], ids=repr)
+def test_finite_field_eq_implies_equal_hash(field):
+    for a in field.elements():
+        for n in range(-2 * field.size, 2 * field.size):
+            if a == n:
+                assert n == a and hash(a) == hash(n)
+        for b in field.elements():
+            assert (a == b) == (a.val == b.val)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert field.one == 1 and field.zero == 0
+
+
+def test_finite_field_int_equality_is_canonical():
+    assert GF5.of(1) == 1 and GF5.of(1) != 6 and GF5.of(4) != -1
+    assert GF5.of(6) == 1
+    assert len({GF5.of(1), 1, 6}) == 2
+    w = GF(4).elements()[2]
+    assert w != 2 and w != 0
 
 
 # -- lex order --------------------------------------------------------------
@@ -142,6 +163,47 @@ def test_substitute_and_evaluate():
     expected = poly_of("y^3 + 2*y^2 + 2*y - 2")
     assert q == expected
     assert p.evaluate([2, 5]) == 4 * 5 + 2 - 3
+    # a variable that does not occur
+    p = poly_of("x^2 + 3*x - 1")
+    assert p.substitute(1, poly_of("x + 1")) == p
+    # a term free of x cancels against a substituted one
+    assert poly_of("x^2 - 2*x*y + y^2").substitute(0, poly_of("y")).is_zero
+    # powers of the replacement beyond the first
+    assert (poly_of("x^3*y + x").substitute(0, poly_of("y - 1"))
+            == poly_of("y^4 - 3*y^3 + 3*y^2 - 1"))
+
+
+def test_substitute_thirty_variables_against_evaluate():
+    rng = random.Random(30)
+    nvars = 30
+
+    def sparse(nterms, max_exp):
+        terms = {}
+        for _ in range(nterms):
+            mono = [0] * nvars
+            for v in rng.sample(range(nvars), 3):
+                mono[v] = rng.randint(0, max_exp)
+            terms[tuple(mono)] = QQ.of(rng.randint(-5, 5), rng.randint(1, 3))
+        return Polynomial(QQ, nvars, terms)
+
+    for _ in range(10):
+        p, r = sparse(12, 3), sparse(4, 2)
+        i = rng.randrange(nvars)
+        q = p.substitute(i, r)
+        for _ in range(3):
+            point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)]
+            moved = list(point)
+            moved[i] = r.evaluate(point)
+            assert q.evaluate(point) == p.evaluate(moved)
+
+
+def test_polynomials_over_different_fields_do_not_mix():
+    a, b = poly_of("x + 1"), poly_of("x + 1", GF5)
+    assert a != b and b != a
+    assert poly_of("x + 1", GF5) == poly_of("x + 1", GF5)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+        with pytest.raises(DomainError):
+            op()
 
 
 def test_exact_quotient():
