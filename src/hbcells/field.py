@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DomainError
+
 
 def _is_prime(p):
     if p < 2:
@@ -74,7 +76,7 @@ class FFElement:
     def _coerce(self, other):
         if isinstance(other, FFElement):
             if other.field is not self.field:
-                raise ValueError("mixing elements of different finite fields")
+                raise DomainError("mixing elements of different finite fields")
             return other
         if isinstance(other, int):
             return self.field.of(other)
@@ -270,11 +272,15 @@ class QuarticField:
         return "GF(4)"
 
 
+# One shared field object per order: elements of a field only combine with
+# elements of the same object, so two calls of GF(q) must give the same one.
+_FIELDS = {}
+
+
 def GF(q):
-    """Finite field of order q; q must be prime or 4."""
-    if q == 4:
-        return QuarticField()
-    return PrimeField(q)
+    """The finite field of order q, one shared object per order; q must be prime or 4."""
+    field = QuarticField() if q == 4 else PrimeField(q)
+    return _FIELDS.setdefault(field, field)
 
 
 def scalar_to_json(c):

@@ -164,16 +164,37 @@ def _gm_update(G, pairs, f):
     return kept
 
 
+# The key and basis of the last buchberger_reduced computation: one entry,
+# so a basis is reused only while consecutive calls pass the same generators.
+_last = (None, ())
+
+
 def buchberger_reduced(gens):
     """The unique reduced Groebner basis (lex) of the ideal of ``gens``.
 
     Normal selection strategy (lex-smallest lcm first) with the product
     and chain criteria; auto-reduction at the end.  Output is sorted by
     decreasing leading term, every element monic.
+
+    The last result is remembered: a call whose nonzero generators have the
+    same field, number of variables and terms, in the same order, as the
+    previous call's returns the same basis without recomputing it.  Every
+    call returns a new list, so a caller may sort or extend it.
     """
+    global _last
     start = [g for g in gens if not g.is_zero]
     if not start:
         raise ValueError("need at least one nonzero generator")
+    key = (start[0].field, start[0].nvars, tuple(g.terms for g in start))
+    last_key, gb = _last
+    if key != last_key:
+        gb = _reduced_basis(start)
+        _last = (key, gb)
+    return list(gb)
+
+
+def _reduced_basis(start):
+    """Buchberger's algorithm on a nonempty list of nonzero generators."""
     field = start[0].field
     G = []
     pairs = []
@@ -203,7 +224,7 @@ def buchberger_reduced(gens):
         rem = _normal_form_dict(dict(g.terms), _reducers(minimal[:k] + minimal[k + 1:]))
         reduced.append(Polynomial.from_dict(field, g.nvars, rem).monic())
     reduced.sort(key=lambda g: g.lt, reverse=True)
-    return reduced
+    return tuple(reduced)
 
 
 def is_groebner_basis(fs):

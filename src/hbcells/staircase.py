@@ -11,6 +11,8 @@ colength.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import DomainError
 from .groebner import MonomialIdeal
 
@@ -124,13 +126,13 @@ def staircase_from_monomial_ideal(E):
         raise DomainError("the monomial ideal has infinite colength")
     if t == 0:
         raise DomainError("the unit ideal has no staircase")
-    m = [0]
-    for i in range(1, t + 1):
-        b = 0
-        while not E.contains((t - i, b)):
-            b += 1
-        m.append(b)
-    return Staircase(m)
+    # m_i = min{b : (a, b) a generator, a <= t - i}: the least y-exponent of
+    # each x-degree below t, then a running minimum upward in a
+    least = [my] * t
+    for a, b in E.gens:
+        if a < t and b < least[a]:
+            least[a] = b
+    return Staircase([0, *reversed(list(itertools.accumulate(least, min)))])
 
 
 class HSeries:

@@ -5,12 +5,17 @@ import random
 
 import pytest
 
+from hbcells import groebner
 from hbcells.field import GF, QQ
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
                               graded_minimal_generators, is_groebner_basis,
                               leading_term_ideal, normal_form, reduce,
                               s_polynomial)
+from hbcells.hilbert_burch import (CellKind, canonical_matrix, cell_kinds_of_ideal,
+                                   minors_ideal, random_cell_matrix,
+                                   validate_cell_matrix)
 from hbcells.poly import Polynomial, mono_divides, parse_polynomial
+from hbcells.staircase import Staircase, staircase_from_monomial_ideal
 
 
 def P(text, field=QQ):
@@ -172,6 +177,80 @@ def test_colength_matches_enumeration():
         d = rng.randint(15, 30)
         E = rng.choice(enumerate_staircases(d))
         assert colength(E.monomial_ideal()) == d
+
+
+# -- the last-result memo -----------------------------------------------------
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Start from an empty memo and record every Buchberger computation."""
+    built = []
+    inner = groebner._reduced_basis
+    monkeypatch.setattr(groebner, "_last", (None, ()))
+    monkeypatch.setattr(groebner, "_reduced_basis", lambda start: built.append(start) or inner(start))
+    return built
+
+
+def test_chart_round_trip_builds_one_basis(builds):
+    E = Staircase((0, 1, 3, 4, 4))
+    for kind in CellKind:
+        N = random_cell_matrix(E, kind, 7)
+        fs = minors_ideal(N)
+        gb = buchberger_reduced(fs)
+        assert staircase_from_monomial_ideal(leading_term_ideal(gb)) == E
+        assert canonical_matrix(fs) == (E, N)
+        assert cell_kinds_of_ideal(fs) == {k for k in CellKind if validate_cell_matrix(N, k)[0]}
+    assert len(builds) == len(CellKind)
+
+
+def test_memo_returns_a_fresh_list(builds):
+    gens = [P("x^2 + 2*y"), P("x*y + 3")]
+    gb = buchberger_reduced(gens)
+    expected = [P("x - 2/3*y^2"), P("y^3 + 9/2")]
+    assert gb == expected
+    gb.append(P("x"))
+    gb.reverse()
+    again = buchberger_reduced(gens)
+    assert again == expected and again is not gb
+    again.clear()
+    assert buchberger_reduced(gens) == expected
+    assert len(builds) == 1
+
+
+def test_memo_hits_on_rebuilt_equal_generators(builds):
+    gb = buchberger_reduced([P("x^2 + 2*y"), P("x*y + 3")])
+    assert buchberger_reduced([P("x^2 + 2*y"), Polynomial.zero(QQ, 2), P("x*y + 3")]) == gb
+    assert len(builds) == 1
+
+
+def test_memo_recomputes_for_other_order_field_or_reassigned_terms(builds):
+    gens = [P("x^2 + 2*y"), P("x*y + 3")]
+    gb = buchberger_reduced(gens)
+    assert buchberger_reduced(gens[::-1]) == gb
+    assert len(builds) == 2
+    # the same integer terms over GF(7): equal term tuples, another field
+    F = GF(7)
+    gens7 = [P("x^2 + 2*y", F), P("x*y + 3", F)]
+    assert [g.terms for g in gens7] == [g.terms for g in gens]
+    assert buchberger_reduced(gens7) == [P("x + 4*y^2", F), P("y^3 + 1", F)]
+    assert buchberger_reduced(gens) == gb
+    assert len(builds) == 4
+    # a generator changed in place is a different key
+    object.__setattr__(gens[1], "terms", P("x*y").terms)
+    assert buchberger_reduced(gens) == [P("x^2 + 2*y"), P("x*y"), P("y^2")]
+    assert len(builds) == 5
+
+
+def test_memo_is_left_alone_by_an_all_zero_input(builds):
+    gens = [P("x - 3"), P("y - 2")]
+    gb = buchberger_reduced(gens)
+    with pytest.raises(ValueError):
+        buchberger_reduced([Polynomial.zero(QQ, 2)])
+    with pytest.raises(ValueError):
+        buchberger_reduced([])
+    assert groebner._last[1] == tuple(gb)
+    assert buchberger_reduced(gens) == gb
+    assert len(builds) == 1
 
 
 # -- graded minimal generator oracle ------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbcells.errors import DomainError, ParseError
-from hbcells.field import GF, QQ
+from hbcells.field import GF, QQ, PrimeField
 from hbcells.poly import (Polynomial, UniPoly, divide_univariate, exact_quotient,
                           lex_compare, parse_polynomial, polynomial_to_str)
 
@@ -79,6 +79,24 @@ def test_finite_field_int_equality_is_canonical():
     assert len({GF5.of(1), 1, 6}) == 2
     w = GF(4).elements()[2]
     assert w != 2 and w != 0
+
+
+def test_gf_gives_one_shared_field_per_order():
+    assert GF(5) is GF(5) and GF(4) is GF(4) and GF(2) is not GF(4)
+    f = parse_polynomial("x+1", ("x", "y"), GF(5))
+    g = parse_polynomial("x+1", ("x", "y"), GF(5))
+    assert f == g and hash(f) == hash(g)
+    assert f + g == parse_polynomial("2*x+2", ("x", "y"), GF(5))
+    assert GF(4).of(3) == GF(4).of(1)
+
+
+def test_mixing_finite_field_elements_raises_domain_error():
+    with pytest.raises(DomainError):
+        GF(5).one + PrimeField(5).one  # a separately built field of the same order
+    with pytest.raises(DomainError):
+        GF(4).one * GF(2).one
+    with pytest.raises(DomainError):
+        poly_of("x+1", PrimeField(5)) + poly_of("x+1", GF5)
 
 
 # -- lex order --------------------------------------------------------------

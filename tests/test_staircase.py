@@ -34,10 +34,12 @@ def test_from_monomial_ideal_small():
 
 
 def test_from_monomial_ideal_errors():
-    with pytest.raises(DomainError):
-        staircase_from_monomial_ideal(MonomialIdeal(2, [(2, 0)]))
-    with pytest.raises(DomainError):
-        staircase_from_monomial_ideal(MonomialIdeal(2, [(0, 0)]))
+    for gens in ([(2, 0)], [(0, 3)], [(1, 1)], [(2, 0), (1, 1)]):
+        with pytest.raises(DomainError, match="infinite colength"):
+            staircase_from_monomial_ideal(MonomialIdeal(2, gens))
+    for gens in ([(0, 0)], [(0, 0), (1, 0)]):
+        with pytest.raises(DomainError, match="unit ideal"):
+            staircase_from_monomial_ideal(MonomialIdeal(2, gens))
     with pytest.raises(ValueError):
         staircase_from_monomial_ideal(MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
@@ -52,9 +54,13 @@ def test_generators_full_and_minimal():
 
 
 def test_round_trip_all_small_staircases():
-    for d in range(1, 11):
+    for d in range(1, 13):
         for E in enumerate_staircases(d):
             assert staircase_from_monomial_ideal(E.monomial_ideal()) == E
+            # from every x^(t-i) y^(m_i) plus multiples of each
+            gens = E.generators()
+            gens += [(a + 1, b) for a, b in gens] + [(a, b + 2) for a, b in gens]
+            assert staircase_from_monomial_ideal(MonomialIdeal(2, gens)) == E
 
 
 def test_round_trip_random_up_to_colength_30():
