@@ -293,8 +293,14 @@ def scalar_to_json(c):
 
 
 def scalar_from_json(field, v):
-    """Decode the output of :func:`scalar_to_json`."""
+    """Decode the output of :func:`scalar_to_json`.
+
+    Raises ``ValueError`` for a denominator that is zero in ``field``.
+    """
     if isinstance(v, str):
         num, _, den = v.partition("/")
-        return field.of(int(num), int(den) if den else 1)
+        try:
+            return field.of(int(num), int(den) if den else 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r} over {field!r}") from None
     return field.decode(v)

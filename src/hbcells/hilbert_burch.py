@@ -29,7 +29,8 @@ import random
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
 from .groebner import (buchberger_reduced, leading_term_ideal, reduces_to_zero)
-from .poly import Polynomial, UniPoly, _normal_form_dict, _reducers, divide_univariate
+from .poly import (Polynomial, UniPoly, _convolve, _normal_form_dict, _reducers,
+                   divide_univariate)
 from .staircase import Staircase, staircase_from_monomial_ideal
 
 
@@ -261,49 +262,66 @@ def minors_ideal(N):
     f_i is (-1)^(t-i) times the minor deleting row i+1.  The structured
     shape (zero above the diagonal, one nonzero superdiagonal block after
     the deleted row) gives every minor by a linear recurrence in the
-    bottom-right Hessenberg blocks, O(t^2) polynomial products in all.
+    bottom-right Hessenberg blocks.  Every entry lies in k[y] except for
+    the -x below the diagonal, so the recurrence runs in k[y][x]: a value
+    is a list of dense k[y] coefficient lists indexed by the power of x,
+    each product is one ``_convolve`` per power of x, and the -x entry is
+    one shifted subtraction.
     """
     E, field = N.E, N.field
     t = E.t
     d = E.d
-    one = Polynomial.constant(field, 2, field.one)
-    x = Polynomial.monomial(field, 2, (1, 0))
+    zero, one = field.zero, field.one
+    # cols[c][r] = coefficients of n_(r+1, c+1)
+    cols = [[e.coeffs for e in col] for col in zip(*N.entries)]
 
-    # h_c = y^(d_c) + n_cc as bivariate polynomials
+    # h_c = y^(d_c) + n_cc
     h = [None] * (t + 1)
     for c in range(1, t + 1):
-        h[c] = Polynomial.monomial(field, 2, (0, d[c - 1])) + N.n(c, c).to_polynomial(2)
+        n = cols[c - 1][c - 1]
+        h[c] = list(n) + [zero] * (d[c - 1] - len(n)) + [one]
 
-    def entry(r, c):
-        """(r,c) entry of M0+N below the diagonal, r > c."""
-        n = N.n(r, c).to_polynomial(2)
-        if r == c + 1:
-            return n - x
-        return n
-
-    # D[i] = det of rows i+2..t+1, cols i+1..t
+    # D[i] = det of rows i+2..t+1, cols i+1..t, as its coefficients of x^0..x^(t-i)
     D = [None] * (t + 1)
-    D[t] = one
+    D[t] = [[one]]
     for i in range(t - 1, -1, -1):
-        acc = Polynomial.zero(field, 2)
-        hprod = one
-        for a in range(1, t - i + 1):
-            if a >= 2:
-                hprod = hprod * h[i + a]
-            term = entry(i + 1 + a, i + 1) * hprod * D[i + a]
-            acc = acc - term if a % 2 == 0 else acc + term
+        col = cols[i]
+        # a = 1: the entry n_(i+2,i+1) - x times D[i+1]
+        acc = [_convolve(p, col[i + 1], zero) for p in D[i + 1]] + [[]]
+        for k, p in enumerate(D[i + 1], 1):
+            _add_into(acc[k], p, True, zero)
+        # a >= 2: n_(i+1+a,i+1) h_(i+2)...h_(i+a) D[i+a], alternating in sign
+        last = max((a for a in range(2, t - i + 1) if col[i + a]), default=1)
+        hprod = [one]
+        for a in range(2, last + 1):
+            hprod = _convolve(hprod, h[i + a], zero)
+            if col[i + a]:
+                e = _convolve(col[i + a], hprod, zero)
+                for k, p in enumerate(D[i + a]):
+                    _add_into(acc[k], _convolve(p, e, zero), a % 2 == 0, zero)
         D[i] = acc
 
     fs = []
-    P = one
+    P = [one]
     for i in range(t + 1):
         if i >= 1:
-            P = P * h[i]
-        f = P * D[i]
-        if (t - i) % 2 == 1:
-            f = -f
-        fs.append(f)
+            P = _convolve(P, h[i], zero)
+        sP = [-c for c in P] if (t - i) % 2 == 1 else P
+        terms = []
+        for k in range(len(D[i]) - 1, -1, -1):
+            p = _convolve(D[i][k], sP, zero)
+            terms.extend(((k, j), p[j]) for j in range(len(p) - 1, -1, -1) if p[j])
+        fs.append(Polynomial._raw(field, 2, tuple(terms)))
     return fs
+
+
+def _add_into(acc, p, negate, zero):
+    """acc += p, or acc -= p, on dense coefficient lists; acc grows to fit."""
+    if len(acc) < len(p):
+        acc.extend([zero] * (len(p) - len(acc)))
+    for j, c in enumerate(p):
+        if c:
+            acc[j] = acc[j] - c if negate else acc[j] + c
 
 
 def _y_coefficients(g, fs, lowest):

@@ -13,7 +13,10 @@ polynomial in y, used for the entries of cell matrices.
 All division happens in one kernel, :func:`_normal_form_dict`, which divides
 a term dict by monic polynomials (no coefficient is inverted in its loop);
 Groebner reduction, exact quotients, the generic-cell equations and the
-k[y]-coefficients of the canonical matrix all go through it.
+k[y]-coefficients of the canonical matrix all go through it.  All k[y]
+products happen in another, :func:`_convolve`, which multiplies dense
+coefficient sequences for ``UniPoly`` and for the minors of the cell
+matrices.
 """
 
 from __future__ import annotations
@@ -439,17 +442,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly.zero(self.field)
-            z = self.field.zero
-            out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return UniPoly(self.field, out)
+            return UniPoly(self.field, _convolve(self.coeffs, other.coeffs, self.field.zero))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -491,6 +484,26 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.to_str()})"
+
+
+def _convolve(a, b, zero):
+    """Coefficients of the product of two dense coefficient sequences.
+
+    The one k[y] product kernel: ``a`` and ``b`` list coefficients from the
+    constant term up, and so does the result (a list, empty when either
+    input is).  ``zero`` seeds every slot and zero coefficients are
+    skipped, so int inputs give int outputs and a Fraction appears only
+    where a nonzero Fraction took part.
+    """
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    b = [(j, c) for j, c in enumerate(b) if c]
+    for i, c in enumerate(a):
+        if c:
+            for j, e in b:
+                out[i + j] += c * e
+    return out
 
 
 def _normal_form_dict(work, reducers, quots=None):
@@ -627,9 +640,10 @@ def parse_polynomial(text, variables, field=QQ):
             if peek()[0] == "/":
                 take()
                 dk, dv, dpos = take("num")
-                if int(dv) == 0:
-                    raise ParseError("zero denominator", dpos)
-                return field.of(num, int(dv)), (0,) * nvars
+                try:
+                    return field.of(num, int(dv)), (0,) * nvars
+                except ZeroDivisionError:
+                    raise ParseError(f"zero denominator over {field!r}", dpos) from None
             return field.of(num), (0,) * nvars
         if kind == "name":
             take()

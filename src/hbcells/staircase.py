@@ -12,18 +12,23 @@ colength.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import DomainError
 from .groebner import MonomialIdeal
 
 
 class Staircase:
-    """The vector (m_0, ..., m_t) of a finite-colength monomial ideal."""
+    """The vector (m_0, ..., m_t) of a finite-colength monomial ideal.
+
+    Entries must be integers: anything else (``1.5``, ``"1"``) raises
+    ``TypeError`` rather than being truncated.
+    """
 
     __slots__ = ("m",)
 
     def __init__(self, m):
-        m = tuple(int(v) for v in m)
+        m = tuple(map(operator.index, m))
         if len(m) < 2:
             raise DomainError("a staircase needs t >= 1 (the unit ideal has none)")
         if m[0] != 0:
@@ -39,7 +44,7 @@ class Staircase:
     def from_d(cls, d):
         m = [0]
         for v in d:
-            m.append(m[-1] + int(v))
+            m.append(m[-1] + operator.index(v))
         return cls(m)
 
     @property

@@ -148,3 +148,20 @@ def test_usage_error_exit_codes(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run(capsys, "betti", "--m", "0,2,2", "--p", "p1=1/0")
     assert code == 2 and "zero denominator" in err
+    code, _, err = run(capsys, "minors", "--m", "0,1", "--cell",
+                       '{"m":[0,1],"N":[[[0]],[["1/0"]]]}')
+    assert code == 2 and "zero denominator" in err
+    code, _, err = run(capsys, "minors", "--m", "0,1", "--field", "p:5", "--cell",
+                       '{"m":[0,1],"N":[[[0]],[["1/5"]]]}')
+    assert code == 2 and "zero denominator" in err
+    code, _, err = run(capsys, "canonicalize", "--field", "p:5", "x - 1/5, y")
+    assert code == 2 and "zero denominator" in err
+
+
+def test_non_integer_staircase_in_cell_is_usage_error(capsys):
+    code, out, err = run(capsys, "minors", "--m", "0,1", "--cell",
+                         '{"m":[0,1.5],"N":[[[0]],[[1]]]}')
+    assert code == 2 and "usage error" in err and out == ""
+    code, _, err = run(capsys, "minors", "--m", "0,1", "--cell",
+                       '{"m":[0,"1"],"N":[[[0]],[[1]]]}')
+    assert code == 2 and "usage error" in err

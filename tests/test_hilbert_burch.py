@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -206,6 +207,57 @@ def test_last_minor_is_product_of_diagonal():
             h = Polynomial.monomial(QQ, 2, (0, E.d[i - 1])) + N.n(i, i).to_polynomial(2)
             prod = prod * h
         assert fs[-1] == prod
+
+
+def _cofactor_det(rows, field):
+    """Determinant of a square matrix of Polynomials, expanding along the first row."""
+    if not rows:
+        return Polynomial.constant(field, 2, field.one)
+    det = Polynomial.zero(field, 2)
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]], field)
+            det = det - term if j % 2 else det + term
+    return det
+
+
+def _fraction_entries(N, seed):
+    """N with every nonzero coefficient replaced by a Fraction c/q, 1 <= q <= 4."""
+    rng = random.Random(seed)
+    entries = [[UniPoly(QQ, [Fraction(c, rng.randint(1, 4)) if c else 0 for c in e.coeffs])
+                for e in row] for row in N.entries]
+    return CellMatrix(N.E, entries, QQ)
+
+
+@pytest.mark.parametrize("case", ["QQ-int", "QQ-fraction", "GF5", "GF4"])
+def test_minors_match_cofactor_expansion(case):
+    # every coefficient of every minor, and its type, against the definition:
+    # f_i = (-1)^(t-i) det(M0 + N without row i+1), in Polynomial arithmetic
+    field = {"GF5": GF(5), "GF4": GF(4)}.get(case, QQ)
+    count = 0
+    seen = set()
+    for d in range(1, 8):
+        for E in enumerate_staircases(d):
+            t = E.t
+            for kind in CellKind:
+                N = random_cell_matrix(E, kind, count, field=field)
+                if case == "QQ-fraction":
+                    N = _fraction_entries(N, count)
+                M0 = canonical_frame(E, field).M0
+                M = [[M0[r][c] + N.entries[r][c].to_polynomial(2) for c in range(t)]
+                     for r in range(t + 1)]
+                expected = []
+                for i in range(t + 1):
+                    det = _cofactor_det(M[:i] + M[i + 1:], field)
+                    expected.append(-det if (t - i) % 2 else det)
+                fs = minors_ideal(N)
+                assert [f.terms for f in fs] == [g.terms for g in expected], (E, kind)
+                types = [[type(c) for _, c in f.terms] for f in fs]
+                assert types == [[type(c) for _, c in g.terms] for g in expected], (E, kind)
+                seen.update(ty for row in types for ty in row)
+                count += 1
+    assert count == 4 * 44  # 44 staircases of colength <= 7
+    assert seen == {"QQ-int": {int}, "QQ-fraction": {int, Fraction}}.get(case, {type(field.one)})
 
 
 # -- canonical matrix (the inverse) ---------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbcells.errors import DomainError, ParseError
-from hbcells.field import GF, QQ, PrimeField
+from hbcells.field import GF, QQ, PrimeField, scalar_from_json
 from hbcells.poly import (Polynomial, UniPoly, divide_univariate, exact_quotient,
                           lex_compare, parse_polynomial, polynomial_to_str)
 
@@ -79,6 +79,15 @@ def test_finite_field_int_equality_is_canonical():
     assert len({GF5.of(1), 1, 6}) == 2
     w = GF(4).elements()[2]
     assert w != 2 and w != 0
+
+
+def test_scalar_from_json_rejects_zero_denominators():
+    for field, v in ((QQ, "1/0"), (GF5, "1/5"), (GF5, "3/10"), (GF(4), "1/2"), (GF(2), "1/2")):
+        with pytest.raises(ValueError, match="zero denominator"):
+            scalar_from_json(field, v)
+    assert scalar_from_json(QQ, "3/6") == Fraction(1, 2)
+    assert scalar_from_json(QQ, "4/2") == 2 and type(scalar_from_json(QQ, "4/2")) is int
+    assert scalar_from_json(GF5, "1/3") == GF5.of(2)
 
 
 def test_gf_gives_one_shared_field_per_order():
@@ -310,6 +319,10 @@ def test_parse_errors_carry_position():
         poly_of("x ^")
     with pytest.raises(ParseError):
         poly_of("1/0")
+    for q, text in ((5, "x - 1/5"), (5, "2/10*y"), (4, "x + 1/2"), (2, "1/4")):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_polynomial(text, ("x", "y"), GF(q))
+    assert parse_polynomial("1/3", ("x", "y"), GF(5)) == parse_polynomial("2", ("x", "y"), GF(5))
     with pytest.raises(ParseError):
         poly_of("x y")  # juxtaposition products are not part of the grammar
     with pytest.raises(ParseError):

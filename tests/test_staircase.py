@@ -22,6 +22,14 @@ def test_invariants_enforced():
         Staircase((0,))
 
 
+def test_non_integer_entries_rejected():
+    for m in ([0, 1.5], [0, "1"], [0.0, 1], [0, 2.0]):
+        with pytest.raises(TypeError):
+            Staircase(m)
+    with pytest.raises(TypeError):
+        Staircase.from_d([1.5])
+
+
 def test_from_monomial_ideal_worked_example():
     E = staircase_from_monomial_ideal(MonomialIdeal(2, [(3, 0), (1, 3), (0, 5)]))
     assert E.m == (0, 3, 3, 5) and E.d == (3, 0, 2)
