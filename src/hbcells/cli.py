@@ -16,7 +16,7 @@ from . import census as census_mod
 from . import generic_cells
 from . import hilbert_burch as hb
 from .errors import DomainError
-from .field import GF, QQ
+from .field import GF, QQ, scalar_from_json
 from .poly import default_names, parse_ideal
 from .staircase import HSeries, Staircase
 
@@ -156,11 +156,7 @@ def _parse_assignment(text, E):
         k = int(name[1:])
         if not 1 <= k <= len(slots):
             raise UsageExit(f"parameter {name} out of range (S(E) has {len(slots)} slots)")
-        num, _, den = val.partition("/")
-        try:
-            values[slots[k - 1]] = QQ.of(int(num), int(den) if den else 1)
-        except ZeroDivisionError:
-            raise UsageExit(f"zero denominator in {piece!r}")
+        values[slots[k - 1]] = scalar_from_json(QQ, val)
     missing = [k + 1 for k, s in enumerate(slots) if s not in values]
     if missing:
         raise UsageExit(f"incomplete assignment: missing p{', p'.join(map(str, missing))}")

@@ -284,18 +284,19 @@ def GF(q):
 
 
 def scalar_to_json(c):
-    """Encode a field element as a JSON-friendly value."""
+    """Encode a field element as a JSON-friendly value: an int or "a/b"."""
     if isinstance(c, FFElement):
         return c.val
     if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
+        return c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     return c
 
 
 def scalar_from_json(field, v):
-    """Decode the output of :func:`scalar_to_json`.
+    """Decode the output of :func:`scalar_to_json`: an int or an "a/b" string.
 
-    Raises ``ValueError`` for a denominator that is zero in ``field``.
+    Raises ``ValueError`` for any other value (floats and booleans included)
+    and for a denominator that is zero in ``field``.
     """
     if isinstance(v, str):
         num, _, den = v.partition("/")
@@ -303,4 +304,6 @@ def scalar_from_json(field, v):
             return field.of(int(num), int(den) if den else 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r} over {field!r}") from None
-    return field.decode(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return field.decode(v)
+    raise ValueError(f"{v!r} is not a field element (want an integer or an 'a/b' string)")

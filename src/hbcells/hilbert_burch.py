@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import enum
 import random
+import re
 
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
 from .groebner import (buchberger_reduced, leading_term_ideal, reduces_to_zero)
-from .poly import (Polynomial, UniPoly, _convolve, _normal_form_dict, _reducers,
-                   divide_univariate)
+from .poly import Polynomial, UniPoly, _add_into, _convolve, _divmod
 from .staircase import Staircase, staircase_from_monomial_ideal
 
 
@@ -186,31 +186,11 @@ class CellMatrix:
         for i in range(t + 1):
             cells = []
             for j in range(t):
-                entry = frame.M0[i][j] + self.entries[i][j].to_polynomial(2)
-                cells.append(_latex_poly(entry))
+                entry = (frame.M0[i][j] + self.entries[i][j].to_polynomial(2)).to_str()
+                cells.append(re.sub(r"\^(\d\d+)", r"^{\1}", entry).replace("*", ""))
             lines.append(f"{a[i]} & " + " & ".join(cells) + r" \\")
         lines.append(r"\end{array}")
         return "\n".join(lines)
-
-
-def _latex_poly(p):
-    s = p.to_str()
-    out = []
-    i = 0
-    while i < len(s):
-        if s[i] == "^":
-            j = i + 1
-            while j < len(s) and (s[j].isdigit()):
-                j += 1
-            exp = s[i + 1:j]
-            out.append("^{" + exp + "}" if len(exp) > 1 else "^" + exp)
-            i = j
-        elif s[i] == "*":
-            i += 1
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
 
 
 def validate_cell_matrix(N, kind):
@@ -315,34 +295,38 @@ def minors_ideal(N):
     return fs
 
 
-def _add_into(acc, p, negate, zero):
-    """acc += p, or acc -= p, on dense coefficient lists; acc grows to fit."""
-    if len(acc) < len(p):
-        acc.extend([zero] * (len(p) - len(acc)))
-    for j, c in enumerate(p):
-        if c:
-            acc[j] = acc[j] - c if negate else acc[j] + c
+def _x_columns(p):
+    """p in k[x,y] as dense k[y] coefficient lists, one per power of x."""
+    out = [[] for _ in range(p.lt[0] + 1)]
+    for (a, b), c in p.terms:
+        if not out[a]:  # the first term of a column has its top power of y
+            out[a] = [p.field.zero] * (b + 1)
+        out[a][b] = c
+    return out
 
 
-def _y_coefficients(g, fs, lowest):
+def _y_coefficients(g, fs, lowest, field):
     """Write g as sum of k[y]-multiples of f_lowest..f_t (Groebner cell shape).
 
-    Divides g by f_lowest..f_t in that order.  The leads x^(t-i) y^(m_i)
-    decrease with i and m is nondecreasing, so the first f_i whose lead
-    divides a term is the one forced by the x-degree; a quotient needing x,
-    or a remainder, means g does not have the expected shape.  Quotients
-    therefore stay in k[y], which is what makes the cell matrix entries
-    unique.
+    ``g`` (consumed) and the f_i are dense k[y] lists, one per power of x;
+    f_i has lead x^(t-i) y^(m_i) and g has x-degree at most t - lowest.
+    With m nondecreasing, f_(t-a) is the only reducer of the x^a terms, so
+    the division is one k[y] divmod per power of x, from the top, by the
+    monic top coefficient of f_(t-a).  A remainder means g does not have
+    the expected shape.  Returns {i: quotient of f_i}, all in k[y], which
+    is what makes the cell matrix entries unique.
     """
-    field = g.field
-    quots = [{} for _ in fs[lowest:]]
-    rem = _normal_form_dict(dict(g.terms), _reducers(fs[lowest:]), quots)
-    if rem or any(u[0] for qd in quots for u in qd):
-        raise DomainError("generators do not define an ideal with the expected staircase")
+    zero = field.zero
+    t = len(fs) - 1
     coefs = {}
-    for i, qd in enumerate(quots, lowest):
-        top = max((b for _, b in qd), default=-1)
-        coefs[i] = UniPoly(field, [qd.get((0, b), field.zero) for b in range(top + 1)])
+    for a in range(t - lowest, -1, -1):
+        f = fs[t - a]
+        q, r = _divmod(g[a], f[a], field)
+        if r:
+            raise DomainError("generators do not define an ideal with the expected staircase")
+        for b in range(a):
+            _add_into(g[b], _convolve(q, f[b], zero), True, zero)
+        coefs[t - a] = q
     return coefs
 
 
@@ -352,7 +336,8 @@ def canonical_matrix(gens):
     Computes the reduced Groebner basis, seeds representatives f_i with
     leading terms x^(t-i) y^(m_i), then for k = t..1 normalizes the column
     relation y^(d_k) f_{k-1} - x f_k + sum n_(j+1,k) f_j = 0 by univariate
-    division against y^(d_k) + n_kk, folding quotients into f_{k-1}.
+    division against y^(d_k) + n_kk, folding quotients into f_{k-1}.  As in
+    ``minors_ideal``, each f_i is a dense k[y] list per power of x.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -360,46 +345,37 @@ def canonical_matrix(gens):
     if gens[0].nvars != 2:
         raise ValueError("canonical matrices live in k[x,y]")
     field = gens[0].field
+    zero, one = field.zero, field.one
     gb = buchberger_reduced(gens)
     E = staircase_from_monomial_ideal(leading_term_ideal(gb))
-    t = E.t
-    by_lead = {g.lt: g for g in gb}
-
-    # seed: minimal-generator indices take their basis element, the rest
-    # are x-shifts of the last index in the same m-run
+    t, d = E.t, E.d
+    by_lead = {g.lt: _x_columns(g) for g in gb}
+    # seed: a lead that is a minimal generator takes its basis element; any
+    # other has m_i = m_(i+1) and is x times the next one
     fs = [None] * (t + 1)
     for i in range(t, -1, -1):
-        lead = (t - i, E.m[i])
-        if lead in by_lead:
-            fs[i] = by_lead[lead]
-        else:
-            j = _run_end(E, i)
-            fs[i] = fs[j].mul_term((j - i, 0), field.one)
+        fs[i] = by_lead.get((t - i, E.m[i])) or [[]] + fs[i + 1]
 
-    x = Polynomial.monomial(field, 2, (1, 0))
-    cols = {}  # (i, j) 1-indexed -> UniPoly
+    entries = [[UniPoly.zero(field)] * t for _ in range(t + 1)]
     for k in range(t, 0, -1):
-        dk = E.d[k - 1]
-        g = fs[k - 1].mul_term((0, dk), field.one) - x * fs[k]
-        coefs = _y_coefficients(g, fs, k - 1)
+        dk = d[k - 1]
         # relation: y^(d_k) f_{k-1} - x f_k + sum n_(j+1,k) f_j = 0
-        nkk = -coefs[k - 1]
-        if nkk.degree >= dk:
+        g = [[zero] * dk + c if c else [] for c in fs[k - 1]]
+        for a, c in enumerate(fs[k], 1):
+            _add_into(g[a], c, True, zero)
+        coefs = _y_coefficients(g, fs, k - 1, field)
+        nkk = [-c for c in coefs[k - 1]]
+        if len(nkk) > dk:
             raise DomainError("column normalization failed: diagonal degree too large")
-        h = UniPoly.y_power(field, dk) + nkk
-        newf = fs[k - 1]
+        entries[k - 1][k - 1] = UniPoly(field, nkk)
+        h = nkk + [zero] * (dk - len(nkk)) + [one]
+        newf = [list(c) for c in fs[k - 1]]
         for j in range(k, t + 1):
-            q, r = divide_univariate(-coefs[j], h)
-            if q:
-                newf = newf + q.to_polynomial(2) * fs[j]
-            if r:
-                cols[(j + 1, k)] = r
-        if nkk:
-            cols[(k, k)] = nkk
+            q, r = _divmod([-c for c in coefs[j]], h, field)
+            for a, c in enumerate(fs[j]):
+                _add_into(newf[a], _convolve(q, c, zero), False, zero)
+            entries[j][k - 1] = UniPoly(field, r)
         fs[k - 1] = newf
-
-    z = UniPoly.zero(field)
-    entries = [[cols.get((i, j), z) for j in range(1, t + 1)] for i in range(1, t + 2)]
     return E, CellMatrix(E, entries, field)
 
 

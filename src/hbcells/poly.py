@@ -10,13 +10,14 @@ coefficients, stored as a term tuple sorted in decreasing lex order so the
 leading term is ``terms[0]``.  A :class:`UniPoly` is a dense univariate
 polynomial in y, used for the entries of cell matrices.
 
-All division happens in one kernel, :func:`_normal_form_dict`, which divides
-a term dict by monic polynomials (no coefficient is inverted in its loop);
-Groebner reduction, exact quotients, the generic-cell equations and the
-k[y]-coefficients of the canonical matrix all go through it.  All k[y]
-products happen in another, :func:`_convolve`, which multiplies dense
-coefficient sequences for ``UniPoly`` and for the minors of the cell
-matrices.
+Multivariate division happens in one kernel, :func:`_normal_form_dict`,
+which divides a term dict by monic polynomials (no coefficient is inverted
+in its loop); Groebner reduction, exact quotients and the generic-cell
+equations all go through it.  Dense k[y] coefficient lists have three
+kernels of their own: :func:`_convolve` (product), :func:`_divmod`
+(division with remainder) and :func:`_add_into` (accumulate).  ``UniPoly``
+arithmetic and both directions of the Hilbert-Burch chart, the minors of a
+cell matrix and the canonical matrix of an ideal, are built on them.
 """
 
 from __future__ import annotations
@@ -419,22 +420,13 @@ class UniPoly:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        out = list(self.coeffs)
+        _add_into(out, other.coeffs, False, self.field.zero)
         return UniPoly(self.field, out)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else z
-            y = other.coeffs[i] if i < len(other.coeffs) else z
-            out.append(x - y)
+        out = list(self.coeffs)
+        _add_into(out, other.coeffs, True, self.field.zero)
         return UniPoly(self.field, out)
 
     def __neg__(self):
@@ -469,15 +461,11 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def to_polynomial(self, nvars=2, y_index=None):
+    def to_polynomial(self, nvars=2):
         """Embed into a multivariate ring with y as the last variable."""
-        y_index = nvars - 1 if y_index is None else y_index
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                mono = tuple(k if i == y_index else 0 for i in range(nvars))
-                terms.append((mono, c))
-        return Polynomial(self.field, nvars, terms)
+        pad = (0,) * (nvars - 1)
+        terms = [(pad + (k,), c) for k, c in enumerate(self.coeffs) if c]
+        return Polynomial._raw(self.field, nvars, tuple(reversed(terms)))
 
     def to_str(self):
         return polynomial_to_str(self.to_polynomial(nvars=1))
@@ -504,6 +492,40 @@ def _convolve(a, b, zero):
             for j, e in b:
                 out[i + j] += c * e
     return out
+
+
+def _divmod(a, b, field):
+    """Lists q, r with a = b*q + r and len(r) < len(b): the one k[y] division kernel.
+
+    ``b`` ends in a nonzero coefficient; q and r have no trailing zeros.  As
+    in :func:`_convolve` zeros are skipped: int a by monic b stays int.
+    """
+    db = len(b) - 1
+    inv = field.one if b[-1] == field.one else field.div(field.one, b[-1])
+    tail = [(j, e) for j, e in enumerate(b[:-1]) if e]
+    r = list(a)
+    q = [field.zero] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            c = c * inv
+            q[i - db] = c
+            for j, e in tail:
+                r[i - db + j] -= c * e
+    del r[db:]
+    for p in (q, r):
+        while p and not p[-1]:
+            p.pop()
+    return q, r
+
+
+def _add_into(acc, p, negate, zero):
+    """acc += p, or acc -= p, in place: the one k[y] accumulate kernel; zeros of p are skipped."""
+    if len(acc) < len(p):
+        acc.extend([zero] * (len(p) - len(acc)))
+    for j, c in enumerate(p):
+        if c:
+            acc[j] = acc[j] - c if negate else acc[j] + c
 
 
 def _normal_form_dict(work, reducers, quots=None):
@@ -563,20 +585,8 @@ def divide_univariate(f, h):
     """Division with remainder in k[y]: f = h*q + r, r = 0 or deg r < deg h."""
     if h.is_zero:
         raise ZeroDivisionError("univariate division by the zero polynomial")
-    field = f.field
-    inv_lead = field.div(field.one, h.lc)
-    dh = len(h.coeffs) - 1
-    rem = list(f.coeffs)
-    q = [field.zero] * max(len(rem) - dh, 0)
-    for i in range(len(rem) - 1, dh - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        qc = c * inv_lead
-        q[i - dh] = qc
-        for j, hc in enumerate(h.coeffs):
-            rem[i - dh + j] = rem[i - dh + j] - qc * hc
-    return UniPoly(field, q), UniPoly(field, rem[:dh])
+    q, r = _divmod(f.coeffs, h.coeffs, f.field)
+    return UniPoly(f.field, q), UniPoly(f.field, r)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,12 @@ def test_canonicalize_example(capsys):
     assert out.strip() == "m=[0,1]; N=[[-2],[3]]"
 
 
+def test_canonicalize_json_writes_integral_fractions_as_ints(capsys):
+    _, plain, _ = run(capsys, "canonicalize", "--format", "json", "x-3, y-2")
+    code, scaled, _ = run(capsys, "canonicalize", "--format", "json", "1/2*x - 3/2, y - 2")
+    assert code == 0 and scaled == plain
+
+
 def test_gdim_example(capsys):
     code, out, _ = run(capsys, "gdim", "--h", "1,2,1")
     assert code == 0
@@ -156,6 +162,10 @@ def test_usage_error_exit_codes(capsys):
     assert code == 2 and "zero denominator" in err
     code, _, err = run(capsys, "canonicalize", "--field", "p:5", "x - 1/5, y")
     assert code == 2 and "zero denominator" in err
+    for field, value in (("p:5", "1.5"), ("q", "true")):
+        code, out, err = run(capsys, "minors", "--m", "0,1", "--field", field, "--cell",
+                             '{"m":[0,1],"N":[[[0]],[[%s]]]}' % value)
+        assert code == 2 and "not a field element" in err and out == ""
 
 
 def test_non_integer_staircase_in_cell_is_usage_error(capsys):

@@ -328,14 +328,15 @@ def test_canonicalize_rejects_bad_ideals():
 
 
 def test_y_coefficients_shape():
-    # staircase m = (0, 1): f_0 = x, f_1 = y
-    fs = [P("x"), P("y")]
-    coefs = _y_coefficients(P("x*y + y^2 + y"), fs, 0)
-    assert coefs == {0: UniPoly(QQ, (0, 1)), 1: UniPoly(QQ, (1, 1))}
+    # staircase m = (0, 1): f_0 = x and f_1 = y, as k[y] lists per power of x
+    fs = [[[], [1]], [[0, 1]]]
+    g = [[0, 1, 1], [0, 1]]  # x*y + y^2 + y
+    assert _y_coefficients(g, fs, 0, QQ) == {0: [0, 1], 1: [1, 1]}
     with pytest.raises(DomainError):
-        _y_coefficients(P("x*y"), fs, 1)  # the quotient by f_1 needs x
+        _y_coefficients([[1]], fs, 1, QQ)  # 1 is left as a remainder by y
+    # staircase m = (1, 2): f_0 = x*y, f_1 = y^2; x is left as a remainder
     with pytest.raises(DomainError):
-        _y_coefficients(P("y + x"), fs, 1)  # x is left as a remainder
+        _y_coefficients([[], [1]], [[[], [0, 1]], [[0, 0, 1]]], 0, QQ)
 
 
 def test_round_trip_characteristic_two():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbcells.errors import DomainError, ParseError
-from hbcells.field import GF, QQ, PrimeField, scalar_from_json
+from hbcells.field import GF, QQ, PrimeField, scalar_from_json, scalar_to_json
 from hbcells.poly import (Polynomial, UniPoly, divide_univariate, exact_quotient,
                           lex_compare, parse_polynomial, polynomial_to_str)
 
@@ -88,6 +88,14 @@ def test_scalar_from_json_rejects_zero_denominators():
     assert scalar_from_json(QQ, "3/6") == Fraction(1, 2)
     assert scalar_from_json(QQ, "4/2") == 2 and type(scalar_from_json(QQ, "4/2")) is int
     assert scalar_from_json(GF5, "1/3") == GF5.of(2)
+
+
+def test_scalar_json_accepts_only_ints_and_fraction_strings():
+    for v in (1.5, 2.0, True, None, [1]):
+        with pytest.raises(ValueError, match="not a field element"):
+            scalar_from_json(QQ, v)
+    assert scalar_to_json(Fraction(6, 2)) == 3 and scalar_to_json(Fraction(0)) == 0
+    assert scalar_to_json(Fraction(3, 2)) == "3/2"
 
 
 def test_gf_gives_one_shared_field_per_order():
