@@ -21,10 +21,18 @@ from .staircase import HSeries, lex_segment_from_hseries
 from .hilbert_burch import slot_set
 
 
-class ResolutionDegrees:
-    """Generator degrees a (length t+1) and syzygy degrees b (length t)."""
+def _by_degree(degrees):
+    """Degree -> tuple of the 1-based indices carrying it, in increasing order."""
+    out = {}
+    for i, j in enumerate(degrees, 1):
+        out[j] = out.get(j, ()) + (i,)
+    return out
 
-    __slots__ = ("E", "a", "b")
+
+class ResolutionDegrees:
+    """Generator degrees a (length t+1) and syzygy degrees b (length t), grouped by degree."""
+
+    __slots__ = ("E", "a", "b", "_w", "_v")
 
     def __init__(self, E):
         t = E.t
@@ -33,17 +41,19 @@ class ResolutionDegrees:
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_w", _by_degree(a))
+        object.__setattr__(self, "_v", _by_degree(b))
 
     def w(self, j):
         """Row indices (1-based) of generators of degree j."""
-        return tuple(i for i in range(1, len(self.a) + 1) if self.a[i - 1] == j)
+        return self._w.get(j, ())
 
     def v(self, j):
         """Column indices (1-based) of syzygies of degree j."""
-        return tuple(i for i in range(1, len(self.b) + 1) if self.b[i - 1] == j)
+        return self._v.get(j, ())
 
     def degrees(self):
-        return sorted(set(self.a) | set(self.b))
+        return sorted(self._w.keys() | self._v.keys())
 
 
 def resolution_degrees(E):
@@ -55,12 +65,30 @@ def canonical_parameters(E):
     return slot_set(E)
 
 
-def _entry_tag(E, i1, i2):
+def _entry_tag(d, i1, i2):
+    """The entry of M(p)_j in row i1, column i2 of the staircase with steps d."""
     if i1 == i2:
         return ("one",)
-    if i1 > i2 and E.d[i2 - 1] > 0:
+    if i1 > i2 and d[i2 - 1] > 0:
         return ("p", i1, i2)
     return ("zero",)
+
+
+def _strand(d, rows, cols):
+    """The tags of M(p)_j on ``rows`` x ``cols``, one tuple per row."""
+    out = []
+    for i1 in rows:
+        out.append(tuple([_entry_tag(d, i1, i2) for i2 in cols]))
+    return tuple(out)
+
+
+def _numeric(entries, assignment, field):
+    """Rows of tags with parameters replaced by their values."""
+    values = {"one": field.one, "zero": field.zero}
+    out = []
+    for row in entries:
+        out.append([values[tag[0]] if len(tag) == 1 else assignment[tag[1:]] for tag in row])
+    return out
 
 
 class GradedPieceMatrix:
@@ -76,13 +104,14 @@ class GradedPieceMatrix:
 
     def __init__(self, E, j):
         rd = ResolutionDegrees(E)
+        d = E.d
         rows = rd.w(j)
         cols = rd.v(j)
-        entries = tuple(tuple(_entry_tag(E, i1, i2) for i2 in cols) for i1 in rows)
+        entries = _strand(d, rows, cols)
         shared = set(rows) & set(cols)
         srows = tuple(i for i in rows if i not in shared)
         scols = tuple(i for i in cols if i not in shared)
-        star = tuple(tuple(_entry_tag(E, i1, i2) for i2 in scols) for i1 in srows)
+        star = _strand(d, srows, scols)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "rows", rows)
@@ -106,18 +135,7 @@ class GradedPieceMatrix:
 
     def numeric(self, assignment, field=QQ):
         """Rows of M(p)_j with parameters replaced by their values."""
-        out = []
-        for row in self.entries:
-            vals = []
-            for tag in row:
-                if tag[0] == "one":
-                    vals.append(field.one)
-                elif tag[0] == "zero":
-                    vals.append(field.zero)
-                else:
-                    vals.append(assignment[tag[1:]])
-            out.append(vals)
-        return out
+        return _numeric(self.entries, assignment, field)
 
     def symbolic_star(self, param_index):
         """Star entries as polynomials in the S(E) parameter space."""
@@ -206,16 +224,18 @@ def betti_numbers(E, assignment, field=QQ):
     missing = [s for s in slots if s not in assignment]
     if missing:
         raise ValueError(f"assignment misses S(E) slots {missing}")
-    unknown = [s for s in assignment if s not in set(slots)]
+    known = set(slots)
+    unknown = [s for s in assignment if s not in known]
     if unknown:
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
     rd = ResolutionDegrees(E)
+    d = E.d
     data = {}
     for j in rd.degrees():
-        gm = GradedPieceMatrix(E, j)
-        r = rank(gm.numeric(assignment, field))
-        b0 = len(gm.rows) - r
-        b1 = len(gm.cols) - r
+        rows, cols = rd.w(j), rd.v(j)
+        r = rank(_numeric(_strand(d, rows, cols), assignment, field))
+        b0 = len(rows) - r
+        b1 = len(cols) - r
         if b0 or b1:
             data[j] = (b0, b1)
     return BettiTable(data)
@@ -237,7 +257,7 @@ def _det(rows):
         cell = rows[0][k]
         if cell.is_zero:
             continue
-        sub = [[row[c] for c in range(n) if c != k] for row in rows[1:]]
+        sub = [row[:k] + row[k + 1:] for row in rows[1:]]
         term = cell * _det(sub)
         if k % 2 == 1:
             term = -term
@@ -272,7 +292,7 @@ class StratumDescriptor:
             size = bound + 1
             for rsel in itertools.combinations(range(nr), size):
                 for csel in itertools.combinations(range(nc), size):
-                    minor = _det([[sym[r][c] for c in csel] for r in rsel])
+                    minor = _det([list(map(sym[r].__getitem__, csel)) for r in rsel])
                     if not minor.is_zero:
                         conditions.append(minor)
         object.__setattr__(self, "E", E)

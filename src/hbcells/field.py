@@ -13,6 +13,7 @@ division must go through ``field.div``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError
@@ -292,13 +293,18 @@ def scalar_to_json(c):
     return c
 
 
+#: An optional sign, ASCII digits, and at most one "/" with ASCII digits.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def scalar_from_json(field, v):
     """Decode the output of :func:`scalar_to_json`: an int or an "a/b" string.
 
-    Raises ``ValueError`` for any other value (floats and booleans included)
-    and for a denominator that is zero in ``field``.
+    Raises ``ValueError`` for any other value (floats, booleans, and strings
+    with spaces, underscores or non-ASCII digits included) and for a
+    denominator that is zero in ``field``.
     """
-    if isinstance(v, str):
+    if isinstance(v, str) and _RATIONAL.fullmatch(v):
         num, _, den = v.partition("/")
         try:
             return field.of(int(num), int(den) if den else 1)

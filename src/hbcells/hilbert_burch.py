@@ -52,15 +52,13 @@ def degree_matrix(E):
 
 
 def slot_set(E):
-    """S(E): pairs (i,j), j < i, with 0 <= u_ij < d_j, in column-major order."""
-    U = degree_matrix(E)
-    d = E.d
-    out = []
-    for j in range(1, E.t + 1):
-        for i in range(j + 1, E.t + 2):
-            if 0 <= U[i - 1][j - 1] < d[j - 1]:
-                out.append((i, j))
-    return tuple(out)
+    """S(E): pairs (i,j), j < i, with 0 <= u_ij < d_j, in column-major order.
+
+    u_ij is computed as in :func:`degree_matrix`, but only below the diagonal.
+    """
+    m, n = E.m, len(E.m)
+    return tuple([(i, j) for j in range(1, n) for i in range(j + 1, n + 1)
+                  if 0 <= m[j] - m[i - 1] + i - j < m[j] - m[j - 1]])
 
 
 class CanonicalFrame:

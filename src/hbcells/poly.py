@@ -419,12 +419,16 @@ class UniPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
+    _same_field = Polynomial._same_field
+
     def __add__(self, other):
+        self._same_field(other)
         out = list(self.coeffs)
         _add_into(out, other.coeffs, False, self.field.zero)
         return UniPoly(self.field, out)
 
     def __sub__(self, other):
+        self._same_field(other)
         out = list(self.coeffs)
         _add_into(out, other.coeffs, True, self.field.zero)
         return UniPoly(self.field, out)
@@ -434,6 +438,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
+            self._same_field(other)
             return UniPoly(self.field, _convolve(self.coeffs, other.coeffs, self.field.zero))
         return self.scale(other)
 
@@ -585,6 +590,7 @@ def divide_univariate(f, h):
     """Division with remainder in k[y]: f = h*q + r, r = 0 or deg r < deg h."""
     if h.is_zero:
         raise ZeroDivisionError("univariate division by the zero polynomial")
+    f._same_field(h)
     q, r = _divmod(f.coeffs, h.coeffs, f.field)
     return UniPoly(f.field, q), UniPoly(f.field, r)
 

@@ -166,6 +166,11 @@ def test_usage_error_exit_codes(capsys):
         code, out, err = run(capsys, "minors", "--m", "0,1", "--field", field, "--cell",
                              '{"m":[0,1],"N":[[[0]],[[%s]]]}' % value)
         assert code == 2 and "not a field element" in err and out == ""
+    code, out, err = run(capsys, "minors", "--m", "0,1", "--cell",
+                         '{"m":[0,1],"N":[[[0]],[["1_0/ 2"]]]}')
+    assert code == 2 and "not a field element" in err and out == ""
+    code, out, err = run(capsys, "betti", "--m", "0,2,2", "--p", "p1=\u0663")
+    assert code == 2 and "not a field element" in err and out == ""
 
 
 def test_non_integer_staircase_in_cell_is_usage_error(capsys):

@@ -94,6 +94,11 @@ def test_scalar_json_accepts_only_ints_and_fraction_strings():
     for v in (1.5, 2.0, True, None, [1]):
         with pytest.raises(ValueError, match="not a field element"):
             scalar_from_json(QQ, v)
+    for v in ("1_0/ 2", " 3", "3 ", "\u0663", "1_000", "3/-4", "3/", "/3", "1/2/3", "", "+",
+              "3\n", "0x10", "\uff13"):
+        with pytest.raises(ValueError, match="not a field element"):
+            scalar_from_json(QQ, v)
+    assert scalar_from_json(QQ, "-3/4") == Fraction(-3, 4) and scalar_from_json(QQ, "+7") == 7
     assert scalar_to_json(Fraction(6, 2)) == 3 and scalar_to_json(Fraction(0)) == 0
     assert scalar_to_json(Fraction(3, 2)) == "3/2"
 
@@ -114,6 +119,17 @@ def test_mixing_finite_field_elements_raises_domain_error():
         GF(4).one * GF(2).one
     with pytest.raises(DomainError):
         poly_of("x+1", PrimeField(5)) + poly_of("x+1", GF5)
+
+
+def test_unipoly_arithmetic_rejects_mixed_fields():
+    a, b = UniPoly(QQ, [1, 2]), UniPoly(GF5, [GF5.of(3)])
+    for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g, divide_univariate):
+        for f, g in ((a, b), (b, a), (UniPoly(GF(2), [GF(2).one] * 2), UniPoly(GF(4), [GF(4).one]))):
+            with pytest.raises(DomainError, match="do not mix"):
+                op(f, g)
+    c = UniPoly(GF5, [GF5.one, GF5.one])
+    assert (c + b).coeffs == (4, 1) and (c - b).coeffs == (3, 1) and (c * b).coeffs == (3, 3)
+    assert divide_univariate(c, b) == (UniPoly(GF5, [GF5.of(2)] * 2), UniPoly.zero(GF5))
 
 
 # -- lex order --------------------------------------------------------------
