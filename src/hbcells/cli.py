@@ -17,7 +17,7 @@ from . import generic_cells
 from . import hilbert_burch as hb
 from .errors import DomainError
 from .field import GF, QQ, scalar_from_json
-from .poly import default_names, parse_ideal
+from .poly import UniPoly, default_names, parse_ideal
 from .staircase import HSeries, Staircase
 
 
@@ -63,10 +63,9 @@ def _emit(args, text_fn, json_obj, latex_fn=None):
 
 
 def _matrix_lines(rows):
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
-    return "\n".join("[ " + "  ".join(cells[r][c].rjust(widths[c]) for c in range(len(widths))) + " ]"
-                     for r in range(len(cells)))
+    cells = [list(map(str, row)) for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return "\n".join("[ " + "  ".join(map(str.rjust, row, widths)) + " ]" for row in cells)
 
 
 def cmd_frame(args):
@@ -76,7 +75,7 @@ def cmd_frame(args):
 
     def text():
         lines = [str(E), "M0:"]
-        lines.append(_matrix_lines([[p.to_str() for p in row] for row in frame.M0]))
+        lines.append(_matrix_lines(frame.M0))
         lines.append("U:")
         lines.append(_matrix_lines(frame.U))
         lines.append("S: " + (" ".join(f"({i},{j})" for i, j in frame.S) or "(empty)"))
@@ -84,7 +83,7 @@ def cmd_frame(args):
 
     _emit(args, text, {
         "m": list(E.m),
-        "M0": [[p.to_str() for p in row] for row in frame.M0],
+        "M0": [list(map(str, row)) for row in frame.M0],
         "U": [list(row) for row in frame.U],
         "S": [list(s) for s in frame.S],
     }, latex_fn=N0.to_latex)
@@ -94,7 +93,7 @@ def cmd_frame(args):
 def cmd_dims(args):
     E = _staircase(args)
     dims = {kind: hb.cell_dimension(E, kind) for kind in hb.CellKind}
-    _emit(args, lambda: " ".join(f"{k}={v}" for k, v in sorted(dims.items(), key=lambda kv: kv[0].value)),
+    _emit(args, lambda: " ".join(f"{k}={dims[k]}" for k in hb.CellKind),
           {"m": list(E.m), "dims": {str(k): v for k, v in dims.items()}})
     return 0
 
@@ -127,7 +126,7 @@ def cmd_canonicalize(args):
     E, N = hb.canonical_matrix(gens)
 
     def text():
-        rows = ",".join("[" + ",".join(e.to_str() for e in row) + "]" for row in N.entries)
+        rows = ",".join("[" + ",".join(map(UniPoly.to_str, row)) + "]" for row in N.entries)
         return f"{E}; N=[{rows}]"
 
     _emit(args, text, N.to_json(), latex_fn=N.to_latex)
@@ -178,8 +177,9 @@ def cmd_stratum(args):
     def text():
         gm = desc.matrix
         tags = {"one": "1", "zero": "0"}
-        star = [[tags.get(tag[0], f"p_{{{tag[1]}{tag[2]}}}" if len(tag) > 2 else "?")
-                 for tag in row] for row in gm.star_entries]
+        star = [
+            [tags.get(tag[0], f"p_{{{tag[1]}{tag[2]}}}" if len(tag) > 2 else "?") for tag in row]
+            for row in gm.star_entries]
         lines = [f"j={desc.j} u={desc.u} rank_bound={desc.rank_bound}",
                  f"star rows {list(gm.star_rows)} cols {list(gm.star_cols)}"]
         if star:

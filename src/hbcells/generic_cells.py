@@ -17,8 +17,7 @@ import itertools
 from .errors import DomainError
 from .field import QQ
 from .groebner import MonomialIdeal
-from .poly import (Polynomial, _normal_form_dict, exact_quotient, mono_div, mono_lcm,
-                   mono_mul, mono_degree)
+from .poly import Polynomial, _normal_form_dict, _s_pair, exact_quotient, mono_degree
 
 
 class GenericFamily:
@@ -43,16 +42,16 @@ class GenericFamily:
     def nparams(self):
         return len(self.pairs)
 
-    def member_polynomials(self):
-        """Members as polynomials in x-variables over the parameter ring."""
+    def member_reducers(self):
+        """Members as monic (lead, tail) pairs, coefficients in the parameter ring."""
         npar = self.nparams
         out = []
         for lead, support in self.members:
-            terms = {lead: Polynomial.constant(QQ, npar, 1)}
+            tail = []
             for mono, k in support:
                 lam = tuple(1 if v == k else 0 for v in range(npar))
-                terms[mono] = Polynomial.monomial(QQ, npar, lam, -1)
-            out.append(terms)
+                tail.append((mono, Polynomial.monomial(QQ, npar, lam, -1)))
+            out.append((lead, tail))
         return out
 
 
@@ -123,28 +122,16 @@ def prune_multiples(eqs):
 def buchberger_equations(family):
     """The parameter equations making the family a Groebner basis.
 
-    Every S-pair is reduced with the leading coefficients kept monic (no
-    parameter is ever inverted): the reducer is the member whose leading
-    monomial divides the current monomial, the lex-largest such leading
-    monomial when there is a choice.  Each coefficient polynomial of the
-    final remainder is one equation.
+    Every S-pair (``poly._s_pair``) is reduced with the leading coefficients
+    kept monic (no parameter is ever inverted): the reducer is the member
+    whose leading monomial divides the current monomial, the lex-largest
+    such leading monomial when there is a choice (``members`` is sorted that
+    way).  Each coefficient polynomial of the final remainder is one equation.
     """
-    members = [(terms, max(terms)) for terms in family.member_polynomials()]
-    reducers = sorted(((lead, [(m, c) for m, c in terms.items() if m != lead])
-                       for terms, lead in members), key=lambda r: r[0], reverse=True)
+    reducers = family.member_reducers()
     eqs = []
-    for (fa, la), (fb, lb) in itertools.combinations(members, 2):
-        L = mono_lcm(la, lb)
-        ua, ub = mono_div(L, la), mono_div(L, lb)
-        work = {mono_mul(ua, m): cp for m, cp in fa.items()}
-        for m, cp in fb.items():
-            key = mono_mul(ub, m)
-            v = work[key] - cp if key in work else -cp
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-        rem = _normal_form_dict(work, reducers)
+    for a, b in itertools.combinations(reducers, 2):
+        rem = _normal_form_dict(_s_pair(a, b), reducers)
         for mono in sorted(rem, reverse=True):
             eqs.append(rem[mono])
     return _normalize(eqs)
@@ -261,14 +248,15 @@ def instantiate(family, values, field=QQ):
     """Specialize the family at a parameter point over ``field``."""
     if len(values) != family.nparams:
         raise ValueError("need one value per parameter")
+    one, nvars = field.one, family.nvars
     out = []
     for lead, support in family.members:
-        terms = {lead: field.one}
+        terms = [(lead, one)]
         for mono, k in support:
             v = values[k]
             if v:
-                terms[mono] = -v
-        out.append(Polynomial(field, family.nvars, terms))
+                terms.append((mono, -v))
+        out.append(Polynomial._raw(field, nvars, tuple(terms)))
     return out
 
 

@@ -7,8 +7,8 @@ This module is the independent verification oracle for everything the
 cell machinery produces, so it never consults the structured formulas it
 is used to check.
 
-Every division here is the kernel ``poly._normal_form_dict``, imported under
-that name, applied to the ``.monic()`` forms of the basis.
+Every division here is the kernel ``poly._normal_form_dict`` (imported under
+that name) and every S-polynomial ``poly._s_pair``, both on ``.monic()`` forms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 from .errors import DomainError
 from .linalg import echelon_insert
-from .poly import (Polynomial, _normal_form_dict, _reducers, mono_div, mono_divides,
+from .poly import (Polynomial, _normal_form_dict, _reducers, _s_pair, mono_divides,
                    mono_lcm, mono_mul)
 
 
@@ -101,11 +101,7 @@ def s_polynomial(f, g):
     """(L/Lt f) f / Lc f - (L/Lt g) g / Lc g with L = lcm of leading terms."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomials need nonzero inputs")
-    field = f.field
-    L = mono_lcm(f.lt, g.lt)
-    a = f.mul_term(mono_div(L, f.lt), field.div(field.one, f.lc))
-    b = g.mul_term(mono_div(L, g.lt), field.div(field.one, g.lc))
-    return a - b
+    return Polynomial.from_dict(f.field, f.nvars, _s_pair(*_reducers([f, g])))
 
 
 def reduce(f, basis):
@@ -129,10 +125,6 @@ def normal_form(f, basis):
     """Remainder of ``f`` on division by ``basis``."""
     rem = _normal_form_dict(dict(f.terms), _reducers(basis))
     return Polynomial.from_dict(f.field, f.nvars, rem)
-
-
-def reduces_to_zero(f, basis):
-    return not _normal_form_dict(dict(f.terms), _reducers(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +187,7 @@ def buchberger_reduced(gens):
 
 def _reduced_basis(start):
     """Buchberger's algorithm on a nonempty list of nonzero generators."""
-    field = start[0].field
+    field, nvars = start[0].field, start[0].nvars
     G = []
     pairs = []
     for g in start:
@@ -204,12 +196,9 @@ def _reduced_basis(start):
     while pairs:
         best = min(range(len(pairs)), key=lambda k: (pairs[k][0], pairs[k][1], pairs[k][2]))
         L, i, j = pairs.pop(best)
-        s = s_polynomial(G[i], G[j])
-        if s.is_zero:
-            continue
-        rem = _normal_form_dict(dict(s.terms), reducers)
+        rem = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
         if rem:
-            r = Polynomial.from_dict(field, s.nvars, rem).monic()
+            r = Polynomial.from_dict(field, nvars, rem).monic()
             pairs = _gm_update(G, pairs, r)
             reducers += _reducers([r])
     # minimalize: drop elements whose lead is divisible by another lead
@@ -229,15 +218,11 @@ def _reduced_basis(start):
 
 def is_groebner_basis(fs):
     """Check Buchberger's criterion directly (coprime pairs skipped)."""
-    fs = [f for f in fs if not f.is_zero]
-    reducers = _reducers(fs)
-    for f, g in itertools.combinations(fs, 2):
-        if mono_lcm(f.lt, g.lt) == mono_mul(f.lt, g.lt):
+    reducers = _reducers([f for f in fs if not f.is_zero])
+    for a, b in itertools.combinations(reducers, 2):
+        if mono_lcm(a[0], b[0]) == mono_mul(a[0], b[0]):
             continue
-        s = s_polynomial(f, g)
-        if s.is_zero:
-            continue
-        if _normal_form_dict(dict(s.terms), reducers):
+        if _normal_form_dict(_s_pair(a, b), reducers):
             return False
     return True
 

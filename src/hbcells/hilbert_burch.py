@@ -24,13 +24,14 @@ of a reduced Groebner basis.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import re
 
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
-from .groebner import (buchberger_reduced, leading_term_ideal, reduces_to_zero)
-from .poly import Polynomial, UniPoly, _add_into, _convolve, _divmod
+from .groebner import buchberger_reduced, leading_term_ideal
+from .poly import Polynomial, UniPoly, _add_into, _convolve, _divmod, _normal_form_dict, _reducers
 from .staircase import Staircase, staircase_from_monomial_ideal
 
 
@@ -47,7 +48,7 @@ class CellKind(enum.Enum):
 def degree_matrix(E):
     """U(E): u_ij = m_j - m_{i-1} + i - j, for i = 1..t+1, j = 1..t."""
     m, t = E.m, E.t
-    return tuple(tuple(m[j] - m[i - 1] + i - j for j in range(1, t + 1))
+    return tuple(tuple([m[j] - m[i - 1] + i - j for j in range(1, t + 1)])
                  for i in range(1, t + 2))
 
 
@@ -159,18 +160,21 @@ class CellMatrix:
         return hash((self.E, self.entries))
 
     def __repr__(self):
-        return f"CellMatrix(E={self.E}, entries={[[e.to_str() for e in row] for row in self.entries]})"
+        return f"CellMatrix(E={self.E}, entries={[list(map(UniPoly.to_str, row)) for row in self.entries]})"
 
     def to_json(self):
         return {"m": list(self.E.m),
-                "N": [[[scalar_to_json(c) for c in e.coeffs] for e in row]
-                      for row in self.entries]}
+                "N": [
+                    [list(map(scalar_to_json, e.coeffs)) for e in row]
+                    for row in self.entries]}
 
     @classmethod
     def from_json(cls, data, field=QQ):
         E = Staircase(data["m"])
-        entries = [[UniPoly(field, [scalar_from_json(field, c) for c in cell])
-                    for cell in row] for row in data["N"]]
+        decode = functools.partial(scalar_from_json, field)
+        entries = [
+            [UniPoly(field, map(decode, cell)) for cell in row]
+            for row in data["N"]]
         return cls(E, entries, field)
 
     def to_latex(self):
@@ -250,8 +254,8 @@ def minors_ideal(N):
     t = E.t
     d = E.d
     zero, one = field.zero, field.one
-    # cols[c][r] = coefficients of n_(r+1, c+1)
-    cols = [[e.coeffs for e in col] for col in zip(*N.entries)]
+    cols = [  # cols[c][r] = coefficients of n_(r+1, c+1)
+        [e.coeffs for e in col] for col in zip(*N.entries)]
 
     # h_c = y^(d_c) + n_cc
     h = [None] * (t + 1)
@@ -384,7 +388,7 @@ def cell_kinds_of_ideal(gens):
     the monic generator of I \\cap k[y] to be a pure power of y; V2 asks
     the radical to be (x,y), checked as V1 plus x^colength in I; V3 asks
     the reduced basis to be homogeneous.  All checks are independent of
-    any cell matrix.
+    any cell matrix.  V2 iterates r <- NF(x*r) from r = 1, stopping at 0.
     """
     gb = buchberger_reduced(gens)
     E = staircase_from_monomial_ideal(leading_term_ideal(gb))
@@ -392,9 +396,13 @@ def cell_kinds_of_ideal(gens):
     f_last = next(g for g in gb if g.lt == (0, E.y_power))
     if len(f_last.terms) == 1:
         kinds.add(CellKind.V1)
-        xd = Polynomial.monomial(gb[0].field, 2, (E.colength, 0))
-        if reduces_to_zero(xd, gb):
-            kinds.add(CellKind.V2)
+        reducers = _reducers(gb)
+        r = {(0, 0): f_last.field.one}
+        for _ in range(E.colength):
+            r = _normal_form_dict({(i + 1, j): c for (i, j), c in r.items()}, reducers)
+            if not r:
+                kinds.add(CellKind.V2)
+                break
     if all(g.is_homogeneous() for g in gb):
         kinds.add(CellKind.V3)
     return kinds

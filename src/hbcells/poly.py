@@ -13,11 +13,12 @@ polynomial in y, used for the entries of cell matrices.
 Multivariate division happens in one kernel, :func:`_normal_form_dict`,
 which divides a term dict by monic polynomials (no coefficient is inverted
 in its loop); Groebner reduction, exact quotients and the generic-cell
-equations all go through it.  Dense k[y] coefficient lists have three
-kernels of their own: :func:`_convolve` (product), :func:`_divmod`
-(division with remainder) and :func:`_add_into` (accumulate).  ``UniPoly``
-arithmetic and both directions of the Hilbert-Burch chart, the minors of a
-cell matrix and the canonical matrix of an ideal, are built on them.
+equations all go through it, and S-polynomials through :func:`_s_pair`.
+Dense k[y] coefficient lists have three kernels of their own:
+:func:`_convolve` (product), :func:`_divmod` (division with remainder) and
+:func:`_add_into` (accumulate).  ``UniPoly`` arithmetic and both directions
+of the Hilbert-Burch chart, the minors of a cell matrix and the canonical
+matrix of an ideal, are built on them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 from operator import add, le, sub
 
 from .errors import DomainError, ParseError
-from .field import QQ
+from .field import FFElement, QQ
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +375,18 @@ def polynomial_to_str(p, names=None):
 # univariate polynomials in y
 
 class UniPoly:
-    """Dense univariate polynomial over an exact field, variable ``y``."""
+    """Dense univariate polynomial over an exact field, variable ``y``.
+
+    Over a finite field every coefficient that is not yet a field element
+    (an int or a Fraction) is mapped into the field with ``field.of``.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
+        if field.char:
+            cs = [c if isinstance(c, FFElement) else field.of(c) for c in cs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "field", field)
@@ -567,8 +574,29 @@ def _normal_form_dict(work, reducers, quots=None):
 
 
 def _reducers(basis):
-    """The (lead, tail) pairs of the monic forms of ``basis``, in order."""
-    return [(g.lt, g.terms[1:]) for g in map(Polynomial.monic, basis)]
+    """The (lead, tail) pairs of the monic forms of ``basis``, in order, all over one field."""
+    basis = list(map(Polynomial.monic, basis))
+    for g in basis[1:]:
+        basis[0]._same_field(g)
+    return [(g.lt, g.terms[1:]) for g in basis]
+
+
+def _s_pair(a, b):
+    """The S-polynomial of monic (lead, tail) pairs as a new term dict: the one S-pair kernel.
+
+    It is u_a*tail_a - u_b*tail_b with u = lcm(leads) / lead; the leads cancel, nothing is divided.
+    """
+    (la, ta), (lb, tb) = a, b
+    L = mono_lcm(la, lb)
+    ua, ub = mono_div(L, la), mono_div(L, lb)
+    work = {mono_mul(ua, m): c for m, c in ta}
+    for m, c in tb:
+        key = mono_mul(ub, m)
+        v = work.pop(key, None)
+        v = -c if v is None else v - c
+        if v:
+            work[key] = v
+    return work
 
 
 def exact_quotient(f, g):

@@ -16,7 +16,7 @@ from hbcells.generic_cells import (affine_space_check, back_substitute,
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
-from hbcells.poly import monomials_of_degree
+from hbcells.poly import Polynomial, monomials_of_degree
 from hbcells.staircase import Staircase, enumerate_staircases
 
 EX21 = [(0, 0, 4), (0, 4, 0), (1, 2, 1), (3, 0, 1)]                      # n=3
@@ -191,6 +191,24 @@ def test_instantiate_over_finite_field():
     members = instantiate(fam, values, field=F)
     assert all(m.field is F for m in members)
     assert is_groebner_basis(members)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(4), GF(5)], ids=["QQ", "GF2", "GF4", "GF5"])
+def test_instantiate_gives_canonical_terms(field):
+    rng = random.Random(3)
+    for d in range(1, 5):
+        for E in enumerate_staircases(d):
+            for graded in (False, True):
+                fam = generic_family(E.generators(minimal=True), 2, graded=graded)
+                for _ in range(5):
+                    if field.char:
+                        values = [rng.choice(field.elements()) for _ in range(fam.nparams)]
+                    else:
+                        values = [QQ.of(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(fam.nparams)]
+                    for p, (lead, _) in zip(instantiate(fam, values, field), fam.members):
+                        assert p.field is field and p.nvars == 2 and p.lt == lead
+                        assert p.terms == Polynomial(field, 2, p.terms).terms
+                        assert all(c for _, c in p.terms)
 
 
 def test_report_json():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hbcells import groebner
+from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
                               graded_minimal_generators, is_groebner_basis,
@@ -14,7 +15,8 @@ from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
 from hbcells.hilbert_burch import (CellKind, canonical_matrix, cell_kinds_of_ideal,
                                    minors_ideal, random_cell_matrix,
                                    validate_cell_matrix)
-from hbcells.poly import Polynomial, mono_divides, parse_polynomial
+from hbcells.poly import (Polynomial, mono_div, mono_divides, mono_lcm, mono_mul,
+                          parse_polynomial)
 from hbcells.staircase import Staircase, staircase_from_monomial_ideal
 
 
@@ -40,6 +42,46 @@ def test_spoly_coprime_monomials():
 def test_spoly_zero_input():
     with pytest.raises(ValueError):
         s_polynomial(Polynomial.zero(QQ, 2), P("x"))
+
+
+def _spoly_by_division(f, g):
+    """(L/Lt f) f / Lc f - (L/Lt g) g / Lc g, written out with field division."""
+    field = f.field
+    L = mono_lcm(f.lt, g.lt)
+    a = f.mul_term(mono_div(L, f.lt), field.div(field.one, f.lc))
+    b = g.mul_term(mono_div(L, g.lt), field.div(field.one, g.lc))
+    return a - b
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(4)], ids=["QQ", "GF7", "GF4"])
+def test_spoly_matches_the_division_formula(field):
+    rng = random.Random(5)
+    seen = {"non-monic": 0, "equal leads": 0, "coprime leads": 0}
+    for trial in range(300):
+        f, g = _random_poly(rng, field), _random_poly(rng, field)
+        if trial % 3 == 1 and not f.is_zero:  # the same lead, another tail
+            g = Polynomial(field, 2, {f.lt: _random_unit(rng, field), **dict(g.terms[1:])})
+        if trial % 3 == 2:  # leads x^a and y^b
+            f = f + Polynomial.monomial(field, 2, (4, 0), _random_unit(rng, field))
+            g = g + Polynomial.monomial(field, 2, (0, 4), _random_unit(rng, field))
+        if f.is_zero or g.is_zero:
+            continue
+        s = s_polynomial(f, g)
+        assert s == _spoly_by_division(f, g)
+        assert all(c for _, c in s.terms) and s.terms == tuple(sorted(s.terms, reverse=True))
+        seen["non-monic"] += f.lc != field.one or g.lc != field.one
+        seen["equal leads"] += f.lt == g.lt
+        seen["coprime leads"] += mono_lcm(f.lt, g.lt) == mono_mul(f.lt, g.lt)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_s_pairs_reject_mixed_fields():
+    f, g = P("x + 1"), P("x + 2", GF(5))
+    for op in (s_polynomial, lambda a, b: is_groebner_basis([a, b]),
+               lambda a, b: buchberger_reduced([a, b])):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(DomainError, match="do not mix"):
+                op(a, b)
 
 
 # -- reduction ----------------------------------------------------------------
@@ -90,6 +132,10 @@ def test_reduce_remainder_irreducible():
                 assert tuple(a + c for a, c in zip(q.lt, b.lt)) <= f.lt
 
 
+def _random_unit(rng, field):
+    return field.of(rng.choice([-3, -2, -1, 1, 2, 3])) if field.char == 0 else rng.choice(field.elements()[1:])
+
+
 def _random_poly(rng, field=QQ):
     terms = {}
     for _ in range(rng.randint(0, 4)):
@@ -100,6 +146,25 @@ def _random_poly(rng, field=QQ):
 
 
 # -- reduced Groebner bases ---------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_is_groebner_basis_agrees_with_leading_term_ideals(field):
+    # G is a Groebner basis exactly when its leads generate Lt(I)
+    rng = random.Random(23)
+    answers = []
+    while len(answers) < 100:
+        gens = [g for g in (_random_poly(rng, field) for _ in range(rng.randint(1, 4))) if not g.is_zero]
+        if not gens:
+            continue
+        gb = buchberger_reduced(gens)
+        if len(answers) % 2:  # a basis with other leading coefficients and a redundant member
+            gens = [g.scale(_random_unit(rng, field)) for g in gb]
+            gens.append(gens[0] * P("x + 2*y", field) + gens[-1].scale(_random_unit(rng, field)))
+        expected = leading_term_ideal(gens) == leading_term_ideal(gb)
+        assert is_groebner_basis(gens) == expected, gens
+        answers.append(expected)
+    assert answers.count(False) >= 20
+
 
 def test_buchberger_already_reduced_pair():
     gb = buchberger_reduced([P("x - y"), P("y^2")])

@@ -8,7 +8,7 @@ import pytest
 
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
-from hbcells.groebner import buchberger_reduced, leading_term_ideal
+from hbcells.groebner import buchberger_reduced, leading_term_ideal, normal_form
 from hbcells.hilbert_burch import (CellKind, CellMatrix, _y_coefficients,
                                    canonical_frame, canonical_matrix, cell_dimension,
                                    cell_kinds_of_ideal,
@@ -386,6 +386,23 @@ def test_kinds_examples():
     assert cell_kinds_of_ideal(parse_ideal("x-y, y^2", ("x", "y"))) == set(CellKind)
     assert cell_kinds_of_ideal(parse_ideal("x-y^2, y^3", ("x", "y"))) == {
         CellKind.V0, CellKind.V1, CellKind.V2}
+
+
+def test_v2_by_iterated_x_multiplication_matches_reducing_x_to_the_colength():
+    # V2 multiplies by x one step at a time; reducing x^colength in one go must agree
+    seen = {True: 0, False: 0}
+    for d in range(1, 10):
+        for E in enumerate_staircases(d):
+            for kind in CellKind:
+                fs = minors_ideal(random_cell_matrix(E, kind, d))
+                kinds = cell_kinds_of_ideal(fs)
+                if CellKind.V1 not in kinds:
+                    continue
+                xd = Polynomial.monomial(QQ, 2, (E.colength, 0))
+                in_ideal = normal_form(xd, buchberger_reduced(fs)).is_zero
+                assert (CellKind.V2 in kinds) == in_ideal, (E.m, kind)
+                seen[in_ideal] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_kinds_error_on_infinite_colength():

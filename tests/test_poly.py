@@ -132,6 +132,18 @@ def test_unipoly_arithmetic_rejects_mixed_fields():
     assert divide_univariate(c, b) == (UniPoly(GF5, [GF5.of(2)] * 2), UniPoly.zero(GF5))
 
 
+def test_unipoly_maps_ints_into_a_finite_field():
+    three = UniPoly(GF5, [GF5.of(3), GF5.one])
+    diff = UniPoly(GF5, [1, 1]) - UniPoly(GF5, [3])
+    assert diff == three and hash(diff) == hash(three)
+    assert all(c.field is GF5 for c in diff.coeffs)
+    assert [c.val for c in UniPoly(GF5, [7, Fraction(1, 2)]).coeffs] == [2, 3]
+    assert UniPoly(GF5, [1, 5]).degree == 0 and UniPoly(GF(4), [2]).is_zero
+    # QQ keeps its ints and Fractions as they are
+    assert UniPoly(QQ, [7, Fraction(1, 2)]).coeffs == (7, Fraction(1, 2))
+    assert type(UniPoly(QQ, [7]).coeffs[0]) is int
+
+
 # -- lex order --------------------------------------------------------------
 
 def test_lex_ignores_degree():
