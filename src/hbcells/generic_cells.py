@@ -13,6 +13,9 @@ number of surviving parameters.
 from __future__ import annotations
 
 import itertools
+import math
+from functools import reduce
+from operator import lshift, or_
 
 from .errors import DomainError
 from .field import QQ
@@ -181,20 +184,120 @@ class EliminationReport:
         return data
 
 
-def _eligible_parameter(eq):
-    """First parameter occurring only as a bare linear term of eq."""
-    linear = []
-    blocked = set()
-    for mono, _ in eq.terms:
-        support = [k for k, e in enumerate(mono) if e]
-        if len(support) == 1 and mono[support[0]] == 1:
-            linear.append(support[0])
-        else:
-            blocked.update(support)
-    for k in sorted(linear):
-        if k not in blocked:
-            return k
-    return None
+def _primitive(acc):
+    """The primitive form of a nonzero {key: int} dict: a term tuple in decreasing
+    key order with integer content 1 and a positive leading coefficient."""
+    terms = sorted(acc.items(), reverse=True)
+    g = math.gcd(*acc.values())
+    if terms[0][1] < 0:
+        g = -g
+    return tuple(terms) if g == 1 else tuple((key, c // g) for key, c in terms)
+
+
+def _eliminate_packed(eqs, nparams, width):
+    """One run of the elimination on packed keys with ``width``-bit exponent fields.
+
+    A monomial a^e is the int sum e_k << shifts[k], a1 in the top field, so int
+    order is lex order and a product is ``+``.  The top bit of each field is a
+    guard: it stays clear while every exponent fits, and the run returns None
+    as soon as a product sets it.  Otherwise it returns the eliminated
+    (k, expression) pairs and the monic equations left, as Polynomials.
+    """
+    shifts = [(nparams - 1 - k) * width for k in range(nparams)]
+    up = width - 1
+    lows = sum(1 << s for s in shifts)
+    guard = lows << up
+    fill = guard - lows  # 2^(width-1) - 1 in every field
+    fmask = (1 << up) - 1
+
+    def row(terms):
+        """(terms, support, pick): support has the guard bit of every parameter
+        in the equation, pick is the key a_k of its eligible parameter or 0."""
+        supp = blocked = 0
+        linear = []
+        for key, _ in terms:
+            bits = (key + fill) & guard
+            supp |= bits
+            if key & (key - 1) == 0 and key & lows:
+                linear.append(key)
+            else:
+                blocked |= bits
+        for key in linear:
+            if not (key << up) & blocked:
+                return terms, supp, key
+        return terms, supp, 0
+
+    rows, seen = [], set()
+    for eq in eqs:
+        if not eq.terms:
+            continue
+        den = math.lcm(*(c.denominator for _, c in eq.terms))
+        terms = _primitive({sum(map(lshift, mono, shifts)): c.numerator * (den // c.denominator)
+                            for mono, c in eq.terms})
+        if terms not in seen:
+            seen.add(terms)
+            rows.append(row(terms))
+
+    def polynomial(terms):
+        return Polynomial._raw(QQ, nparams, tuple(
+            (tuple((key >> s) & fmask for s in shifts), v) for key, v in terms))
+
+    steps = []
+    while True:
+        pick = next((r for r in rows if r[2]), None)
+        if pick is None:
+            return ([(k, polynomial(rest).scale(QQ.div(-1, c))) for k, c, rest in steps],
+                    [polynomial(terms).monic() for terms, _, _ in rows])
+        terms, _, key_k = pick
+        shift = key_k.bit_length() - 1
+        c = next(v for key, v in terms if key == key_k)
+        rest = tuple((key, v) for key, v in terms if key != key_k)
+        steps.append((nparams - 1 - shift // width, c, rest))
+        mine = key_k << up
+        powers = [None, {key: -v for key, v in rest}]  # powers[e] is (-rest)^e
+        cpow = [1]
+        out, seen = [], set()
+        for r in rows:
+            terms = r[0]
+            if r[1] & mine:
+                exps = [(key >> shift) & fmask for key, _ in terms]
+                deg = max(exps)
+                while len(powers) <= deg:
+                    prod = {}
+                    for k1, v1 in powers[-1].items():
+                        for k2, v2 in powers[1].items():
+                            k3 = k1 + k2
+                            prod[k3] = prod.get(k3, 0) + v1 * v2
+                    prod = {key: v for key, v in prod.items() if v}
+                    if reduce(or_, prod, 0) & guard:
+                        return None
+                    powers.append(prod)
+                while len(cpow) <= deg:
+                    cpow.append(cpow[-1] * c)
+                # c^deg * eq(a_k = -rest/c): a term with a_k^e takes (-rest)^e * c^(deg-e)
+                acc = {}
+                for (key, v), e in zip(terms, exps):
+                    v *= cpow[deg - e]
+                    if e:
+                        base = key - (e << shift)
+                        for pk, pv in powers[e].items():
+                            pk += base
+                            acc[pk] = acc.get(pk, 0) + v * pv
+                    else:
+                        acc[key] = acc.get(key, 0) + v
+                acc = {key: v for key, v in acc.items() if v}
+                if not acc:
+                    continue
+                # the summands had clear guards, so an overflow sets a guard bit
+                # and cannot carry into the next field
+                if reduce(or_, acc) & guard:
+                    return None
+                r = row(_primitive(acc))
+                terms = r[0]
+            if terms not in seen:
+                seen.add(terms)
+                out.append(r)
+        rows = out
 
 
 def eliminate_linear(eqs, nparams, names=None):
@@ -204,32 +307,28 @@ def eliminate_linear(eqs, nparams, names=None):
     eligible parameter by minus the rest of its equation (divided by the
     scalar coefficient); repeats until nothing is eligible.  Only the
     equations that contain the parameter are rewritten; the others pass
-    through unchanged (they are already monic), and the dedupe still runs
-    over the whole list, so the first of two equal equations is kept.
+    through unchanged, and the dedupe still runs over the whole list, so the
+    first of two equal equations is kept.
+
+    Equations are held as primitive integer polynomials on packed exponent
+    keys (``_eliminate_packed``): eliminating a_k from c*a_k + rest multiplies
+    each equation by c^deg and substitutes -rest, so no coefficient is divided.
+    Equal up to a scalar means equal primitive forms, so the choices are those
+    of monic equations.  The run restarts with wider exponent fields when an
+    exponent outgrows them.  Equations must be over QQ.
     """
     names = tuple(f"a{k + 1}" for k in range(nparams)) if names is None else tuple(names)
-    eqs = _normalize(list(eqs))
-    eliminated = []
-    while True:
-        pick = None
-        for eq in eqs:
-            k = _eligible_parameter(eq)
-            if k is not None:
-                pick = (k, eq)
-                break
-        if pick is None:
-            break
-        k, eq = pick
-        lam = tuple(1 if v == k else 0 for v in range(nparams))
-        c = eq.coefficient(lam)
-        rest = eq - Polynomial.monomial(QQ, nparams, lam, c)
-        expr = rest.scale(QQ.div(-1, c))
-        eliminated.append((k, expr))
-        eqs = _normalize([e.substitute(k, expr) if any(m[k] for m, _ in e.terms) else e
-                          for e in eqs])
+    eqs = list(eqs)
+    if any(eq.field != QQ for eq in eqs):
+        raise DomainError("linear elimination needs equations over QQ")
+    top = max((max(mono, default=0) for eq in eqs for mono, _ in eq.terms), default=0)
+    width = top.bit_length() + 2
+    while (done := _eliminate_packed(eqs, nparams, width)) is None:
+        width *= 2
+    eliminated, residual = done
     gone = {k for k, _ in eliminated}
     survivors = [k for k in range(nparams) if k not in gone]
-    return EliminationReport(names, eliminated, survivors, prune_multiples(eqs))
+    return EliminationReport(names, eliminated, survivors, prune_multiples(residual))
 
 
 def affine_space_check(report):

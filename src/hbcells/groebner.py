@@ -108,14 +108,15 @@ def reduce(f, basis):
     """Multivariate division: f = sum q_i b_i + r, no term of r reducible.
 
     Returns (remainder, quotients).  Each step reduces by the first basis
-    element whose leading term divides the current monomial.
+    element whose leading term divides the current monomial.  ``f`` and the
+    basis must be over one field (DomainError otherwise).
     """
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("reduction basis contains the zero polynomial")
     field, nv = f.field, f.nvars
     quots = [{} for _ in basis]
-    rem = _normal_form_dict(dict(f.terms), _reducers(basis), quots)
+    rem = _normal_form_dict(dict(f.terms), _reducers(basis, f), quots)
     return (Polynomial.from_dict(field, nv, rem),
             [Polynomial.from_dict(field, nv, qd).scale(field.div(field.one, g.lc))
              for qd, g in zip(quots, basis)])
@@ -123,7 +124,7 @@ def reduce(f, basis):
 
 def normal_form(f, basis):
     """Remainder of ``f`` on division by ``basis``."""
-    rem = _normal_form_dict(dict(f.terms), _reducers(basis))
+    rem = _normal_form_dict(dict(f.terms), _reducers(basis, f))
     return Polynomial.from_dict(f.field, f.nvars, rem)
 
 

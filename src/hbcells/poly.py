@@ -102,12 +102,19 @@ class Polynomial:
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field, nvars, terms):
-        """``terms``: mapping or iterable of (monomial, coefficient) pairs."""
+        """``terms``: mapping or iterable of (monomial, coefficient) pairs.
+
+        Over a finite field a coefficient that is not yet a field element (an
+        int or a Fraction) is mapped into the field with ``field.of``, as in
+        :class:`UniPoly`.
+        """
         items = terms.items() if hasattr(terms, "items") else terms
         acc = {}
         for mono, c in items:
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} has wrong arity for {nvars} variables")
+            if field.char and not isinstance(c, FFElement):
+                c = field.of(c)
             if mono in acc:
                 c = acc[mono] + c
             if c:
@@ -573,11 +580,16 @@ def _normal_form_dict(work, reducers, quots=None):
     return rem
 
 
-def _reducers(basis):
-    """The (lead, tail) pairs of the monic forms of ``basis``, in order, all over one field."""
+def _reducers(basis, f=None):
+    """The (lead, tail) pairs of the monic forms of ``basis``, in order.
+
+    They must all be over one field, the field of ``f`` when it is given
+    (the polynomial to be divided); otherwise this raises DomainError.
+    """
     basis = list(map(Polynomial.monic, basis))
-    for g in basis[1:]:
-        basis[0]._same_field(g)
+    ref = basis[0] if f is None and basis else f
+    for g in basis:
+        ref._same_field(g)
     return [(g.lt, g.terms[1:]) for g in basis]
 
 
@@ -608,7 +620,7 @@ def exact_quotient(f, g):
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     quots = [{}]
-    if _normal_form_dict(dict(f.terms), _reducers([g]), quots):
+    if _normal_form_dict(dict(f.terms), _reducers([g], f), quots):
         return None
     field, lc = f.field, g.lc
     return Polynomial.from_dict(field, f.nvars, {u: field.div(c, lc) for u, c in quots[0].items()})

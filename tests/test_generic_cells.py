@@ -7,12 +7,16 @@ import random
 
 import pytest
 
+from fractions import Fraction
+
+from hbcells import generic_cells
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
-from hbcells.generic_cells import (affine_space_check, back_substitute,
+from hbcells.generic_cells import (_normalize, affine_space_check, back_substitute,
                                    buchberger_equations, cell_report,
                                    eliminate_linear, generic_family,
-                                   instantiate, single_parameter_factor)
+                                   instantiate, prune_multiples,
+                                   single_parameter_factor)
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
@@ -131,6 +135,127 @@ def test_elimination_reports_are_unchanged():
         _, rep = cell_report(gens, n, graded)
         digest.update(json.dumps(rep.to_json(with_log=True), sort_keys=True).encode())
     assert digest.hexdigest() == ELIMINATION_DIGEST
+
+
+def _reference_elimination(eqs, nparams):
+    """The elimination written the direct way: monic equations, ``substitute``.
+
+    At every step it rescans the equations in order for the first one with a
+    parameter that occurs only as a bare linear term, takes the smallest such
+    parameter, substitutes minus the rest of the equation over its coefficient
+    into every equation holding it, and renormalizes the whole list.
+    """
+    def eligible(eq):
+        linear, blocked = [], set()
+        for mono, _ in eq.terms:
+            support = [k for k, e in enumerate(mono) if e]
+            if len(support) == 1 and mono[support[0]] == 1:
+                linear.append(support[0])
+            else:
+                blocked.update(support)
+        return min((k for k in linear if k not in blocked), default=None)
+
+    eqs = _normalize(list(eqs))
+    eliminated = []
+    while True:
+        pick = next(((k, eq) for eq in eqs if (k := eligible(eq)) is not None), None)
+        if pick is None:
+            return eliminated, prune_multiples(eqs)
+        k, eq = pick
+        lam = tuple(int(v == k) for v in range(nparams))
+        c = eq.coefficient(lam)
+        expr = (eq - Polynomial.monomial(QQ, nparams, lam, c)).scale(QQ.div(-1, c))
+        eliminated.append((k, expr))
+        eqs = _normalize([e.substitute(k, expr) if any(m[k] for m, _ in e.terms) else e
+                          for e in eqs])
+
+
+def _assert_matches_reference(eqs, nparams):
+    rep = eliminate_linear(eqs, nparams)
+    eliminated, residual = _reference_elimination(eqs, nparams)
+    assert rep.eliminated == tuple(eliminated)
+    assert rep.residual == tuple(residual)
+    names = tuple(f"a{k + 1}" for k in range(nparams))
+    reference = generic_cells.EliminationReport(
+        names, eliminated, [k for k in range(nparams) if k not in dict(eliminated)], residual)
+    assert rep.to_json(with_log=True) == reference.to_json(with_log=True)
+    return rep
+
+
+def _random_system(rng):
+    nparams = rng.randint(1, 6)
+
+    def coefficient():
+        c = rng.choice([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-3, 4), Fraction(7, 6)])
+        return QQ.of(c)
+
+    def monomial():
+        if rng.random() < 0.4:
+            k = rng.randrange(nparams)
+            return tuple(int(v == k) for v in range(nparams))
+        return tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(nparams))
+
+    eqs = []
+    for _ in range(rng.randint(1, 7)):
+        eqs.append(Polynomial(QQ, nparams, [(monomial(), coefficient())
+                                            for _ in range(rng.randint(1, 4))]))
+        roll = rng.random()
+        if roll < 0.2:
+            eqs.append(eqs[rng.randrange(len(eqs))].scale(coefficient()))  # equal up to a scalar
+        elif roll < 0.3:
+            eqs.append(Polynomial.zero(QQ, nparams))
+    rng.shuffle(eqs)
+    return eqs, nparams
+
+
+def test_elimination_matches_the_direct_algorithm_on_random_systems():
+    rng = random.Random(2024)
+    seen = {"eliminated": 0, "residual": 0, "fraction": 0, "non-monic": 0, "zero": 0, "scaled": 0}
+    for _ in range(300):
+        eqs, nparams = _random_system(rng)
+        rep = _assert_matches_reference(eqs, nparams)
+        seen["eliminated"] += len(rep.eliminated)
+        seen["residual"] += bool(rep.residual)
+        seen["fraction"] += any(isinstance(c, Fraction) for eq in eqs for _, c in eq.terms)
+        seen["non-monic"] += any(eq and eq.lc != 1 for eq in eqs)
+        seen["zero"] += any(eq.is_zero for eq in eqs)
+        seen["scaled"] += len(_normalize(eqs)) < len([eq for eq in eqs if eq])
+    assert min(seen.values()) >= 20, seen
+
+
+def test_elimination_matches_the_direct_algorithm_on_residual_families():
+    for gens, n in ((EX21, 3), (EX22, 4), (EX23, 4)):
+        fam = generic_family(gens, n, graded=True)
+        rep = _assert_matches_reference(buchberger_equations(fam), fam.nparams)
+        assert rep.residual
+
+
+def test_elimination_widens_exponent_fields_when_they_overflow(monkeypatch):
+    widths = []
+    packed = generic_cells._eliminate_packed
+
+    def spy(eqs, nparams, width):
+        widths.append(width)
+        return packed(eqs, nparams, width)
+
+    monkeypatch.setattr(generic_cells, "_eliminate_packed", spy)
+    P = lambda terms: Polynomial(QQ, 3, terms)
+    # a1 -> a2^3 turns a1^3 + a3 into a2^9 + a3, past the 3-bit fields that fit a2^3
+    eqs = [P({(1, 0, 0): 1, (0, 3, 0): -1}), P({(3, 0, 0): 2, (0, 0, 1): 1})]
+    rep = _assert_matches_reference(eqs, 3)
+    assert len(widths) == 2 and widths[0] < widths[1]
+    assert rep.to_json(with_log=True)["substitutions"] == [
+        {"param": "a1", "expr": "a2^3"}, {"param": "a3", "expr": "-2*a2^9"}]
+    assert rep.survivors == (1,) and not rep.residual
+
+
+def test_elimination_needs_equations_over_qq():
+    F = GF(5)
+    linear = Polynomial(F, 2, {(1, 0): 1, (0, 2): 2})   # a1 is eligible
+    no_pick = Polynomial(F, 2, {(1, 1): 1, (0, 0): 1})  # nothing is eligible
+    for eqs in ([linear], [no_pick], [Polynomial(QQ, 2, {(1, 0): 1}), no_pick]):
+        with pytest.raises(DomainError):
+            eliminate_linear(eqs, 2)
 
 
 def test_elimination_never_inverts_parameters():

@@ -15,8 +15,8 @@ from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
 from hbcells.hilbert_burch import (CellKind, canonical_matrix, cell_kinds_of_ideal,
                                    minors_ideal, random_cell_matrix,
                                    validate_cell_matrix)
-from hbcells.poly import (Polynomial, mono_div, mono_divides, mono_lcm, mono_mul,
-                          parse_polynomial)
+from hbcells.poly import (Polynomial, exact_quotient, mono_div, mono_divides, mono_lcm,
+                          mono_mul, parse_polynomial)
 from hbcells.staircase import Staircase, staircase_from_monomial_ideal
 
 
@@ -82,6 +82,16 @@ def test_s_pairs_reject_mixed_fields():
         for a, b in ((f, g), (g, f)):
             with pytest.raises(DomainError, match="do not mix"):
                 op(a, b)
+
+
+def test_reduction_rejects_a_dividend_over_another_field():
+    f, g = P("x + 1"), P("x + 2", GF(5))
+    for op in (lambda a, b: normal_form(a, [b]), lambda a, b: reduce(a, [b]), exact_quotient):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(DomainError, match="do not mix"):
+                op(a, b)
+    assert normal_form(P("x + 1", GF(5)), [g]) == P("4", GF(5))
+    assert normal_form(f, []) == f
 
 
 # -- reduction ----------------------------------------------------------------

@@ -144,6 +144,20 @@ def test_unipoly_maps_ints_into_a_finite_field():
     assert type(UniPoly(QQ, [7]).coeffs[0]) is int
 
 
+def test_polynomial_maps_ints_into_a_finite_field():
+    two = Polynomial(GF5, 2, {(0, 0): GF5.of(2), (1, 0): GF5.one})
+    built = Polynomial(GF5, 2, {(0, 0): 7, (1, 0): 1})
+    assert built == two and hash(built) == hash(two)
+    assert all(c.field is GF5 for _, c in built.terms)
+    assert [c.val for _, c in Polynomial(GF5, 2, [((1, 0), Fraction(1, 2))]).terms] == [3]
+    # a coefficient that is zero in the field is dropped, also after summing
+    assert Polynomial(GF5, 2, [((1, 0), 5), ((0, 1), 1)]).terms == (((0, 1), GF5.one),)
+    assert Polynomial(GF5, 2, [((1, 0), 2), ((1, 0), 3)]).is_zero
+    assert Polynomial(GF(4), 1, {(1,): 2}).is_zero
+    # QQ keeps its ints and Fractions as they are
+    assert Polynomial(QQ, 1, {(1,): Fraction(1, 2), (0,): 7}).terms == (((1,), Fraction(1, 2)), ((0,), 7))
+
+
 # -- lex order --------------------------------------------------------------
 
 def test_lex_ignores_degree():
