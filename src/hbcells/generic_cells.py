@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 from operator import lshift, or_
 
 from .errors import DomainError
 from .field import QQ
 from .groebner import MonomialIdeal
-from .poly import Polynomial, _normal_form_dict, _s_pair, exact_quotient, mono_degree
+from .poly import (Polynomial, exact_quotient, mono_degree, mono_div, mono_divides, mono_lcm,
+                   mono_mul)
 
 
 class GenericFamily:
@@ -44,18 +46,6 @@ class GenericFamily:
     @property
     def nparams(self):
         return len(self.pairs)
-
-    def member_reducers(self):
-        """Members as monic (lead, tail) pairs, coefficients in the parameter ring."""
-        npar = self.nparams
-        out = []
-        for lead, support in self.members:
-            tail = []
-            for mono, k in support:
-                lam = tuple(1 if v == k else 0 for v in range(npar))
-                tail.append((mono, Polynomial.monomial(QQ, npar, lam, -1)))
-            out.append((lead, tail))
-        return out
 
 
 def generic_family(gens, nvars, graded):
@@ -92,20 +82,6 @@ def generic_family(gens, nvars, graded):
     return GenericFamily(E, graded, members, pairs)
 
 
-def _normalize(eqs):
-    """Monic leading coefficients, zero drops, order-preserving dedupe."""
-    seen = set()
-    out = []
-    for eq in eqs:
-        if eq.is_zero:
-            continue
-        eq = eq.monic()
-        if eq not in seen:
-            seen.add(eq)
-            out.append(eq)
-    return out
-
-
 def prune_multiples(eqs):
     """Drop equations that are proper polynomial multiples of another one.
 
@@ -122,22 +98,124 @@ def prune_multiples(eqs):
     return kept
 
 
+# Initial field width for ``buchberger_equations``: exponents up to 7 fit.
+_BUCHBERGER_WIDTH = 4
+
+
+class _Packing:
+    """Parameter monomials packed into one int each, with ``width``-bit fields.
+
+    a^e is the sum of e_k << shifts[k], a1 in the top field, so int order is
+    lex order, a product is ``+`` and a_k alone is ``1 << shifts[k]``.  The top
+    bit of each field is a guard: it stays clear while every exponent is below
+    2^(width-1), and a run that sees it set starts again with wider fields.
+    """
+
+    __slots__ = ("nparams", "width", "shifts", "lows", "guard", "fmask")
+
+    def __init__(self, nparams, width):
+        self.nparams, self.width = nparams, width
+        self.shifts = [(nparams - 1 - k) * width for k in range(nparams)]
+        self.lows = sum(1 << s for s in self.shifts)
+        self.guard = self.lows << (width - 1)
+        self.fmask = (1 << (width - 1)) - 1
+
+    def pack(self, mono):
+        return sum(map(lshift, mono, self.shifts))
+
+    def unpack(self, key):
+        """The exponent tuple of a key, visiting only its nonzero fields."""
+        n, width = self.nparams, self.width
+        mono = [0] * n
+        while key:
+            field = (key.bit_length() - 1) // width
+            shift = field * width
+            mono[n - 1 - field] = key >> shift
+            key &= (1 << shift) - 1
+        return tuple(mono)
+
+    def polynomial(self, terms):
+        """The QQ Polynomial of a term tuple in decreasing key order."""
+        unpack = self.unpack
+        return Polynomial._raw(QQ, self.nparams, tuple((unpack(key), v) for key, v in terms))
+
+
+def _buchberger_packed(family, width):
+    """One run of the S-pair reductions with parameter coefficients on ``width``-bit packed keys.
+
+    A coefficient is an integer polynomial in the parameters, a {key: int} dict.
+    Every member's tail coefficient is -a_k, one key, so reducing the coefficient
+    c at x-monomial m by a member adds c shifted by a_k's key into the coefficient
+    at u*tm for each tail term.  Returns the monic, deduplicated equations, or
+    None as soon as a coefficient taken from the work dict has a guard bit set.
+    """
+    P = _Packing(family.nparams, width)
+    guard = P.guard
+    members = [(lead,
+                [(mono, 1 << P.shifts[k]) for mono, k in support])
+               for lead, support in family.members]
+    eqs, seen = [], set()
+    for (la, ta), (lb, tb) in itertools.combinations(members, 2):
+        L = mono_lcm(la, lb)
+        ua, ub = mono_div(L, la), mono_div(L, lb)
+        # u_a*tail_a - u_b*tail_b; two members share no parameter, so nothing cancels
+        work = {mono_mul(ua, m): {a: -1} for m, a in ta}
+        for m, a in tb:
+            work.setdefault(mono_mul(ub, m), {})[a] = 1
+        while work:
+            m = max(work)
+            c = work.pop(m)
+            if reduce(or_, c) & guard:
+                return None
+            for lead, tail in members:
+                if mono_divides(lead, m):
+                    u = mono_div(m, lead)
+                    for tm, a in tail:
+                        key = mono_mul(u, tm)
+                        d = work.get(key)
+                        if d is None:
+                            work[key] = {ck + a: cv for ck, cv in c.items()}
+                            continue
+                        for ck, cv in c.items():
+                            ck += a
+                            cv += d.get(ck, 0)
+                            if cv:
+                                d[ck] = cv
+                            else:
+                                del d[ck]
+                        if not d:
+                            del work[key]
+                    break
+            else:
+                # a remainder coefficient, in decreasing x-monomial order: one monic equation
+                lc = c[max(c)]
+                terms = tuple((key, v // lc if v % lc == 0 else Fraction(v, lc))
+                              for key, v in sorted(c.items(), reverse=True))
+                if terms not in seen:
+                    seen.add(terms)
+                    eqs.append(terms)
+    return list(map(P.polynomial, eqs))
+
+
 def buchberger_equations(family):
     """The parameter equations making the family a Groebner basis.
 
-    Every S-pair (``poly._s_pair``) is reduced with the leading coefficients
-    kept monic (no parameter is ever inverted): the reducer is the member
-    whose leading monomial divides the current monomial, the lex-largest
-    such leading monomial when there is a choice (``members`` is sorted that
-    way).  Each coefficient polynomial of the final remainder is one equation.
+    Every S-pair is reduced with the leading coefficients kept monic (no
+    parameter is ever inverted): the reducer is the member whose leading
+    monomial divides the current monomial, the lex-largest such leading
+    monomial when there is a choice (``members`` is sorted that way), the
+    rule of ``poly._normal_form_dict``.  Each coefficient of the final
+    remainder is one equation, made monic; zeros and repeats are dropped,
+    order kept.
+
+    The coefficients are integer polynomials on packed keys
+    (``_buchberger_packed``), the layout ``eliminate_linear`` uses; the run
+    restarts with wider exponent fields when an exponent outgrows them.
     """
-    reducers = family.member_reducers()
-    eqs = []
-    for a, b in itertools.combinations(reducers, 2):
-        rem = _normal_form_dict(_s_pair(a, b), reducers)
-        for mono in sorted(rem, reverse=True):
-            eqs.append(rem[mono])
-    return _normalize(eqs)
+    width = _BUCHBERGER_WIDTH
+    while (eqs := _buchberger_packed(family, width)) is None:
+        width *= 2
+    return eqs
 
 
 class EliminationReport:
@@ -195,20 +273,16 @@ def _primitive(acc):
 
 
 def _eliminate_packed(eqs, nparams, width):
-    """One run of the elimination on packed keys with ``width``-bit exponent fields.
+    """One run of the elimination on ``_Packing(nparams, width)`` keys.
 
-    A monomial a^e is the int sum e_k << shifts[k], a1 in the top field, so int
-    order is lex order and a product is ``+``.  The top bit of each field is a
-    guard: it stays clear while every exponent fits, and the run returns None
-    as soon as a product sets it.  Otherwise it returns the eliminated
-    (k, expression) pairs and the monic equations left, as Polynomials.
+    The run returns None as soon as a product sets a guard bit.  Otherwise it
+    returns the eliminated (k, expression) pairs and the monic equations
+    left, as Polynomials.
     """
-    shifts = [(nparams - 1 - k) * width for k in range(nparams)]
+    P = _Packing(nparams, width)
     up = width - 1
-    lows = sum(1 << s for s in shifts)
-    guard = lows << up
+    lows, guard, fmask = P.lows, P.guard, P.fmask
     fill = guard - lows  # 2^(width-1) - 1 in every field
-    fmask = (1 << up) - 1
 
     def row(terms):
         """(terms, support, pick): support has the guard bit of every parameter
@@ -232,22 +306,18 @@ def _eliminate_packed(eqs, nparams, width):
         if not eq.terms:
             continue
         den = math.lcm(*(c.denominator for _, c in eq.terms))
-        terms = _primitive({sum(map(lshift, mono, shifts)): c.numerator * (den // c.denominator)
+        terms = _primitive({P.pack(mono): c.numerator * (den // c.denominator)
                             for mono, c in eq.terms})
         if terms not in seen:
             seen.add(terms)
             rows.append(row(terms))
 
-    def polynomial(terms):
-        return Polynomial._raw(QQ, nparams, tuple(
-            (tuple((key >> s) & fmask for s in shifts), v) for key, v in terms))
-
     steps = []
     while True:
         pick = next((r for r in rows if r[2]), None)
         if pick is None:
-            return ([(k, polynomial(rest).scale(QQ.div(-1, c))) for k, c, rest in steps],
-                    [polynomial(terms).monic() for terms, _, _ in rows])
+            return ([(k, P.polynomial(rest).scale(QQ.div(-1, c))) for k, c, rest in steps],
+                    [P.polynomial(terms).monic() for terms, _, _ in rows])
         terms, _, key_k = pick
         shift = key_k.bit_length() - 1
         c = next(v for key, v in terms if key == key_k)

@@ -10,10 +10,12 @@ coefficients, stored as a term tuple sorted in decreasing lex order so the
 leading term is ``terms[0]``.  A :class:`UniPoly` is a dense univariate
 polynomial in y, used for the entries of cell matrices.
 
-Multivariate division happens in one kernel, :func:`_normal_form_dict`,
-which divides a term dict by monic polynomials (no coefficient is inverted
-in its loop); Groebner reduction, exact quotients and the generic-cell
-equations all go through it, and S-polynomials through :func:`_s_pair`.
+Multivariate division over a field happens in one kernel,
+:func:`_normal_form_dict`, which divides a term dict by monic polynomials
+(no coefficient is inverted in its loop); Groebner reduction and exact
+quotients go through it, and S-polynomials through :func:`_s_pair`.  The
+generic-cell equations, whose coefficients are parameter polynomials, have
+their own packed reduction in ``generic_cells``.
 Dense k[y] coefficient lists have three kernels of their own:
 :func:`_convolve` (product), :func:`_divmod` (division with remainder) and
 :func:`_add_into` (accumulate).  ``UniPoly`` arithmetic and both directions
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import DomainError, ParseError
@@ -270,9 +273,15 @@ class Polynomial:
         return r
 
     def scale(self, c):
+        """c * self.  Over QQ a Fraction scalar gives an int wherever the product is integral."""
         if not c:
             return Polynomial.zero(self.field, self.nvars)
-        return Polynomial._raw(self.field, self.nvars, tuple((m, c * cc) for m, cc in self.terms))
+        if type(c) is Fraction and not self.field.char:
+            terms = tuple((m, q.numerator if (q := c * cc).denominator == 1 else q)
+                          for m, cc in self.terms)
+        else:
+            terms = tuple((m, c * cc) for m, cc in self.terms)
+        return Polynomial._raw(self.field, self.nvars, terms)
 
     def mul_term(self, mono, c):
         """Multiply by the single term c * x^mono."""
@@ -288,8 +297,10 @@ class Polynomial:
         lc = self.terms[0][1]
         if lc == self.field.one:
             return self
-        inv = self.field.div(self.field.one, lc)
-        return self.scale(inv)
+        if type(lc) is Fraction:
+            # 1/lc kept a Fraction even when integral, so that scale gives ints
+            return self.scale(Fraction(lc.denominator, lc.numerator))
+        return self.scale(self.field.div(self.field.one, lc))
 
     def substitute(self, i, replacement):
         """Substitute ``replacement`` (a Polynomial) for variable i.

@@ -105,6 +105,18 @@ def test_generic_subcommand(capsys):
     assert len(data["residual"]) == 2 and data["affine_space"] is False
 
 
+def test_generic_subcommand_on_819_parameters(capsys):
+    # the ungraded family of (x1^9, x2^9, x3^9) has one parameter per standard
+    # monomial below each generator in lex: 729 + 81 + 9 = 819
+    code, out, _ = run(capsys, "generic", "--gens", "x1^9, x2^9, x3^9", "--n", "3", "--ungraded")
+    assert code == 0
+    lines = out.splitlines()
+    assert "affine_space=true" in lines
+    assert lines[0] == "initial=819 eliminated=0 surviving=819 residual=0"
+    survivors = next(line for line in lines if line.startswith("survivors:")).split()[1:]
+    assert len(survivors) == 819
+
+
 def test_census_subcommand(capsys):
     code, out, _ = run(capsys, "census", "--d", "2", "--q", "2", "--brute-force",
                        "--format", "json")

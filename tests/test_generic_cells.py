@@ -12,7 +12,7 @@ from fractions import Fraction
 from hbcells import generic_cells
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
-from hbcells.generic_cells import (_normalize, affine_space_check, back_substitute,
+from hbcells.generic_cells import (affine_space_check, back_substitute,
                                    buchberger_equations, cell_report,
                                    eliminate_linear, generic_family,
                                    instantiate, prune_multiples,
@@ -20,7 +20,7 @@ from hbcells.generic_cells import (_normalize, affine_space_check, back_substitu
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
-from hbcells.poly import Polynomial, monomials_of_degree
+from hbcells.poly import Polynomial, _normal_form_dict, _s_pair, monomials_of_degree
 from hbcells.staircase import Staircase, enumerate_staircases
 
 EX21 = [(0, 0, 4), (0, 4, 0), (1, 2, 1), (3, 0, 1)]                      # n=3
@@ -137,6 +137,20 @@ def test_elimination_reports_are_unchanged():
     assert digest.hexdigest() == ELIMINATION_DIGEST
 
 
+def _normalize(eqs):
+    """Monic leading coefficients, zero drops, order-preserving dedupe."""
+    seen = set()
+    out = []
+    for eq in eqs:
+        if eq.is_zero:
+            continue
+        eq = eq.monic()
+        if eq not in seen:
+            seen.add(eq)
+            out.append(eq)
+    return out
+
+
 def _reference_elimination(eqs, nparams):
     """The elimination written the direct way: monic equations, ``substitute``.
 
@@ -247,6 +261,86 @@ def test_elimination_widens_exponent_fields_when_they_overflow(monkeypatch):
     assert rep.to_json(with_log=True)["substitutions"] == [
         {"param": "a1", "expr": "a2^3"}, {"param": "a3", "expr": "-2*a2^9"}]
     assert rep.survivors == (1,) and not rep.residual
+
+
+def _reference_equations(family):
+    """The S-pair reduction written with Polynomial coefficients in the parameters.
+
+    Each member becomes a monic (lead, tail) pair whose tail coefficients are
+    the Polynomials -a_k; every S-pair (``_s_pair``) is divided by the members
+    with ``_normal_form_dict``, and the remainder coefficients, in decreasing
+    monomial order, go through ``_normalize``.
+    """
+    npar = family.nparams
+
+    def minus_a(k):
+        return Polynomial.monomial(QQ, npar, tuple(int(v == k) for v in range(npar)), -1)
+
+    reducers = [(lead,
+                 [(mono, minus_a(k)) for mono, k in support])
+                for lead, support in family.members]
+    eqs = []
+    for a, b in itertools.combinations(reducers, 2):
+        rem = _normal_form_dict(_s_pair(a, b), reducers)
+        eqs.extend(rem[mono] for mono in sorted(rem, reverse=True))
+    return _normalize(eqs)
+
+
+def _generic_elim_families():
+    """The families of the generic_elim benchmark, and EX21, EX22 and EX23."""
+    cases = [(E.generators(minimal=True), 2, graded)
+             for d in range(1, 8) for E in enumerate_staircases(d) for graded in (True, False)]
+    cases += [(list(gens), 3, True) for size in range(1, 4)
+              for gens in itertools.combinations(monomials_of_degree(3, 3), size)]
+    cases += [(EX21, 3, True), (EX22, 4, True), (EX23, 4, True)]
+    return [generic_family(*case) for case in cases]
+
+
+def test_buchberger_equations_match_the_polynomial_coefficient_reduction():
+    seen = {"families": 0, "equations": 0, "fraction": 0}
+    for fam in _generic_elim_families():
+        eqs = buchberger_equations(fam)
+        reference = _reference_equations(fam)
+        assert eqs == reference
+        assert [eq.to_str(fam.names) for eq in eqs] == [eq.to_str(fam.names) for eq in reference]
+        assert all(eq.field is QQ and eq.nvars == fam.nparams for eq in eqs)
+        seen["families"] += 1
+        seen["equations"] += len(eqs)
+        seen["fraction"] += any(isinstance(c, Fraction) for eq in eqs for _, c in eq.terms)
+    assert seen == {"families": 266, "equations": 1904, "fraction": 27}, seen
+
+
+def test_buchberger_equations_hold_no_integral_fraction():
+    count = 0
+    for d in range(1, 8):
+        for E in enumerate_staircases(d):
+            for graded in (True, False):
+                fam = generic_family(E.generators(minimal=True), 2, graded)
+                for eq in buchberger_equations(fam):
+                    count += 1
+                    assert not any(isinstance(c, Fraction) and c.denominator == 1
+                                   for _, c in eq.terms), eq.terms
+    assert count == 516
+
+
+def test_buchberger_equations_widen_exponent_fields_when_they_overflow(monkeypatch):
+    fam = generic_family(EX21, 3, graded=True)
+    expected = _reference_equations(fam)
+    assert max(max(mono) for eq in expected for mono, _ in eq.terms) >= 2
+    widths = []
+    packed = generic_cells._buchberger_packed
+
+    def spy(family, width):
+        widths.append(width)
+        return packed(family, width)
+
+    monkeypatch.setattr(generic_cells, "_buchberger_packed", spy)
+    # 2-bit fields hold only exponents 0 and 1, so a run must restart wider
+    monkeypatch.setattr(generic_cells, "_BUCHBERGER_WIDTH", 2)
+    eqs = buchberger_equations(fam)
+    assert len(widths) >= 2 and widths[0] == 2 and widths == sorted(set(widths))
+    assert eqs == expected
+    assert [eq.to_str(fam.names) for eq in eqs] == [eq.to_str(fam.names) for eq in expected]
 
 
 def test_elimination_needs_equations_over_qq():

@@ -158,6 +158,26 @@ def test_polynomial_maps_ints_into_a_finite_field():
     assert Polynomial(QQ, 1, {(1,): Fraction(1, 2), (0,): 7}).terms == (((1,), Fraction(1, 2)), ((0,), 7))
 
 
+def _types(p):
+    return [(c, type(c)) for _, c in p.terms]
+
+
+def test_monic_and_fraction_scale_give_ints_where_integral():
+    def P(lead, const):
+        return Polynomial(QQ, 1, {(1,): lead, (0,): const})
+
+    ints = [(1, int), (2, int)]
+    assert _types(P(2, 4).monic()) == ints
+    assert _types(P(Fraction(1, 3), Fraction(2, 3)).monic()) == ints
+    assert _types(P(Fraction(-2, 3), 2).monic()) == [(1, int), (-3, int)]
+    assert _types(P(3, 6).scale(Fraction(1, 3))) == ints
+    # a non-integral product stays a Fraction
+    assert _types(P(2, 3).monic()) == [(1, int), (Fraction(3, 2), Fraction)]
+    # int scalars and finite fields keep their arithmetic
+    assert _types(P(2, 3).scale(-2)) == [(-4, int), (-6, int)]
+    assert Polynomial(GF5, 1, {(1,): 2, (0,): 4}).monic().terms == (((1,), GF5.one), ((0,), GF5.of(2)))
+
+
 # -- lex order --------------------------------------------------------------
 
 def test_lex_ignores_degree():
