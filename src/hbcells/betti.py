@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DomainError
-from .field import QQ
+from .field import FFElement, QQ
 from .linalg import rank
 from .poly import Polynomial
 from .staircase import HSeries, lex_segment_from_hseries
@@ -83,7 +83,10 @@ def _strand(d, rows, cols):
 
 
 def _numeric(entries, assignment, field):
-    """Rows of tags with parameters replaced by their values."""
+    """Rows of tags with parameters replaced by their values, read in ``field``."""
+    if field.char:  # an int or Fraction value maps into the field, never stays an integer
+        assignment = {s: v if isinstance(v, FFElement) else field.of(v)
+                      for s, v in assignment.items()}
     values = {"one": field.one, "zero": field.zero}
     out = []
     for row in entries:

@@ -30,9 +30,9 @@ import re
 
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
-from .groebner import buchberger_reduced, leading_term_ideal
-from .poly import Polynomial, UniPoly, _add_into, _convolve, _divmod, _normal_form_dict, _reducers
-from .staircase import Staircase, staircase_from_monomial_ideal
+from .groebner import buchberger_reduced
+from .poly import Polynomial, UniPoly, _add_into, _convolve, _divmod, _integral
+from .staircase import Staircase, _staircase_from_leads
 
 
 class CellKind(enum.Enum):
@@ -141,6 +141,15 @@ class CellMatrix:
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "entries", tuple(rows))
+
+    @classmethod
+    def _raw(cls, E, rows, field):
+        """Trusted constructor: ``rows`` already meet the shape and degree bounds."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
+        return self
 
     @classmethod
     def zero(cls, E, field=QQ):
@@ -292,16 +301,17 @@ def minors_ideal(N):
         terms = []
         for k in range(len(D[i]) - 1, -1, -1):
             p = _convolve(D[i][k], sP, zero)
-            terms.extend(((k, j), p[j]) for j in range(len(p) - 1, -1, -1) if p[j])
+            # ints where integral, as in Polynomial arithmetic
+            terms.extend(((k, j), _integral(p[j])) for j in range(len(p) - 1, -1, -1) if p[j])
         fs.append(Polynomial._raw(field, 2, tuple(terms)))
     return fs
 
 
 def _x_columns(p):
-    """p in k[x,y] as dense k[y] coefficient lists, one per power of x."""
-    out = [[] for _ in range(p.lt[0] + 1)]
+    """p in k[x,y] as {power of x: dense k[y] coefficient list}, nonzero columns only."""
+    out = {}
     for (a, b), c in p.terms:
-        if not out[a]:  # the first term of a column has its top power of y
+        if a not in out:  # the first term of a column has its top power of y
             out[a] = [p.field.zero] * (b + 1)
         out[a][b] = c
     return out
@@ -310,24 +320,30 @@ def _x_columns(p):
 def _y_coefficients(g, fs, lowest, field):
     """Write g as sum of k[y]-multiples of f_lowest..f_t (Groebner cell shape).
 
-    ``g`` (consumed) and the f_i are dense k[y] lists, one per power of x;
-    f_i has lead x^(t-i) y^(m_i) and g has x-degree at most t - lowest.
-    With m nondecreasing, f_(t-a) is the only reducer of the x^a terms, so
-    the division is one k[y] divmod per power of x, from the top, by the
-    monic top coefficient of f_(t-a).  A remainder means g does not have
-    the expected shape.  Returns {i: quotient of f_i}, all in k[y], which
-    is what makes the cell matrix entries unique.
+    ``g`` (consumed) and the f_i map powers of x to dense k[y] lists; f_i
+    has lead x^(t-i) y^(m_i) and g has x-degree at most t - lowest.  With
+    m nondecreasing, f_(t-a) is the only reducer of the x^a terms, so the
+    division is one k[y] divmod per nonzero power of x, from the top, by
+    the monic top coefficient of f_(t-a).  A remainder means g does not
+    have the expected shape.  Returns {i: quotient of f_i} for the nonzero
+    quotients, all in k[y], which is what makes the cell matrix entries
+    unique.
     """
     zero = field.zero
     t = len(fs) - 1
     coefs = {}
-    for a in range(t - lowest, -1, -1):
+    while g:
+        a = max(g)
+        ga = g.pop(a)
+        if not any(ga):
+            continue
         f = fs[t - a]
-        q, r = _divmod(g[a], f[a], field)
+        q, r = _divmod(ga, f[a], field)
         if r:
             raise DomainError("generators do not define an ideal with the expected staircase")
-        for b in range(a):
-            _add_into(g[b], _convolve(q, f[b], zero), True, zero)
+        for b, c in f.items():
+            if b < a:
+                _add_into(g.setdefault(b, []), _convolve(q, c, zero), True, zero)
         coefs[t - a] = q
     return coefs
 
@@ -338,8 +354,11 @@ def canonical_matrix(gens):
     Computes the reduced Groebner basis, seeds representatives f_i with
     leading terms x^(t-i) y^(m_i), then for k = t..1 normalizes the column
     relation y^(d_k) f_{k-1} - x f_k + sum n_(j+1,k) f_j = 0 by univariate
-    division against y^(d_k) + n_kk, folding quotients into f_{k-1}.  As in
-    ``minors_ideal``, each f_i is a dense k[y] list per power of x.
+    division against y^(d_k) + n_kk, folding quotients into f_{k-1}.  Each
+    f_i holds its nonzero powers of x only, each a dense k[y] list as in
+    ``minors_ideal``, and zero quotients are skipped, so the fold costs
+    what the nonzero entries cost.  The division guarantees the degree
+    bounds, so the matrix is built without re-checking them.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -349,36 +368,55 @@ def canonical_matrix(gens):
     field = gens[0].field
     zero, one = field.zero, field.one
     gb = buchberger_reduced(gens)
-    E = staircase_from_monomial_ideal(leading_term_ideal(gb))
+    E = _staircase_from_leads([g.lt for g in gb])
     t, d = E.t, E.d
+    # the leads of the reduced basis are the minimal generators x^(t-i) y^(m_i)
     by_lead = {g.lt: _x_columns(g) for g in gb}
-    # seed: a lead that is a minimal generator takes its basis element; any
-    # other has m_i = m_(i+1) and is x times the next one
-    fs = [None] * (t + 1)
-    for i in range(t, -1, -1):
-        fs[i] = by_lead.get((t - i, E.m[i])) or [[]] + fs[i + 1]
-
-    entries = [[UniPoly.zero(field)] * t for _ in range(t + 1)]
+    fs = [None] * t + [by_lead[(0, E.m[t])]]
+    z = UniPoly.zero(field)
+    entries = [[z] * t for _ in range(t + 1)]
     for k in range(t, 0, -1):
         dk = d[k - 1]
-        # relation: y^(d_k) f_{k-1} - x f_k + sum n_(j+1,k) f_j = 0
-        g = [[zero] * dk + c if c else [] for c in fs[k - 1]]
-        for a, c in enumerate(fs[k], 1):
-            _add_into(g[a], c, True, zero)
+        if not dk:
+            # m_(k-1) = m_k: f_(k-1) = x f_k, and column k of N vanishes
+            fs[k - 1] = {a + 1: c for a, c in fs[k].items()}
+            continue
+        # relation: y^(d_k) f_{k-1} - x f_k + sum n_(j+1,k) f_j = 0, with
+        # f_(k-1) seeded by the basis element of lead x^(t-k+1) y^(m_(k-1))
+        fs[k - 1] = seed = by_lead[(t - k + 1, E.m[k - 1])]
+        g = {a: [zero] * dk + c for a, c in seed.items()}
+        for a, c in fs[k].items():
+            _add_into(g.setdefault(a + 1, []), c, True, zero)
         coefs = _y_coefficients(g, fs, k - 1, field)
-        nkk = [-c for c in coefs[k - 1]]
+        nkk = [-c for c in coefs.pop(k - 1, ())]
         if len(nkk) > dk:
             raise DomainError("column normalization failed: diagonal degree too large")
-        entries[k - 1][k - 1] = UniPoly(field, nkk)
+        if nkk:
+            entries[k - 1][k - 1] = UniPoly(field, nkk)
         h = nkk + [zero] * (dk - len(nkk)) + [one]
-        newf = [list(c) for c in fs[k - 1]]
-        for j in range(k, t + 1):
-            q, r = _divmod([-c for c in coefs[j]], h, field)
-            for a, c in enumerate(fs[j]):
-                _add_into(newf[a], _convolve(q, c, zero), False, zero)
-            entries[j][k - 1] = UniPoly(field, r)
+        newf = {a: list(c) for a, c in seed.items()}
+        for j, qj in coefs.items():
+            q, r = _divmod([-c for c in qj], h, field)
+            if r:
+                entries[j][k - 1] = UniPoly(field, r)
+            if q:
+                for a, c in fs[j].items():
+                    _add_into(newf.setdefault(a, []), _convolve(q, c, zero), False, zero)
         fs[k - 1] = newf
-    return E, CellMatrix(E, entries, field)
+    return E, CellMatrix._raw(E, entries, field)
+
+
+def _x_power_gcd(gb, field):
+    """Whether gcd_i g_i(x, 0) over the basis ``gb`` is a power of x (Euclid by ``_divmod``)."""
+    gcd = []
+    for g in gb:
+        low = [(a, c) for (a, b), c in g.terms if not b]
+        r = [field.zero] * (low[0][0] + 1) if low else []
+        for a, c in low:
+            r[a] = c
+        while r:
+            gcd, r = r, _divmod(gcd, r, field)[1]
+    return not any(gcd[:-1])
 
 
 def cell_kinds_of_ideal(gens):
@@ -386,23 +424,20 @@ def cell_kinds_of_ideal(gens):
 
     V0 requires Lt(I) to have finite colength and radical (x,y); V1 asks
     the monic generator of I \\cap k[y] to be a pure power of y; V2 asks
-    the radical to be (x,y), checked as V1 plus x^colength in I; V3 asks
-    the reduced basis to be homogeneous.  All checks are independent of
-    any cell matrix.  V2 iterates r <- NF(x*r) from r = 1, stopping at 0.
+    the radical to be (x,y); V3 asks the reduced basis to be homogeneous.
+    All checks are independent of any cell matrix.  Under V1, y is
+    nilpotent modulo I, so rad I = rad(I + (y)) and I + (y) = (p(x), y)
+    with p the gcd of the g(x, 0) over the reduced basis: V2 holds exactly
+    when p is a power of x, one k[x] Euclid run by ``_divmod``.
     """
     gb = buchberger_reduced(gens)
-    E = staircase_from_monomial_ideal(leading_term_ideal(gb))
+    E = _staircase_from_leads([g.lt for g in gb])
     kinds = {CellKind.V0}
     f_last = next(g for g in gb if g.lt == (0, E.y_power))
     if len(f_last.terms) == 1:
         kinds.add(CellKind.V1)
-        reducers = _reducers(gb)
-        r = {(0, 0): f_last.field.one}
-        for _ in range(E.colength):
-            r = _normal_form_dict({(i + 1, j): c for (i, j), c in r.items()}, reducers)
-            if not r:
-                kinds.add(CellKind.V2)
-                break
+        if _x_power_gcd(gb, f_last.field):
+            kinds.add(CellKind.V2)
     if all(g.is_homogeneous() for g in gb):
         kinds.add(CellKind.V3)
     return kinds

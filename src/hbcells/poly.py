@@ -99,6 +99,11 @@ def mono_to_str(mono, names):
 # ---------------------------------------------------------------------------
 # multivariate polynomials
 
+def _integral(c):
+    """A rational ``c`` as an int when it is integral; any other scalar unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class Polynomial:
     """Immutable exact multivariate polynomial with lex term order."""
 
@@ -140,6 +145,13 @@ class Polynomial:
     @classmethod
     def from_dict(cls, field, nvars, d):
         return cls._raw(field, nvars, tuple(sorted(((m, c) for m, c in d.items() if c), reverse=True)))
+
+    @classmethod
+    def _from_sum(cls, field, nvars, d):
+        """``from_dict`` for the result of arithmetic: over QQ an integral Fraction becomes an int."""
+        if not field.char and Fraction in map(type, d.values()):
+            d = {m: _integral(c) for m, c in d.items()}
+        return cls.from_dict(field, nvars, d)
 
     @classmethod
     def zero(cls, field, nvars):
@@ -224,7 +236,7 @@ class Polynomial:
                 d[m] = v
             else:
                 del d[m]
-        return Polynomial.from_dict(self.field, self.nvars, d)
+        return Polynomial._from_sum(self.field, self.nvars, d)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -238,7 +250,7 @@ class Polynomial:
                 d[m] = v
             else:
                 del d[m]
-        return Polynomial.from_dict(self.field, self.nvars, d)
+        return Polynomial._from_sum(self.field, self.nvars, d)
 
     def __neg__(self):
         return Polynomial._raw(self.field, self.nvars, tuple((m, -c) for m, c in self.terms))
@@ -258,7 +270,7 @@ class Polynomial:
                         d[m] = v
                     else:
                         del d[m]
-            return Polynomial.from_dict(self.field, self.nvars, d)
+            return Polynomial._from_sum(self.field, self.nvars, d)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -273,14 +285,13 @@ class Polynomial:
         return r
 
     def scale(self, c):
-        """c * self.  Over QQ a Fraction scalar gives an int wherever the product is integral."""
+        """c * self.  Over QQ the product is an int wherever it is integral."""
         if not c:
             return Polynomial.zero(self.field, self.nvars)
-        if type(c) is Fraction and not self.field.char:
-            terms = tuple((m, q.numerator if (q := c * cc).denominator == 1 else q)
-                          for m, cc in self.terms)
-        else:
+        if self.field.char:
             terms = tuple((m, c * cc) for m, cc in self.terms)
+        else:
+            terms = tuple((m, _integral(c * cc)) for m, cc in self.terms)
         return Polynomial._raw(self.field, self.nvars, terms)
 
     def mul_term(self, mono, c):
@@ -297,9 +308,6 @@ class Polynomial:
         lc = self.terms[0][1]
         if lc == self.field.one:
             return self
-        if type(lc) is Fraction:
-            # 1/lc kept a Fraction even when integral, so that scale gives ints
-            return self.scale(Fraction(lc.denominator, lc.numerator))
         return self.scale(self.field.div(self.field.one, lc))
 
     def substitute(self, i, replacement):

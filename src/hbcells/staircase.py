@@ -125,8 +125,17 @@ def staircase_from_monomial_ideal(E):
     """Inverse of :meth:`Staircase.monomial_ideal`."""
     if E.nvars != 2:
         raise ValueError("staircases live in k[x,y]")
-    t = E.pure_power_exponent(0)
-    my = E.pure_power_exponent(1)
+    return _staircase_from_leads(E.gens)
+
+
+def _staircase_from_leads(gens):
+    """The staircase of the monomial ideal generated by the pairs (a, b) in ``gens``.
+
+    The generators need not be minimal, so the leads of any Groebner basis
+    give its staircase without building a :class:`MonomialIdeal`.
+    """
+    t = min((a for a, b in gens if not b), default=None)
+    my = min((b for a, b in gens if not a), default=None)
     if t is None or my is None:
         raise DomainError("the monomial ideal has infinite colength")
     if t == 0:
@@ -134,7 +143,7 @@ def staircase_from_monomial_ideal(E):
     # m_i = min{b : (a, b) a generator, a <= t - i}: the least y-exponent of
     # each x-degree below t, then a running minimum upward in a
     least = [my] * t
-    for a, b in E.gens:
+    for a, b in gens:
         if a < t and b < least[a]:
             least[a] = b
     return Staircase([0, *reversed(list(itertools.accumulate(least, min)))])

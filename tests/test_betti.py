@@ -11,7 +11,7 @@ from hbcells.betti import (betti_numbers, g_dim, graded_matrix, lex_codim,
                            monomial_betti, resolution_degrees,
                            stratum_descriptor, strata_descriptors)
 from hbcells.errors import DomainError
-from hbcells.field import GF
+from hbcells.field import GF, QQ
 from hbcells.groebner import graded_beta0_profile
 from hbcells.hilbert_burch import (cell_matrix_from_parameters, degree_matrix,
                                    minors_ideal, slot_set)
@@ -307,6 +307,22 @@ def test_betti_and_strata_at_every_finite_field_point(q, top, npoints):
                     assert inside == (profile.get(j, 0) >= u), (E.m, values, j, u)
                 points += 1
     assert points == npoints
+
+
+def test_betti_numbers_at_a_point_whose_table_exists_only_in_characteristic_3():
+    # E = (0,1,2,4,5), colength 12: over F_3 this point has a generator in
+    # degree 5 that its integer lift over QQ does not have, so a rank taken
+    # on the lift instead of in the field gets beta_0 wrong
+    E = Staircase((0, 1, 2, 4, 5))
+    values = {(4, 1): 1, (4, 2): 2, (4, 3): 0, (5, 1): 2, (5, 2): 1, (5, 3): 0}
+    expected = {GF(3): {4: 3, 5: 1}, QQ: {4: 3}}
+    for field, beta0 in expected.items():
+        p = {s: field.of(v) for s, v in values.items()}
+        table = betti_numbers(E, p, field)
+        assert {j: b0 for j, (b0, _) in table.items() if b0} == beta0, field
+        assert graded_beta0_profile(minors_ideal(cell_matrix_from_parameters(E, p, field))) == beta0
+        # plain ints are read in the field too
+        assert betti_numbers(E, values, field) == table, field
 
 
 # -- lex codimension ----------------------------------------------------------------

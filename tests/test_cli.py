@@ -29,6 +29,13 @@ def test_canonicalize_example(capsys):
     assert out.strip() == "m=[0,1]; N=[[-2],[3]]"
 
 
+def test_canonicalize_at_large_t(capsys):
+    # t = 500: the zero matrix of (x^500, y) costs what its nonzeros cost
+    code, out, _ = run(capsys, "canonicalize", "x^500, y")
+    assert code == 0
+    assert out.startswith("m=[0," + "1," * 499 + "1]; N=[[0,")
+
+
 def test_canonicalize_json_writes_integral_fractions_as_ints(capsys):
     _, plain, _ = run(capsys, "canonicalize", "--format", "json", "x-3, y-2")
     code, scaled, _ = run(capsys, "canonicalize", "--format", "json", "1/2*x - 3/2, y - 2")

@@ -15,7 +15,8 @@ from hbcells.hilbert_burch import (CellKind, CellMatrix, _y_coefficients,
                                    cell_matrix_from_parameters, minors_ideal,
                                    random_cell_matrix, slot_set,
                                    validate_cell_matrix)
-from hbcells.poly import Polynomial, UniPoly, parse_ideal, parse_polynomial
+from hbcells.poly import (Polynomial, UniPoly, _normal_form_dict, _reducers, parse_ideal,
+                          parse_polynomial)
 from hbcells.staircase import (Staircase, enumerate_staircases,
                                staircase_from_monomial_ideal)
 
@@ -318,6 +319,36 @@ def test_round_trip_scrambled_generators():
         assert canonical_matrix(gens) == (E, N)
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_round_trip_at_large_t_on_a_power_of_x(n):
+    # (x^n, y) has t = n and the zero matrix; minors_ideal and the inverse agree
+    E = Staircase((0,) + (1,) * n)
+    zero = CellMatrix.zero(E)
+    assert canonical_matrix(parse_ideal(f"x^{n}, y", ("x", "y"))) == (E, zero)
+    fs = minors_ideal(zero)
+    assert fs[0] == P(f"x^{n}") and fs[-1] == P("y")
+    assert canonical_matrix(fs) == (E, zero)
+
+
+def test_round_trip_at_large_t_on_sparse_cells():
+    # staircases with t >= 100 and a few steps, a few nonzero slots of S(E) each
+    rng = random.Random(2024)
+    seen = 0
+    for trial in range(6):
+        d = [0] * rng.randint(100, 130)
+        d[0] = rng.randint(1, 3)
+        for k in rng.sample(range(1, len(d)), 6):
+            d[k] = rng.randint(1, 2)
+        E = Staircase.from_d(d)
+        slots = slot_set(E)
+        picks = rng.sample(slots, min(4, len(slots)))
+        N = cell_matrix_from_parameters(E, {s: rng.choice((-2, -1, 1, 2, 3)) for s in picks})
+        assert N != CellMatrix.zero(E)
+        assert canonical_matrix(minors_ideal(N)) == (E, N), (d, picks)
+        seen += len(picks)
+    assert seen >= 12
+
+
 def test_canonicalize_rejects_bad_ideals():
     with pytest.raises(DomainError):
         canonical_matrix(parse_ideal("x^2", ("x", "y")))  # infinite colength
@@ -328,15 +359,17 @@ def test_canonicalize_rejects_bad_ideals():
 
 
 def test_y_coefficients_shape():
-    # staircase m = (0, 1): f_0 = x and f_1 = y, as k[y] lists per power of x
-    fs = [[[], [1]], [[0, 1]]]
-    g = [[0, 1, 1], [0, 1]]  # x*y + y^2 + y
+    # staircase m = (0, 1): f_0 = x and f_1 = y, as k[y] lists per nonzero power of x
+    fs = [{1: [1]}, {0: [0, 1]}]
+    g = {0: [0, 1, 1], 1: [0, 1]}  # x*y + y^2 + y
     assert _y_coefficients(g, fs, 0, QQ) == {0: [0, 1], 1: [1, 1]}
     with pytest.raises(DomainError):
-        _y_coefficients([[1]], fs, 1, QQ)  # 1 is left as a remainder by y
+        _y_coefficients({0: [1]}, fs, 1, QQ)  # 1 is left as a remainder by y
     # staircase m = (1, 2): f_0 = x*y, f_1 = y^2; x is left as a remainder
     with pytest.raises(DomainError):
-        _y_coefficients([[], [1]], [[[], [0, 1]], [[0, 0, 1]]], 0, QQ)
+        _y_coefficients({1: [1]}, [{1: [0, 1]}, {0: [0, 0, 1]}], 0, QQ)
+    # zero powers of x cost nothing and give no quotient
+    assert _y_coefficients({0: [0, 0], 1: []}, fs, 0, QQ) == {}
 
 
 def test_round_trip_characteristic_two():
@@ -389,7 +422,7 @@ def test_kinds_examples():
 
 
 def test_v2_by_iterated_x_multiplication_matches_reducing_x_to_the_colength():
-    # V2 multiplies by x one step at a time; reducing x^colength in one go must agree
+    # V2 is a gcd of the g(x, 0); reducing x^colength in one go must agree
     seen = {True: 0, False: 0}
     for d in range(1, 10):
         for E in enumerate_staircases(d):
@@ -403,6 +436,52 @@ def test_v2_by_iterated_x_multiplication_matches_reducing_x_to_the_colength():
                 assert (CellKind.V2 in kinds) == in_ideal, (E.m, kind)
                 seen[in_ideal] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _v2_by_iterated_x(gb, E):
+    """Reference V2 test: r <- NF(x*r) from r = 1 reaches 0 within colength steps."""
+    reducers = _reducers(gb)
+    r = {(0, 0): gb[0].field.one}
+    for _ in range(E.colength):
+        r = _normal_form_dict({(i + 1, j): c for (i, j), c in r.items()}, reducers)
+        if not r:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)
+def test_v2_gcd_matches_the_iterated_x_reference(field):
+    # every staircase of colength <= 8, every kind, three draws
+    seen = {True: 0, False: 0}
+    for d in range(1, 9):
+        for E in enumerate_staircases(d):
+            for kind in CellKind:
+                for draw in range(3):
+                    fs = minors_ideal(random_cell_matrix(E, kind, 100 * d + draw, field=field))
+                    kinds = cell_kinds_of_ideal(fs)
+                    if CellKind.V1 not in kinds:
+                        continue
+                    ref = _v2_by_iterated_x(buchberger_reduced(fs), E)
+                    assert (CellKind.V2 in kinds) == ref, (E.m, kind, draw)
+                    seen[ref] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("text, field, v2", [
+    ("x^2 - x, y", QQ, False),          # roots 0 and 1
+    ("x^2 + 1, y", QQ, False),          # no root over QQ, none at the origin
+    ("x^2 + 1, y", GF(2), False),       # (x + 1)^2
+    ("x^3 - x*y, x*y^2, y^3", QQ, True),
+    ("x^2 - 2*x*y + y, y^2", QQ, True),
+    ("x^3 - x^2 + x*y, y^2", QQ, False),  # x^2 (x - 1) on y = 0
+])
+def test_v2_on_hand_picked_ideals(text, field, v2):
+    fs = parse_ideal(text, ("x", "y"), field)
+    gb = buchberger_reduced(fs)
+    E = staircase_from_monomial_ideal(leading_term_ideal(gb))
+    kinds = cell_kinds_of_ideal(fs)
+    assert CellKind.V1 in kinds
+    assert (CellKind.V2 in kinds) == v2 == _v2_by_iterated_x(gb, E)
 
 
 def test_kinds_error_on_infinite_colength():

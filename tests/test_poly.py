@@ -178,6 +178,20 @@ def test_monic_and_fraction_scale_give_ints_where_integral():
     assert Polynomial(GF5, 1, {(1,): 2, (0,): 4}).monic().terms == (((1,), GF5.one), ((0,), GF5.of(2)))
 
 
+def test_arithmetic_over_qq_gives_ints_where_integral():
+    p = Polynomial(QQ, 1, {(1,): Fraction(1, 2), (0,): 3})
+    doubled = [(1, int), (6, int)]
+    assert _types(p.scale(2)) == doubled
+    assert _types(p * 2) == doubled
+    assert _types(2 * p) == doubled
+    assert _types(p + p) == doubled
+    assert _types(p * Polynomial(QQ, 1, {(0,): 2})) == doubled
+    q = Polynomial(QQ, 1, {(1,): Fraction(3, 2), (0,): 3})
+    assert _types(q - p) == [(1, int)]
+    # (x/2 + 3)^2: the cross term 3x is integral, x^2/4 is not
+    assert _types(p * p) == [(Fraction(1, 4), Fraction), (3, int), (9, int)]
+
+
 # -- lex order --------------------------------------------------------------
 
 def test_lex_ignores_degree():
