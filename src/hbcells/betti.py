@@ -12,12 +12,13 @@ conditions cut out the Betti strata.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import FFElement, QQ
 from .linalg import rank
 from .poly import Polynomial
-from .staircase import HSeries, lex_segment_from_hseries
+from .staircase import HSeries, Staircase, lex_segment_from_hseries
 from .hilbert_burch import slot_set
 
 
@@ -29,20 +30,15 @@ def _by_degree(degrees):
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ResolutionDegrees:
     """Generator degrees a (length t+1) and syzygy degrees b (length t), grouped by degree."""
 
-    __slots__ = ("E", "a", "b", "_w", "_v")
-
-    def __init__(self, E):
-        t = E.t
-        a = tuple(t + 1 - i + E.m[i - 1] for i in range(1, t + 2))
-        b = tuple(a[i] + 1 for i in range(1, t + 1))
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_w", _by_degree(a))
-        object.__setattr__(self, "_v", _by_degree(b))
+    E: Staircase
+    a: tuple
+    b: tuple
+    _w: dict
+    _v: dict
 
     def w(self, j):
         """Row indices (1-based) of generators of degree j."""
@@ -57,7 +53,11 @@ class ResolutionDegrees:
 
 
 def resolution_degrees(E):
-    return ResolutionDegrees(E)
+    """The degrees a_i = t+1-i+m_(i-1) and b_i = a_(i+1)+1 of the resolution of E."""
+    t = E.t
+    a = tuple(t + 1 - i + E.m[i - 1] for i in range(1, t + 2))
+    b = tuple(a[i] + 1 for i in range(1, t + 1))
+    return ResolutionDegrees(E, a, b, _by_degree(a), _by_degree(b))
 
 
 def canonical_parameters(E):
@@ -94,6 +94,7 @@ def _numeric(entries, assignment, field):
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GradedPieceMatrix:
     """The scalar matrix M(p)_j and its star reduction, entries symbolic.
 
@@ -102,27 +103,14 @@ class GradedPieceMatrix:
     1-entries (indices in both w_j and v_j).
     """
 
-    __slots__ = ("E", "j", "rows", "cols", "entries", "star_rows", "star_cols",
-                 "star_entries")
-
-    def __init__(self, E, j):
-        rd = ResolutionDegrees(E)
-        d = E.d
-        rows = rd.w(j)
-        cols = rd.v(j)
-        entries = _strand(d, rows, cols)
-        shared = set(rows) & set(cols)
-        srows = tuple(i for i in rows if i not in shared)
-        scols = tuple(i for i in cols if i not in shared)
-        star = _strand(d, srows, scols)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "star_rows", srows)
-        object.__setattr__(self, "star_cols", scols)
-        object.__setattr__(self, "star_entries", star)
+    E: Staircase
+    j: int
+    rows: tuple
+    cols: tuple
+    entries: tuple
+    star_rows: tuple
+    star_cols: tuple
+    star_entries: tuple
 
     @property
     def shape(self):
@@ -185,13 +173,25 @@ class GradedPieceMatrix:
 
 
 def graded_matrix(E, j):
-    return GradedPieceMatrix(E, j)
+    """M(p)_j of E and its star reduction."""
+    rd = resolution_degrees(E)
+    d = E.d
+    rows = rd.w(j)
+    cols = rd.v(j)
+    shared = set(rows) & set(cols)
+    srows = tuple(i for i in rows if i not in shared)
+    scols = tuple(i for i in cols if i not in shared)
+    return GradedPieceMatrix(E, j, rows, cols, _strand(d, rows, cols),
+                             srows, scols, _strand(d, srows, scols))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class BettiTable:
     """Degree j -> (beta_0j, beta_1j) for the degrees carrying the resolution."""
 
-    __slots__ = ("data",)
+    data: dict
+
+    __hash__ = None  # data is a dict
 
     def __init__(self, data):
         object.__setattr__(self, "data", dict(data))
@@ -204,11 +204,6 @@ class BettiTable:
 
     def items(self):
         return sorted(self.data.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, BettiTable):
-            return NotImplemented
-        return self.data == other.data
 
     def __repr__(self):
         inside = ", ".join(f"{j}: ({b0}, {b1})" for j, (b0, b1) in self.items())
@@ -231,7 +226,7 @@ def betti_numbers(E, assignment, field=QQ):
     unknown = [s for s in assignment if s not in known]
     if unknown:
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
-    rd = ResolutionDegrees(E)
+    rd = resolution_degrees(E)
     d = E.d
     data = {}
     for j in rd.degrees():
@@ -268,6 +263,7 @@ def _det(rows):
     return total if total is not None else rows[0][0]  # zero polynomial
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class StratumDescriptor:
     """The determinantal description of one Betti stratum.
 
@@ -276,35 +272,13 @@ class StratumDescriptor:
     polynomials in the parameters p_1..p_#S (column-major names).
     """
 
-    __slots__ = ("E", "j", "u", "matrix", "rank_bound", "conditions", "param_names")
-
-    def __init__(self, E, j, u):
-        if u < 0:
-            raise ValueError("stratum level u must be nonnegative")
-        gm = GradedPieceMatrix(E, j)
-        slots = slot_set(E)
-        index = {s: k for k, s in enumerate(slots)}
-        beta0_E = len(gm.star_rows)
-        bound = beta0_E - u
-        sym = gm.symbolic_star(index)
-        nr, nc = gm.star_shape
-        conditions = []
-        if bound < 0:
-            conditions = [Polynomial.constant(QQ, len(slots), 1)]
-        elif bound < min(nr, nc):
-            size = bound + 1
-            for rsel in itertools.combinations(range(nr), size):
-                for csel in itertools.combinations(range(nc), size):
-                    minor = _det([list(map(sym[r].__getitem__, csel)) for r in rsel])
-                    if not minor.is_zero:
-                        conditions.append(minor)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "matrix", gm)
-        object.__setattr__(self, "rank_bound", bound)
-        object.__setattr__(self, "conditions", tuple(conditions))
-        object.__setattr__(self, "param_names", tuple(f"p{k + 1}" for k in range(len(slots))))
+    E: Staircase
+    j: int
+    u: int
+    matrix: GradedPieceMatrix
+    rank_bound: int
+    conditions: tuple
+    param_names: tuple
 
     def condition_strings(self):
         return [c.to_str(self.param_names) for c in self.conditions]
@@ -318,12 +292,33 @@ class StratumDescriptor:
 
 
 def stratum_descriptor(E, j, u):
-    return StratumDescriptor(E, j, u)
+    """The stratum of at least u minimal generators of degree j over the cell of E."""
+    if u < 0:
+        raise ValueError("stratum level u must be nonnegative")
+    gm = graded_matrix(E, j)
+    slots = slot_set(E)
+    index = {s: k for k, s in enumerate(slots)}
+    beta0_E = len(gm.star_rows)
+    bound = beta0_E - u
+    sym = gm.symbolic_star(index)
+    nr, nc = gm.star_shape
+    conditions = []
+    if bound < 0:
+        conditions = [Polynomial.constant(QQ, len(slots), 1)]
+    elif bound < min(nr, nc):
+        size = bound + 1
+        for rsel in itertools.combinations(range(nr), size):
+            for csel in itertools.combinations(range(nc), size):
+                minor = _det([list(map(sym[r].__getitem__, csel)) for r in rsel])
+                if not minor.is_zero:
+                    conditions.append(minor)
+    return StratumDescriptor(E, j, u, gm, bound, tuple(conditions),
+                             tuple(f"p{k + 1}" for k in range(len(slots))))
 
 
 def strata_descriptors(E, beta):
     """Descriptors for the intersection over all degrees (beta: j -> u)."""
-    return [StratumDescriptor(E, j, u) for j, u in sorted(beta.items())]
+    return [stratum_descriptor(E, j, u) for j, u in sorted(beta.items())]
 
 
 def lex_codim(E, j, u):
@@ -334,7 +329,7 @@ def lex_codim(E, j, u):
     """
     if not E.is_lex_segment:
         raise DomainError(f"{E} is not a lex segment")
-    gm = GradedPieceMatrix(E, j)
+    gm = graded_matrix(E, j)
     shared = len(set(gm.rows) & set(gm.cols))
     beta0 = len(gm.rows) - shared
     beta1 = len(gm.cols) - shared

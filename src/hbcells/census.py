@@ -11,6 +11,7 @@ once and no dimension formula enters the oracle side.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import GF
@@ -20,19 +21,13 @@ from .hilbert_burch import CellKind, cell_dimension
 from .staircase import enumerate_staircases
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CellCensus:
     """Per-staircase cell dimensions and the q-polynomial total."""
 
-    __slots__ = ("d", "records", "total")
-
-    def __init__(self, d, records):
-        total = {}
-        for _, dims in records:
-            e = dims[CellKind.V0]
-            total[e] = total.get(e, 0) + 1
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "records", tuple(records))
-        object.__setattr__(self, "total", dict(total))
+    d: int
+    records: tuple
+    total: dict
 
     def evaluate(self, q):
         """The predicted number of colength-d ideals over F_q."""
@@ -57,11 +52,15 @@ class CellCensus:
 
 
 def cell_census(d):
+    """The dimensions of the four cells of every staircase of colength d."""
     records = []
+    total = {}
     for E in enumerate_staircases(d):
         dims = {kind: cell_dimension(E, kind) for kind in CellKind}
         records.append((E, dims))
-    return CellCensus(d, records)
+        e = dims[CellKind.V0]
+        total[e] = total.get(e, 0) + 1
+    return CellCensus(d, tuple(records), total)
 
 
 def brute_force_ideal_count(d, q):

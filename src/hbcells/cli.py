@@ -17,7 +17,7 @@ from . import generic_cells
 from . import hilbert_burch as hb
 from .errors import DomainError
 from .field import GF, QQ, scalar_from_json
-from .poly import UniPoly, default_names, parse_ideal
+from .poly import default_names, parse_ideal
 from .staircase import HSeries, Staircase
 
 
@@ -126,7 +126,9 @@ def cmd_canonicalize(args):
     E, N = hb.canonical_matrix(gens)
 
     def text():
-        rows = ",".join("[" + ",".join(map(UniPoly.to_str, row)) + "]" for row in N.entries)
+        # most entries of a large matrix are zero, and "0" is what to_str prints for them
+        entry = lambda e: e.to_str() if e else "0"
+        rows = ",".join("[" + ",".join(map(entry, row)) + "]" for row in N.entries)
         return f"{E}; N=[{rows}]"
 
     _emit(args, text, N.to_json(), latex_fn=N.to_latex)

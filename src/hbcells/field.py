@@ -57,6 +57,14 @@ class RationalField:
 
     decode = of  # JSON decoding coincides with coercion
 
+    # Field hashes are ints, not salted str hashes, so the hash of a value
+    # that holds its field repeats from one process to the next.
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __hash__(self):
+        return hash(0)
+
     def __repr__(self):
         return "QQ"
 
@@ -206,7 +214,7 @@ class PrimeField:
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return hash(self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -267,7 +275,7 @@ class QuarticField:
         return isinstance(other, QuarticField)
 
     def __hash__(self):
-        return hash("GF4")
+        return hash(4)
 
     def __repr__(self):
         return "GF(4)"

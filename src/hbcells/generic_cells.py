@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import lshift, or_
@@ -25,6 +26,7 @@ from .poly import (Polynomial, exact_quotient, mono_degree, mono_div, mono_divid
                    mono_mul)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GenericFamily:
     """The parametrized candidate reduced Groebner basis of a cell.
 
@@ -33,19 +35,28 @@ class GenericFamily:
     (monomial, parameter_index) pairs in decreasing monomial order.
     """
 
-    __slots__ = ("E", "nvars", "graded", "members", "pairs", "names")
-
-    def __init__(self, E, graded, members, pairs):
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "nvars", E.nvars)
-        object.__setattr__(self, "graded", graded)
-        object.__setattr__(self, "members", tuple(members))
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "names", tuple(f"a{k + 1}" for k in range(len(pairs))))
+    E: MonomialIdeal
+    nvars: int
+    graded: bool
+    members: tuple
+    pairs: tuple
+    names: tuple
 
     @property
     def nparams(self):
         return len(self.pairs)
+
+
+# Budget of the ungraded generic family: the most monomials in the exponent
+# box its standard monomials are scanned from, and the most parameters.
+# (x1^13, x2^13, x3^13) has a box of 2,197 monomials and 2,379 parameters,
+# and its Groebner-basis check runs in about 4 s on one core.
+UNGRADED_FAMILY_LIMIT = 2500
+
+
+def _over_budget(what):
+    return DomainError(f"the ungraded family has {what}, over the budget of "
+                       f"{UNGRADED_FAMILY_LIMIT} (generic_cells.UNGRADED_FAMILY_LIMIT)")
 
 
 def generic_family(gens, nvars, graded):
@@ -53,7 +64,10 @@ def generic_family(gens, nvars, graded):
 
     In graded mode the support of f_m is every standard monomial of the
     same degree below m; ungraded mode takes every standard monomial below
-    m under lex, which requires finite colength.
+    m under lex, which requires finite colength.  An ungraded family whose
+    exponent box or parameter count exceeds ``UNGRADED_FAMILY_LIMIT`` raises
+    DomainError before its standard monomials are scanned or its parameters
+    are all built.
     """
     E = gens if isinstance(gens, MonomialIdeal) else MonomialIdeal(nvars, gens)
     if graded:
@@ -62,8 +76,12 @@ def generic_family(gens, nvars, graded):
         standard = [m for deg in degrees for m in monomials_of_degree(E.nvars, deg)
                     if not E.contains(m)]
     else:
-        if E.colength() == float("inf"):
+        bounds = [E.pure_power_exponent(i) for i in range(E.nvars)]
+        if None in bounds:
             raise DomainError("the ungraded family needs finite colength")
+        box = math.prod(bounds)
+        if box > UNGRADED_FAMILY_LIMIT:
+            raise _over_budget(f"an exponent box of {box} monomials")
         standard = E.standard_monomials()
     standard.sort(reverse=True)
 
@@ -79,7 +97,10 @@ def generic_family(gens, nvars, graded):
             support.append((m, len(pairs)))
             pairs.append((lead, m))
         members.append((lead, tuple(support)))
-    return GenericFamily(E, graded, members, pairs)
+        if not graded and len(pairs) > UNGRADED_FAMILY_LIMIT:
+            raise _over_budget(f"{len(pairs)} parameters or more")
+    return GenericFamily(E, E.nvars, graded, tuple(members), tuple(pairs),
+                         tuple(f"a{k + 1}" for k in range(len(pairs))))
 
 
 def prune_multiples(eqs):
@@ -218,16 +239,14 @@ def buchberger_equations(family):
     return eqs
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class EliminationReport:
     """Outcome of the greedy linear elimination."""
 
-    __slots__ = ("names", "eliminated", "survivors", "residual")
-
-    def __init__(self, names, eliminated, survivors, residual):
-        object.__setattr__(self, "names", tuple(names))
-        object.__setattr__(self, "eliminated", tuple(eliminated))
-        object.__setattr__(self, "survivors", tuple(survivors))
-        object.__setattr__(self, "residual", tuple(residual))
+    names: tuple
+    eliminated: tuple
+    survivors: tuple
+    residual: tuple
 
     @property
     def initial_count(self):
@@ -397,8 +416,8 @@ def eliminate_linear(eqs, nparams, names=None):
         width *= 2
     eliminated, residual = done
     gone = {k for k, _ in eliminated}
-    survivors = [k for k in range(nparams) if k not in gone]
-    return EliminationReport(names, eliminated, survivors, prune_multiples(residual))
+    survivors = tuple(k for k in range(nparams) if k not in gone)
+    return EliminationReport(names, tuple(eliminated), survivors, tuple(prune_multiples(residual)))
 
 
 def affine_space_check(report):

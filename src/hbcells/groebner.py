@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import echelon_insert
@@ -25,10 +26,12 @@ from .poly import (Polynomial, _normal_form_dict, _reducers, _s_pair, mono_divid
 # ---------------------------------------------------------------------------
 # monomial ideals
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MonomialIdeal:
     """A monomial ideal stored by its minimal generators."""
 
-    __slots__ = ("nvars", "gens")
+    nvars: int
+    gens: tuple
 
     def __init__(self, nvars, gens):
         gens = sorted(set(tuple(g) for g in gens), reverse=True)
@@ -73,14 +76,6 @@ class MonomialIdeal:
             raise DomainError("the ideal has infinite colength")
         return [m for m in itertools.product(*(range(b) for b in bounds))
                 if not self.contains(m)]
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.nvars == other.nvars and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.nvars, self.gens))
 
     def __repr__(self):
         from .poly import default_names, mono_to_str

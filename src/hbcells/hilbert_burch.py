@@ -27,6 +27,7 @@ import enum
 import functools
 import random
 import re
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
@@ -62,35 +63,34 @@ def slot_set(E):
                   if 0 <= m[j] - m[i - 1] + i - j < m[j] - m[j - 1]])
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class CanonicalFrame:
     """M0(E), U(E) and S(E) bundled, entries of M0 as bivariate polynomials."""
 
-    __slots__ = ("E", "M0", "U", "S", "field")
-
-    def __init__(self, E, field=QQ):
-        t = E.t
-        d = E.d
-        zero = Polynomial.zero(field, 2)
-        rows = []
-        for i in range(1, t + 2):
-            row = []
-            for j in range(1, t + 1):
-                if i == j:
-                    row.append(Polynomial.monomial(field, 2, (0, d[j - 1])))
-                elif i == j + 1:
-                    row.append(Polynomial.monomial(field, 2, (1, 0), -field.one))
-                else:
-                    row.append(zero)
-            rows.append(tuple(row))
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "M0", tuple(rows))
-        object.__setattr__(self, "U", degree_matrix(E))
-        object.__setattr__(self, "S", slot_set(E))
+    E: Staircase
+    M0: tuple
+    U: tuple
+    S: tuple
+    field: object
 
 
 def canonical_frame(E, field=QQ):
-    return CanonicalFrame(E, field)
+    """The frame of E: M0(E) over ``field``, U(E) and S(E)."""
+    t = E.t
+    d = E.d
+    zero = Polynomial.zero(field, 2)
+    rows = []
+    for i in range(1, t + 2):
+        row = []
+        for j in range(1, t + 1):
+            if i == j:
+                row.append(Polynomial.monomial(field, 2, (0, d[j - 1])))
+            elif i == j + 1:
+                row.append(Polynomial.monomial(field, 2, (1, 0), -field.one))
+            else:
+                row.append(zero)
+        rows.append(tuple(row))
+    return CanonicalFrame(E, tuple(rows), degree_matrix(E), slot_set(E), field)
 
 
 def cell_dimension(E, kind):
@@ -114,10 +114,16 @@ def _run_end(E, j):
     return k
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CellMatrix:
-    """A point of T0(E): the perturbation N added to M0(E)."""
+    """A point of T0(E): the perturbation N added to M0(E).
 
-    __slots__ = ("E", "entries", "field")
+    A frozen value: equal matrices have the same staircase, entries and field.
+    """
+
+    E: Staircase
+    entries: tuple
+    field: object
 
     def __init__(self, E, entries, field=QQ):
         t = E.t
@@ -159,14 +165,6 @@ class CellMatrix:
     def n(self, i, j):
         """Entry n_ij, 1-indexed."""
         return self.entries[i - 1][j - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, CellMatrix):
-            return NotImplemented
-        return self.E == other.E and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.E, self.entries))
 
     def __repr__(self):
         return f"CellMatrix(E={self.E}, entries={[list(map(UniPoly.to_str, row)) for row in self.entries]})"
@@ -460,6 +458,8 @@ def random_cell_matrix(E, kind, seed, field=QQ):
 
     Over a finite field every allowed coefficient slot is uniform; over the
     rationals slots draw small integers.  Slots are visited column-major.
+    The entries meet the shape and degree bounds by construction, so the
+    matrix is built by the trusted constructor.
     """
     rng = random.Random(seed)
     if field.char == 0:
@@ -490,4 +490,4 @@ def random_cell_matrix(E, kind, seed, field=QQ):
             if kind == CellKind.V2 and j < i <= kend + 1:
                 coeffs[0] = z
             entries[i - 1][j - 1] = UniPoly(field, coeffs)
-    return CellMatrix(E, entries, field)
+    return CellMatrix._raw(E, entries, field)

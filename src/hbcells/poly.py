@@ -8,7 +8,10 @@ custom code.
 A :class:`Polynomial` is an immutable association of monomials to nonzero
 coefficients, stored as a term tuple sorted in decreasing lex order so the
 leading term is ``terms[0]``.  A :class:`UniPoly` is a dense univariate
-polynomial in y, used for the entries of cell matrices.
+polynomial in y, used for the entries of cell matrices.  Both are frozen
+dataclasses: assigning an attribute raises ``AttributeError``, and equality
+and the hash cover every field, the coefficient field included, so equal
+coefficients over two fields make unequal polynomials.
 
 Multivariate division over a field happens in one kernel,
 :func:`_normal_form_dict`, which divides a term dict by monic polynomials
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -104,10 +108,13 @@ def _integral(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial:
     """Immutable exact multivariate polynomial with lex term order."""
 
-    __slots__ = ("field", "nvars", "terms")
+    field: object
+    nvars: int
+    terms: tuple
 
     def __init__(self, field, nvars, terms):
         """``terms``: mapping or iterable of (monomial, coefficient) pairs.
@@ -354,15 +361,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return ((self.field is other.field or self.field == other.field)
-                and self.nvars == other.nvars and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, self.terms))
-
     def __repr__(self):
         return f"Polynomial({self.to_str()})"
 
@@ -400,6 +398,7 @@ def polynomial_to_str(p, names=None):
 # ---------------------------------------------------------------------------
 # univariate polynomials in y
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class UniPoly:
     """Dense univariate polynomial over an exact field, variable ``y``.
 
@@ -407,7 +406,8 @@ class UniPoly:
     (an int or a Fraction) is mapped into the field with ``field.of``.
     """
 
-    __slots__ = ("field", "coeffs")
+    field: object
+    coeffs: tuple
 
     def __init__(self, field, coeffs):
         cs = list(coeffs)
@@ -490,14 +490,6 @@ class UniPoly:
 
     def __divmod__(self, other):
         return divide_univariate(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def to_polynomial(self, nvars=2):
         """Embed into a multivariate ring with y as the last variable."""

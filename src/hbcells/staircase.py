@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import itertools
 import operator
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .groebner import MonomialIdeal
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Staircase:
     """The vector (m_0, ..., m_t) of a finite-colength monomial ideal.
 
@@ -25,7 +27,7 @@ class Staircase:
     ``TypeError`` rather than being truncated.
     """
 
-    __slots__ = ("m",)
+    m: tuple
 
     def __init__(self, m):
         m = tuple(map(operator.index, m))
@@ -100,14 +102,6 @@ class Staircase:
                 counts[a + b] = counts.get(a + b, 0) + 1
         return tuple(counts.get(j, 0) for j in range(max(counts) + 1))
 
-    def __eq__(self, other):
-        if not isinstance(other, Staircase):
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
     def __lt__(self, other):
         return self.m < other.m
 
@@ -149,6 +143,7 @@ def _staircase_from_leads(gens):
     return Staircase([0, *reversed(list(itertools.accumulate(least, min)))])
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class HSeries:
     """Hilbert function of a graded Artinian quotient of k[x,y].
 
@@ -157,7 +152,7 @@ class HSeries:
     degree c are derived on construction; entries beyond s read as 0.
     """
 
-    __slots__ = ("h",)
+    h: tuple
 
     def __init__(self, h):
         h = tuple(int(v) for v in h)
@@ -206,14 +201,6 @@ class HSeries:
     @property
     def total(self):
         return sum(self.h)
-
-    def __eq__(self, other):
-        if not isinstance(other, HSeries):
-            return NotImplemented
-        return self.h == other.h
-
-    def __hash__(self):
-        return hash(self.h)
 
     def __repr__(self):
         return f"HSeries({list(self.h)})"

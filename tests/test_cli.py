@@ -1,6 +1,7 @@
 """Command line front end: outputs, exit codes, JSON round trips."""
 
 import json
+import time
 
 from hbcells.cli import main
 from hbcells.hilbert_burch import CellMatrix
@@ -34,6 +35,16 @@ def test_canonicalize_at_large_t(capsys):
     code, out, _ = run(capsys, "canonicalize", "x^500, y")
     assert code == 0
     assert out.startswith("m=[0," + "1," * 499 + "1]; N=[[0,")
+
+
+def test_canonicalize_text_writes_zero_entries_as_0(capsys):
+    # golden text: the zero entries print as "0" beside the nonzero ones
+    code, out, _ = run(capsys, "canonicalize", "x^3 + 2*x*y - y^2, x*y^2, y^3")
+    assert code == 0
+    assert out == "m=[0,2,2,3]; N=[[0,0,0],[0,0,0],[-2*y,0,0],[y,0,0]]\n"
+    code, out, _ = run(capsys, "canonicalize", "--field", "p:3", "x^3 + 2*x*y - y^2, x*y^2, y^3")
+    assert code == 0
+    assert out == "m=[0,2,2,3]; N=[[0,0,0],[0,0,0],[y,0,0],[y,0,0]]\n"
 
 
 def test_canonicalize_json_writes_integral_fractions_as_ints(capsys):
@@ -122,6 +133,18 @@ def test_generic_subcommand_on_819_parameters(capsys):
     assert lines[0] == "initial=819 eliminated=0 surviving=819 residual=0"
     survivors = next(line for line in lines if line.startswith("survivors:")).split()[1:]
     assert len(survivors) == 819
+
+
+def test_generic_subcommand_refuses_an_ungraded_family_over_budget(capsys):
+    # the exponent box of this family has 60^3 monomials, and the family would
+    # have 17,942 parameters: the budget stops it before the box is scanned
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generic", "--gens", "x1^60, x2^60, x3^60, x1*x2*x3",
+                         "--n", "3", "--ungraded")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("domain error: the ungraded family has an exponent box of 216000 monomials")
+    assert "Traceback" not in err
 
 
 def test_census_subcommand(capsys):

@@ -57,6 +57,21 @@ def test_ungraded_family_needs_finite_colength():
         generic_family([(1, 0)], 2, graded=False)
 
 
+def test_ungraded_family_budget_counts_box_monomials_and_parameters(monkeypatch):
+    # (x1^9, x2^9, x3^9): a box of 729 monomials and 819 parameters
+    gens = [(9, 0, 0), (0, 9, 0), (0, 0, 9)]
+    assert generic_family(gens, 3, graded=False).nparams == 819
+    monkeypatch.setattr(generic_cells, "UNGRADED_FAMILY_LIMIT", 728)
+    with pytest.raises(DomainError, match="exponent box of 729 monomials"):
+        generic_family(gens, 3, graded=False)
+    monkeypatch.setattr(generic_cells, "UNGRADED_FAMILY_LIMIT", 800)
+    with pytest.raises(DomainError, match="810 parameters or more"):
+        generic_family(gens, 3, graded=False)  # 729 + 81 after the second member
+    # the graded family has no such budget
+    monkeypatch.setattr(generic_cells, "UNGRADED_FAMILY_LIMIT", 1)
+    assert generic_family(gens, 3, graded=True).nparams > 1
+
+
 def test_monomial_family_has_no_equations():
     fam = generic_family([(2, 0), (1, 1), (0, 2)], 2, graded=True)
     assert fam.nparams == 0

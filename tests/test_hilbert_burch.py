@@ -111,6 +111,20 @@ def test_shape_violations_rejected():
         CellMatrix(E335, entries)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_random_cell_matrix_passes_the_validating_constructor(field):
+    # random_cell_matrix builds its result unchecked: every draw must meet the
+    # bounds that CellMatrix.__init__ checks, and lie in the cell it was drawn from
+    for d in range(1, 9):
+        for E in enumerate_staircases(d):
+            for kind in CellKind:
+                for seed in range(3):
+                    N = random_cell_matrix(E, kind, seed, field)
+                    checked = CellMatrix(E, N.entries, field)
+                    assert checked == N and checked.entries == N.entries, (E.m, kind, seed)
+                    assert validate_cell_matrix(N, kind)[0], (E.m, kind, seed)
+
+
 def test_validate_t3_display():
     # entries p21 y, p31 y^2, p41 y, p43 y
     N = cell_matrix_from_parameters(E335, {(2, 1): 5, (3, 1): -1, (4, 1): 2, (4, 3): 7})

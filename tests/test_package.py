@@ -1,12 +1,28 @@
 """Properties of the hbcells source as a whole."""
 
 import collections
+import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
 
 import hbcells
+from hbcells.betti import (BettiTable, GradedPieceMatrix, ResolutionDegrees,
+                           StratumDescriptor, graded_matrix, monomial_betti,
+                           resolution_degrees, stratum_descriptor)
+from hbcells.census import CellCensus, cell_census
+from hbcells.field import GF, QQ
+from hbcells.generic_cells import (EliminationReport, GenericFamily, cell_report,
+                                   generic_family)
+from hbcells.groebner import MonomialIdeal
+from hbcells.hilbert_burch import (CanonicalFrame, CellKind, CellMatrix,
+                                   canonical_frame, random_cell_matrix)
+from hbcells.poly import Polynomial, UniPoly, parse_polynomial
+from hbcells.staircase import HSeries, Staircase
 
 MODULES = sorted(pathlib.Path(hbcells.__file__).parent.glob("*.py"))
 
@@ -23,3 +39,80 @@ def test_code_objects_have_unique_first_line_and_name(path):
         keys[code.co_firstlineno, code.co_name] += 1
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     assert [key for key, n in keys.items() if n > 1] == []
+
+
+# -- frozen value types and records ---------------------------------------------
+
+E = Staircase((0, 1, 3))
+
+VALUES = {
+    Polynomial: lambda: parse_polynomial("x^2 - 3*y", ("x", "y")),
+    UniPoly: lambda: UniPoly(QQ, [1, 2]),
+    MonomialIdeal: lambda: MonomialIdeal(2, [(2, 0), (0, 1)]),
+    Staircase: lambda: E,
+    HSeries: lambda: HSeries((1, 2, 1)),
+    CellMatrix: lambda: random_cell_matrix(E, CellKind.V0, 1),
+    BettiTable: lambda: monomial_betti(E),
+}
+RECORDS = {
+    CanonicalFrame: lambda: canonical_frame(E),
+    ResolutionDegrees: lambda: resolution_degrees(E),
+    GradedPieceMatrix: lambda: graded_matrix(E, 3),
+    StratumDescriptor: lambda: stratum_descriptor(E, 3, 1),
+    GenericFamily: lambda: generic_family([(2, 0), (1, 1), (0, 2)], 2, graded=True),
+    EliminationReport: lambda: cell_report([(2, 0), (1, 1), (0, 2)], 2, graded=False)[1],
+    CellCensus: lambda: cell_census(3),
+}
+
+
+@pytest.mark.parametrize("cls", [*VALUES, *RECORDS], ids=lambda cls: cls.__name__)
+def test_attributes_cannot_be_assigned_or_deleted(cls):
+    obj = {**VALUES, **RECORDS}[cls]()
+    assert type(obj) is cls
+    for f in dataclasses.fields(obj):
+        before = getattr(obj, f.name)
+        with pytest.raises(AttributeError):
+            setattr(obj, f.name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, f.name)
+        assert getattr(obj, f.name) is before
+    # a name that is not a field has no slot; Python 3.10-3.12 raise TypeError
+    # from the frozen __setattr__ of a slotted dataclass here
+    with pytest.raises((AttributeError, TypeError)):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_records_compare_by_identity(cls):
+    rec = RECORDS[cls]()
+    assert rec == rec
+    assert dataclasses.replace(rec) != rec
+
+
+def test_equality_covers_the_field_and_equal_values_hash_alike():
+    assert UniPoly(QQ, [1]) != UniPoly(GF(2), [1])
+    assert UniPoly(GF(3), [1, 2]) != UniPoly(GF(5), [1, 2])
+    assert CellMatrix.zero(E, QQ) != CellMatrix.zero(E, GF(3))
+    p = parse_polynomial("x + 2*y", ("x", "y"))
+    assert p != parse_polynomial("x + 2*y", ("x", "y"), GF(3))
+    for field in (QQ, GF(3)):
+        assert UniPoly(field, [1, 2, 0]) == UniPoly(field, (1, 2))
+        assert hash(UniPoly(field, [1, 2, 0])) == hash(UniPoly(field, (1, 2)))
+        N = random_cell_matrix(E, CellKind.V0, 7, field)
+        again = CellMatrix.from_json(N.to_json(), field)
+        assert again == N and hash(again) == hash(N)
+        assert len({N, again, CellMatrix.zero(E, field)}) == 2
+    with pytest.raises(TypeError):
+        hash(monomial_betti(E))  # its data is a dict
+
+
+def test_value_hashes_repeat_across_hash_seeds():
+    # a field's hash is an int, so a value that holds its field hashes alike
+    # in every process, whatever the str hash seed
+    code = ("from hbcells.field import GF, QQ; from hbcells.poly import UniPoly; "
+            "print(hash(UniPoly(QQ, [1, 2])), hash(UniPoly(GF(3), [1, 2])), hash(UniPoly(GF(4), [1])))")
+    src = str(pathlib.Path(hbcells.__file__).parent.parent)
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")}
+    assert len(outs) == 1
