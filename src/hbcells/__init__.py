@@ -22,7 +22,7 @@ from .hilbert_burch import (CanonicalFrame, CellKind, CellMatrix,
 from .betti import (BettiTable, GradedPieceMatrix, ResolutionDegrees,
                     betti_numbers, g_dim, graded_matrix, lex_codim,
                     resolution_degrees, stratum_descriptor, strata_descriptors)
-from .generic_cells import (EliminationReport, GenericFamily,
+from .generic_cells import (EliminationReport, GenericFamily, ParameterEquations,
                             affine_space_check, buchberger_equations,
                             cell_report, eliminate_linear, generic_family,
                             instantiate)
@@ -46,7 +46,7 @@ __all__ = [
     "BettiTable", "GradedPieceMatrix", "ResolutionDegrees", "betti_numbers",
     "g_dim", "graded_matrix", "lex_codim", "resolution_degrees",
     "stratum_descriptor", "strata_descriptors",
-    "EliminationReport", "GenericFamily", "affine_space_check",
+    "EliminationReport", "GenericFamily", "ParameterEquations", "affine_space_check",
     "buchberger_equations", "cell_report", "eliminate_linear",
     "generic_family", "instantiate",
     "CellCensus", "brute_force_ideal_count", "cell_census",

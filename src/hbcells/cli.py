@@ -52,8 +52,9 @@ class UsageExit(Exception):
 
 
 def _emit(args, text_fn, json_obj, latex_fn=None):
+    """Print the form of ``--format``; ``json_obj`` may be a callable, built only for json."""
     if args.format == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+        print(json.dumps(json_obj() if callable(json_obj) else json_obj, sort_keys=True))
     elif args.format == "latex":
         if latex_fn is None:
             raise UsageExit("this subcommand has no latex form")
@@ -131,7 +132,7 @@ def cmd_canonicalize(args):
         rows = ",".join("[" + ",".join(map(entry, row)) + "]" for row in N.entries)
         return f"{E}; N=[{rows}]"
 
-    _emit(args, text, N.to_json(), latex_fn=N.to_latex)
+    _emit(args, text, N.to_json, latex_fn=N.to_latex)
     return 0
 
 

@@ -7,13 +7,16 @@ family to be a Groebner basis turns Buchberger's criterion into polynomial
 equations in the parameters a_k; parameters occurring linearly with scalar
 coefficient and nowhere else in their equation can be eliminated greedily.
 When nothing survives, the cell is an affine space whose dimension is the
-number of surviving parameters.
+number of surviving parameters.  Both stages hold the equations as one
+``ParameterEquations``, integer polynomials on packed parameter monomials;
+a Polynomial is built only when an equation is read or the report written.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -23,7 +26,7 @@ from .errors import DomainError
 from .field import QQ
 from .groebner import MonomialIdeal
 from .poly import (Polynomial, exact_quotient, mono_degree, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
+                   mono_mul, monomials_of_degree)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -72,7 +75,6 @@ def generic_family(gens, nvars, graded):
     E = gens if isinstance(gens, MonomialIdeal) else MonomialIdeal(nvars, gens)
     if graded:
         degrees = sorted({mono_degree(g) for g in E.gens})
-        from .poly import monomials_of_degree
         standard = [m for deg in degrees for m in monomials_of_degree(E.nvars, deg)
                     if not E.contains(m)]
     else:
@@ -85,17 +87,13 @@ def generic_family(gens, nvars, graded):
         standard = E.standard_monomials()
     standard.sort(reverse=True)
 
-    members = []
-    pairs = []
+    members, pairs = [], []
     for lead in sorted(E.gens, reverse=True):
         support = []
         for m in standard:
-            if m >= lead:
-                continue
-            if graded and mono_degree(m) != mono_degree(lead):
-                continue
-            support.append((m, len(pairs)))
-            pairs.append((lead, m))
+            if m < lead and (not graded or mono_degree(m) == mono_degree(lead)):
+                support.append((m, len(pairs)))
+                pairs.append((lead, m))
         members.append((lead, tuple(support)))
         if not graded and len(pairs) > UNGRADED_FAMILY_LIMIT:
             raise _over_budget(f"{len(pairs)} parameters or more")
@@ -109,14 +107,10 @@ def prune_multiples(eqs):
     Such equations are redundant for the variety the system cuts out;
     order is preserved and the result is deterministic.
     """
-    kept = []
-    for i, eq in enumerate(eqs):
-        redundant = any(j != i and other.total_degree() < eq.total_degree()
-                        and exact_quotient(eq, other) is not None
-                        for j, other in enumerate(eqs))
-        if not redundant:
-            kept.append(eq)
-    return kept
+    return [eq for i, eq in enumerate(eqs)
+            if not any(j != i and other.total_degree() < eq.total_degree()
+                       and exact_quotient(eq, other) is not None
+                       for j, other in enumerate(eqs))]
 
 
 # Initial field width for ``buchberger_equations``: exponents up to 7 fit.
@@ -155,10 +149,65 @@ class _Packing:
             key &= (1 << shift) - 1
         return tuple(mono)
 
-    def polynomial(self, terms):
-        """The QQ Polynomial of a term tuple in decreasing key order."""
+    def polynomial(self, terms, den):
+        """The QQ Polynomial of an int term tuple in decreasing key order, over ``den``."""
         unpack = self.unpack
-        return Polynomial._raw(QQ, self.nparams, tuple((unpack(key), v) for key, v in terms))
+        return Polynomial._raw(QQ, self.nparams, tuple(
+            (unpack(key), v // den if v % den == 0 else Fraction(v, den)) for key, v in terms))
+
+
+def _primitive(acc):
+    """The primitive form of a nonzero {key: int} dict: a term tuple in decreasing
+    key order with integer content 1 and a positive leading coefficient."""
+    terms = sorted(acc.items(), reverse=True)
+    g = math.gcd(*acc.values())
+    if terms[0][1] < 0:
+        g = -g
+    return tuple(terms) if g == 1 else tuple((key, c // g) for key, c in terms)
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class ParameterEquations(Sequence):
+    """Distinct parameter equations: ``rows`` holds each as a primitive term tuple
+    (``_primitive``) on the keys of ``packing``, guard bits clear.  Reading an
+    equation builds its monic QQ Polynomial; ``eliminate_linear`` takes the rows."""
+
+    packing: _Packing
+    rows: tuple
+
+    @classmethod
+    def from_polynomials(cls, eqs, nparams):
+        """Pack QQ Polynomials in ``nparams`` variables, dropping zeros and scalar repeats."""
+        eqs = list(eqs)
+        if any(eq.field != QQ for eq in eqs):
+            raise DomainError("linear elimination needs equations over QQ")
+        if (bad := next((eq.nvars for eq in eqs if eq.nvars != nparams), None)) is not None:
+            raise DomainError(f"an equation in {bad} variables, expected {nparams} parameters")
+        top = max((max(mono, default=0) for eq in eqs for mono, _ in eq.terms), default=0)
+        P = _Packing(nparams, top.bit_length() + 2)
+        rows = {}  # an ordered set
+        for eq in eqs:
+            if eq.terms:
+                den = math.lcm(*(c.denominator for _, c in eq.terms))
+                rows.setdefault(_primitive({P.pack(mono): c.numerator * (den // c.denominator)
+                                            for mono, c in eq.terms}))
+        return cls(P, tuple(rows))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ParameterEquations(self.packing, self.rows[i])
+        terms = self.rows[i]
+        return self.packing.polynomial(terms, terms[0][1])
+
+    def widened(self):
+        """The rows on fields twice as wide, term order kept: int order is lex order."""
+        P = self.packing
+        W = _Packing(P.nparams, 2 * P.width)
+        rows = [tuple((W.pack(P.unpack(key)), v) for key, v in terms) for terms in self.rows]
+        return ParameterEquations(W, tuple(rows))
 
 
 def _buchberger_packed(family, width):
@@ -167,15 +216,15 @@ def _buchberger_packed(family, width):
     A coefficient is an integer polynomial in the parameters, a {key: int} dict.
     Every member's tail coefficient is -a_k, one key, so reducing the coefficient
     c at x-monomial m by a member adds c shifted by a_k's key into the coefficient
-    at u*tm for each tail term.  Returns the monic, deduplicated equations, or
-    None as soon as a coefficient taken from the work dict has a guard bit set.
+    at u*tm for each tail term.  Returns the distinct equations in primitive form,
+    or None as soon as a coefficient taken from the work dict has a guard bit set.
     """
     P = _Packing(family.nparams, width)
     guard = P.guard
     members = [(lead,
                 [(mono, 1 << P.shifts[k]) for mono, k in support])
                for lead, support in family.members]
-    eqs, seen = [], set()
+    rows = {}  # an ordered set
     for (la, ta), (lb, tb) in itertools.combinations(members, 2):
         L = mono_lcm(la, lb)
         ua, ub = mono_div(L, la), mono_div(L, lb)
@@ -208,14 +257,9 @@ def _buchberger_packed(family, width):
                             del work[key]
                     break
             else:
-                # a remainder coefficient, in decreasing x-monomial order: one monic equation
-                lc = c[max(c)]
-                terms = tuple((key, v // lc if v % lc == 0 else Fraction(v, lc))
-                              for key, v in sorted(c.items(), reverse=True))
-                if terms not in seen:
-                    seen.add(terms)
-                    eqs.append(terms)
-    return list(map(P.polynomial, eqs))
+                # a remainder coefficient, in decreasing x-monomial order: one equation
+                rows.setdefault(_primitive(c))
+    return ParameterEquations(P, tuple(rows))
 
 
 def buchberger_equations(family):
@@ -226,11 +270,11 @@ def buchberger_equations(family):
     monomial divides the current monomial, the lex-largest such leading
     monomial when there is a choice (``members`` is sorted that way), the
     rule of ``poly._normal_form_dict``.  Each coefficient of the final
-    remainder is one equation, made monic; zeros and repeats are dropped,
+    remainder is one equation; zeros and repeats up to a scalar are dropped,
     order kept.
 
     The coefficients are integer polynomials on packed keys
-    (``_buchberger_packed``), the layout ``eliminate_linear`` uses; the run
+    (``_buchberger_packed``), returned as ``ParameterEquations``; the run
     restarts with wider exponent fields when an exponent outgrows them.
     """
     width = _BUCHBERGER_WIDTH
@@ -281,25 +325,15 @@ class EliminationReport:
         return data
 
 
-def _primitive(acc):
-    """The primitive form of a nonzero {key: int} dict: a term tuple in decreasing
-    key order with integer content 1 and a positive leading coefficient."""
-    terms = sorted(acc.items(), reverse=True)
-    g = math.gcd(*acc.values())
-    if terms[0][1] < 0:
-        g = -g
-    return tuple(terms) if g == 1 else tuple((key, c // g) for key, c in terms)
-
-
-def _eliminate_packed(eqs, nparams, width):
-    """One run of the elimination on ``_Packing(nparams, width)`` keys.
+def _eliminate_packed(eqs):
+    """One run of the elimination on the rows of ``ParameterEquations``.
 
     The run returns None as soon as a product sets a guard bit.  Otherwise it
     returns the eliminated (k, expression) pairs and the monic equations
     left, as Polynomials.
     """
-    P = _Packing(nparams, width)
-    up = width - 1
+    P = eqs.packing
+    nparams, width, up = P.nparams, P.width, P.width - 1
     lows, guard, fmask = P.lows, P.guard, P.fmask
     fill = guard - lows  # 2^(width-1) - 1 in every field
 
@@ -320,23 +354,13 @@ def _eliminate_packed(eqs, nparams, width):
                 return terms, supp, key
         return terms, supp, 0
 
-    rows, seen = [], set()
-    for eq in eqs:
-        if not eq.terms:
-            continue
-        den = math.lcm(*(c.denominator for _, c in eq.terms))
-        terms = _primitive({P.pack(mono): c.numerator * (den // c.denominator)
-                            for mono, c in eq.terms})
-        if terms not in seen:
-            seen.add(terms)
-            rows.append(row(terms))
-
+    rows = list(map(row, eqs.rows))
     steps = []
     while True:
         pick = next((r for r in rows if r[2]), None)
         if pick is None:
-            return ([(k, P.polynomial(rest).scale(QQ.div(-1, c))) for k, c, rest in steps],
-                    [P.polynomial(terms).monic() for terms, _, _ in rows])
+            return ([(k, P.polynomial(rest, -c)) for k, c, rest in steps],
+                    [P.polynomial(terms, terms[0][1]) for terms, _, _ in rows])
         terms, _, key_k = pick
         shift = key_k.bit_length() - 1
         c = next(v for key, v in terms if key == key_k)
@@ -404,16 +428,19 @@ def eliminate_linear(eqs, nparams, names=None):
     each equation by c^deg and substitutes -rest, so no coefficient is divided.
     Equal up to a scalar means equal primitive forms, so the choices are those
     of monic equations.  The run restarts with wider exponent fields when an
-    exponent outgrows them.  Equations must be over QQ.
+    exponent outgrows them.  ``eqs`` is used as it is when packed, else packed
+    by ``ParameterEquations.from_polynomials``; equations not over QQ or not in
+    ``nparams`` variables, or names not ``nparams`` long, raise DomainError.
     """
     names = tuple(f"a{k + 1}" for k in range(nparams)) if names is None else tuple(names)
-    eqs = list(eqs)
-    if any(eq.field != QQ for eq in eqs):
-        raise DomainError("linear elimination needs equations over QQ")
-    top = max((max(mono, default=0) for eq in eqs for mono, _ in eq.terms), default=0)
-    width = top.bit_length() + 2
-    while (done := _eliminate_packed(eqs, nparams, width)) is None:
-        width *= 2
+    if len(names) != nparams:
+        raise DomainError(f"{len(names)} parameter names, expected {nparams}")
+    if not isinstance(eqs, ParameterEquations):
+        eqs = ParameterEquations.from_polynomials(eqs, nparams)
+    elif eqs.packing.nparams != nparams:
+        raise DomainError(f"equations in {eqs.packing.nparams} parameters, expected {nparams}")
+    while (done := _eliminate_packed(eqs)) is None:
+        eqs = eqs.widened()
     eliminated, residual = done
     gone = {k for k, _ in eliminated}
     survivors = tuple(k for k in range(nparams) if k not in gone)
@@ -428,8 +455,7 @@ def affine_space_check(report):
 def cell_report(gens, nvars, graded):
     """Family, equations and elimination in one call."""
     family = generic_family(gens, nvars, graded)
-    eqs = buchberger_equations(family)
-    return family, eliminate_linear(eqs, family.nparams, family.names)
+    return family, eliminate_linear(buchberger_equations(family), family.nparams, family.names)
 
 
 def instantiate(family, values, field=QQ):
@@ -462,10 +488,5 @@ def back_substitute(report, survivor_values=None, field=QQ):
 
 def single_parameter_factor(eq):
     """Index of a parameter dividing every monomial of eq, or None."""
-    common = None
-    for mono, _ in eq.terms:
-        support = {k for k, e in enumerate(mono) if e}
-        common = support if common is None else common & support
-        if not common:
-            return None
-    return min(common) if common else None
+    supports = [{k for k, e in enumerate(mono) if e} for mono, _ in eq.terms]
+    return min(set.intersection(*supports), default=None) if supports else None

@@ -219,10 +219,7 @@ class Polynomial:
         return max(sum(m) for m, _ in self.terms)
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {sum(m) for m, _ in self.terms}
-        return len(degs) == 1
+        return len({sum(m) for m, _ in self.terms}) <= 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -246,18 +243,7 @@ class Polynomial:
         return Polynomial._from_sum(self.field, self.nvars, d)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._same_field(other)
-        d = dict(self.terms)
-        for m, c in other.terms:
-            v = d.get(m)
-            v = -c if v is None else v - c
-            if v:
-                d[m] = v
-            else:
-                del d[m]
-        return Polynomial._from_sum(self.field, self.nvars, d)
+        return self + -other if isinstance(other, Polynomial) else NotImplemented
 
     def __neg__(self):
         return Polynomial._raw(self.field, self.nvars, tuple((m, -c) for m, c in self.terms))
@@ -300,14 +286,6 @@ class Polynomial:
         else:
             terms = tuple((m, _integral(c * cc)) for m, cc in self.terms)
         return Polynomial._raw(self.field, self.nvars, terms)
-
-    def mul_term(self, mono, c):
-        """Multiply by the single term c * x^mono."""
-        if not c:
-            return Polynomial.zero(self.field, self.nvars)
-        return Polynomial._raw(
-            self.field, self.nvars,
-            tuple((tuple(map(add, m, mono)), c * cc) for m, cc in self.terms))
 
     def monic(self):
         if not self.terms:

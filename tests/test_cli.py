@@ -47,6 +47,27 @@ def test_canonicalize_text_writes_zero_entries_as_0(capsys):
     assert out == "m=[0,2,2,3]; N=[[0,0,0],[0,0,0],[y,0,0],[y,0,0]]\n"
 
 
+def test_canonicalize_outputs_in_every_format(capsys, monkeypatch):
+    # golden outputs of an ideal with zero entries; the JSON object is built
+    # only for --format json, and no format changes by it
+    built = []
+    to_json = CellMatrix.to_json
+    monkeypatch.setattr(CellMatrix, "to_json", lambda N: built.append(N) or to_json(N))
+    ideal = "x^3 + 2*x*y - y^2, x*y^2, y^3"
+    expected = {
+        "text": "m=[0,2,2,3]; N=[[0,0,0],[0,0,0],[-2*y,0,0],[y,0,0]]\n",
+        "json": '{"N": [[[], [], []], [[], [], []], [[0, -2], [], []], [[0, 1], [], []]], '
+                '"m": [0, 2, 2, 3]}\n',
+        "latex": "\\begin{array}{r|ccc}\n & 5 & 4 & 4 \\\\ \\hline\n3 & y^2 & 0 & 0 \\\\\n"
+                 "4 & -x & 1 & 0 \\\\\n3 & -2y & -x & y \\\\\n3 & y & 0 & -x \\\\\n"
+                 "\\end{array}\n",
+    }
+    for fmt, out in expected.items():
+        assert run(capsys, "canonicalize", ideal, "--format", fmt) == (0, out, "")
+        assert len(built) == (fmt == "json")
+        built.clear()
+
+
 def test_canonicalize_json_writes_integral_fractions_as_ints(capsys):
     _, plain, _ = run(capsys, "canonicalize", "--format", "json", "x-3, y-2")
     code, scaled, _ = run(capsys, "canonicalize", "--format", "json", "1/2*x - 3/2, y - 2")

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -12,9 +13,9 @@ from fractions import Fraction
 from hbcells import generic_cells
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
-from hbcells.generic_cells import (affine_space_check, back_substitute,
-                                   buchberger_equations, cell_report,
-                                   eliminate_linear, generic_family,
+from hbcells.generic_cells import (ParameterEquations, affine_space_check,
+                                   back_substitute, buchberger_equations,
+                                   cell_report, eliminate_linear, generic_family,
                                    instantiate, prune_multiples,
                                    single_parameter_factor)
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
@@ -75,7 +76,8 @@ def test_ungraded_family_budget_counts_box_monomials_and_parameters(monkeypatch)
 def test_monomial_family_has_no_equations():
     fam = generic_family([(2, 0), (1, 1), (0, 2)], 2, graded=True)
     assert fam.nparams == 0
-    assert buchberger_equations(fam) == []
+    eqs = buchberger_equations(fam)
+    assert len(eqs) == 0 and list(eqs) == []
 
 
 # -- the three worked examples ---------------------------------------------------
@@ -263,9 +265,9 @@ def test_elimination_widens_exponent_fields_when_they_overflow(monkeypatch):
     widths = []
     packed = generic_cells._eliminate_packed
 
-    def spy(eqs, nparams, width):
-        widths.append(width)
-        return packed(eqs, nparams, width)
+    def spy(eqs):
+        widths.append(eqs.packing.width)
+        return packed(eqs)
 
     monkeypatch.setattr(generic_cells, "_eliminate_packed", spy)
     P = lambda terms: Polynomial(QQ, 3, terms)
@@ -276,6 +278,15 @@ def test_elimination_widens_exponent_fields_when_they_overflow(monkeypatch):
     assert rep.to_json(with_log=True)["substitutions"] == [
         {"param": "a1", "expr": "a2^3"}, {"param": "a3", "expr": "-2*a2^9"}]
     assert rep.survivors == (1,) and not rep.residual
+    # packed input widens too: with 2-bit fields to start from, the equations
+    # of (x^2, xy, y^5) leave buchberger_equations at 4 bits and need 8 here
+    widths.clear()
+    monkeypatch.setattr(generic_cells, "_BUCHBERGER_WIDTH", 2)
+    fam = generic_family([(2, 0), (1, 1), (0, 5)], 2, graded=False)
+    eqs = buchberger_equations(fam)
+    assert isinstance(eqs, ParameterEquations)
+    _assert_matches_reference(eqs, fam.nparams)
+    assert len(widths) >= 2 and widths[0] == eqs.packing.width and widths == sorted(set(widths))
 
 
 def _reference_equations(family):
@@ -316,7 +327,7 @@ def test_buchberger_equations_match_the_polynomial_coefficient_reduction():
     for fam in _generic_elim_families():
         eqs = buchberger_equations(fam)
         reference = _reference_equations(fam)
-        assert eqs == reference
+        assert list(eqs) == reference
         assert [eq.to_str(fam.names) for eq in eqs] == [eq.to_str(fam.names) for eq in reference]
         assert all(eq.field is QQ and eq.nvars == fam.nparams for eq in eqs)
         seen["families"] += 1
@@ -354,8 +365,68 @@ def test_buchberger_equations_widen_exponent_fields_when_they_overflow(monkeypat
     monkeypatch.setattr(generic_cells, "_BUCHBERGER_WIDTH", 2)
     eqs = buchberger_equations(fam)
     assert len(widths) >= 2 and widths[0] == 2 and widths == sorted(set(widths))
-    assert eqs == expected
+    assert list(eqs) == expected
     assert [eq.to_str(fam.names) for eq in eqs] == [eq.to_str(fam.names) for eq in expected]
+
+
+def test_equations_read_as_an_immutable_sequence_of_monic_polynomials():
+    fam = generic_family(EX22, 4, graded=True)
+    eqs = buchberger_equations(fam)
+    reference = _reference_equations(fam)
+    assert isinstance(eqs, ParameterEquations) and isinstance(eqs, Sequence)
+    assert len(eqs) == len(reference) > 1
+    assert [eqs[i] for i in range(len(eqs))] == list(eqs) == reference
+    assert eqs[-1] == reference[-1]
+    assert isinstance(eqs[1:], ParameterEquations) and list(eqs[1:]) == reference[1:]
+    assert reference[0] in eqs and eqs.index(reference[1]) == 1
+    with pytest.raises(IndexError):
+        eqs[len(eqs)]
+    assert eqs != reference  # compared by identity, as the records are
+
+
+def test_packed_and_polynomial_entry_points_agree():
+    for fam in _generic_elim_families():
+        eqs = buchberger_equations(fam)
+        packed = eliminate_linear(eqs, fam.nparams, fam.names)
+        plain = eliminate_linear(list(eqs), fam.nparams, fam.names)
+        assert packed.to_json(with_log=True) == plain.to_json(with_log=True)
+
+
+def test_cell_report_packs_no_parameter_monomial(monkeypatch):
+    packed, built = [], []
+    pack, polynomial = generic_cells._Packing.pack, generic_cells._Packing.polynomial
+    monkeypatch.setattr(generic_cells._Packing, "pack",
+                        lambda P, mono: packed.append(mono) or pack(P, mono))
+    monkeypatch.setattr(generic_cells._Packing, "polynomial",
+                        lambda P, terms, den: built.append(terms) or polynomial(P, terms, den))
+    _, rep = cell_report(EX22, 4, graded=True)
+    assert packed == []
+    # Polynomials are built for the report only: 3 substitutions, 2 residual equations
+    assert len(built) == len(rep.eliminated) + len(rep.residual) == 5
+
+
+def test_elimination_rejects_equations_in_another_number_of_variables():
+    eq = Polynomial(QQ, 3, {(0, 0, 1): 1, (1, 0, 0): 1})
+    with pytest.raises(DomainError, match="3 variables, expected 2 parameters"):
+        eliminate_linear([eq], 2)  # used to drop a3 and report a1 = -1
+    assert eliminate_linear([eq], 3).to_json(with_log=True)["substitutions"] == [
+        {"param": "a1", "expr": "-a3"}]
+
+
+def test_elimination_rejects_packed_equations_in_another_number_of_parameters():
+    fam = generic_family(EX22, 4, graded=True)
+    eqs = buchberger_equations(fam)
+    for nparams in (fam.nparams - 1, fam.nparams + 1):
+        with pytest.raises(DomainError, match=f"8 parameters, expected {nparams}"):
+            eliminate_linear(eqs, nparams)
+
+
+def test_elimination_rejects_a_name_count_other_than_nparams():
+    eq = Polynomial(QQ, 2, {(1, 0): 1, (0, 1): 1})
+    for names in (("p",), ("p", "q", "r")):
+        with pytest.raises(DomainError, match=f"{len(names)} parameter names, expected 2"):
+            eliminate_linear([eq], 2, names)
+    assert eliminate_linear([eq], 2, ("p", "q")).eliminated_names == ("p",)
 
 
 def test_elimination_needs_equations_over_qq():

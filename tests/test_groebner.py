@@ -44,12 +44,18 @@ def test_spoly_zero_input():
         s_polynomial(Polynomial.zero(QQ, 2), P("x"))
 
 
+def _mul_term(f, mono, c):
+    """f times the single nonzero term c * x^mono."""
+    return Polynomial._raw(f.field, f.nvars,
+                           tuple((mono_mul(m, mono), c * cc) for m, cc in f.terms))
+
+
 def _spoly_by_division(f, g):
     """(L/Lt f) f / Lc f - (L/Lt g) g / Lc g, written out with field division."""
     field = f.field
     L = mono_lcm(f.lt, g.lt)
-    a = f.mul_term(mono_div(L, f.lt), field.div(field.one, f.lc))
-    b = g.mul_term(mono_div(L, g.lt), field.div(field.one, g.lc))
+    a = _mul_term(f, mono_div(L, f.lt), field.div(field.one, f.lc))
+    b = _mul_term(g, mono_div(L, g.lt), field.div(field.one, g.lc))
     return a - b
 
 

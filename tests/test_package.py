@@ -1,7 +1,9 @@
 """Properties of the hbcells source as a whole."""
 
+import ast
 import collections
 import dataclasses
+import importlib
 import os
 import pathlib
 import subprocess
@@ -16,8 +18,8 @@ from hbcells.betti import (BettiTable, GradedPieceMatrix, ResolutionDegrees,
                            resolution_degrees, stratum_descriptor)
 from hbcells.census import CellCensus, cell_census
 from hbcells.field import GF, QQ
-from hbcells.generic_cells import (EliminationReport, GenericFamily, cell_report,
-                                   generic_family)
+from hbcells.generic_cells import (EliminationReport, GenericFamily, ParameterEquations,
+                                   buchberger_equations, cell_report, generic_family)
 from hbcells.groebner import MonomialIdeal
 from hbcells.hilbert_burch import (CanonicalFrame, CellKind, CellMatrix,
                                    canonical_frame, random_cell_matrix)
@@ -41,6 +43,22 @@ def test_code_objects_have_unique_first_line_and_name(path):
     assert [key for key, n in keys.items() if n > 1] == []
 
 
+def test_profiled_functions_of_the_benchmark_resolve():
+    # perfbench's profile rollup looks every PROFILED_FUNCTIONS entry up with
+    # getattr and no default: a renamed or deleted function would otherwise
+    # fail only the traced benchmark run, after the tests have passed
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    assigns = [node for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)]
+    entries = next(ast.literal_eval(node.value) for node in assigns
+                   if [getattr(t, "id", None) for t in node.targets] == ["PROFILED_FUNCTIONS"])
+    assert entries
+    for module, qualname in entries:
+        obj = importlib.import_module(f"hbcells.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert isinstance(obj.__code__, types.CodeType), (module, qualname)
+
+
 # -- frozen value types and records ---------------------------------------------
 
 E = Staircase((0, 1, 3))
@@ -61,6 +79,8 @@ RECORDS = {
     StratumDescriptor: lambda: stratum_descriptor(E, 3, 1),
     GenericFamily: lambda: generic_family([(2, 0), (1, 1), (0, 2)], 2, graded=True),
     EliminationReport: lambda: cell_report([(2, 0), (1, 1), (0, 2)], 2, graded=False)[1],
+    ParameterEquations: lambda: buchberger_equations(
+        generic_family([(2, 0), (1, 1), (0, 2)], 2, graded=False)),
     CellCensus: lambda: cell_census(3),
 }
 
