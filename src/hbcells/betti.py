@@ -11,6 +11,7 @@ conditions cut out the Betti strata.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .field import FFElement, QQ
 from .linalg import rank
 from .poly import Polynomial
 from .staircase import HSeries, Staircase, lex_segment_from_hseries
-from .hilbert_burch import slot_set
+from .hilbert_burch import FRAME_CACHE_SIZE, slot_set
 
 
 def _by_degree(degrees):
@@ -52,6 +53,7 @@ class ResolutionDegrees:
         return sorted(self._w.keys() | self._v.keys())
 
 
+@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def resolution_degrees(E):
     """The degrees a_i = t+1-i+m_(i-1) and b_i = a_(i+1)+1 of the resolution of E."""
     t = E.t
@@ -172,6 +174,7 @@ class GradedPieceMatrix:
         return "\n".join(lines)
 
 
+@functools.lru_cache(maxsize=4 * FRAME_CACHE_SIZE)
 def graded_matrix(E, j):
     """M(p)_j of E and its star reduction."""
     rd = resolution_degrees(E)

@@ -69,7 +69,7 @@ def generic_family(gens, nvars, graded):
     same degree below m; ungraded mode takes every standard monomial below
     m under lex, which requires finite colength.  An ungraded family whose
     exponent box or parameter count exceeds ``UNGRADED_FAMILY_LIMIT`` raises
-    DomainError before its standard monomials are scanned or its parameters
+    DomainError before its standard monomials are enumerated or its parameters
     are all built.
     """
     E = gens if isinstance(gens, MonomialIdeal) else MonomialIdeal(nvars, gens)

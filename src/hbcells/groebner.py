@@ -51,31 +51,53 @@ class MonomialIdeal:
                     best = g[i]
         return best
 
+    def _slices(self):
+        """The standard monomials as slices along the last variable, in lex order.
+
+        Yields (prefix, c) for each prefix of the other exponents under
+        which the standard monomials are prefix + (b,) for 0 <= b < c,
+        c > 0: c is the least last exponent among the generators whose
+        other exponents divide the prefix.  Raising an exponent only
+        shrinks the slices, so each variable is raised until its slices
+        are empty, and the walk costs what the standard monomials cost, not
+        their exponent box.  Needs every pure power in the ideal.
+        """
+        last = self.nvars - 1
+
+        def walk(active, prefix):
+            k = len(prefix)
+            if k == last:
+                c = min([g[k] for g in active])
+                if c:
+                    yield prefix, c
+                return
+            for e in itertools.count():
+                empty = True
+                for piece in walk([g for g in active if g[k] <= e], prefix + (e,)):
+                    empty = False
+                    yield piece
+                if empty:
+                    return
+
+        return walk(self.gens, ())
+
     def colength(self):
-        """Number of standard monomials; math.inf when infinite."""
+        """Number of standard monomials; math.inf when infinite, 0 for the unit ideal."""
         if not self.gens:
             return math.inf
         if self.gens[0] == (0,) * self.nvars:
             return 0  # unit ideal
-        bounds = []
-        for i in range(self.nvars):
-            e = self.pure_power_exponent(i)
-            if e is None:
-                return math.inf
-            bounds.append(e)
-        count = 0
-        for mono in itertools.product(*(range(b) for b in bounds)):
-            if not self.contains(mono):
-                count += 1
-        return count
+        if any(self.pure_power_exponent(i) is None for i in range(self.nvars)):
+            return math.inf
+        return sum([c for _, c in self._slices()])
 
     def standard_monomials(self):
-        """All monomials outside the ideal (finite colength required)."""
-        bounds = [self.pure_power_exponent(i) for i in range(self.nvars)]
-        if any(b is None for b in bounds):
+        """All monomials outside the ideal (finite colength required), in lex order."""
+        if any(self.pure_power_exponent(i) is None for i in range(self.nvars)):
             raise DomainError("the ideal has infinite colength")
-        return [m for m in itertools.product(*(range(b) for b in bounds))
-                if not self.contains(m)]
+        if not self.nvars:
+            return [] if self.gens else [()]
+        return [prefix + (b,) for prefix, c in self._slices() for b in range(c)]
 
     def __repr__(self):
         from .poly import default_names, mono_to_str
@@ -246,30 +268,39 @@ def graded_beta0_profile(gens, up_to=None):
     beta_{0,j} = dim I_j - dim (R_1 * I_{j-1})_j for every j up to the
     largest generator degree (or ``up_to``), maintaining an echelon basis
     of each graded piece.  Purely linear algebra: no Groebner machinery.
+
+    The rows are keyed by packed monomials: each exponent is a field of
+    ``top.bit_length()`` bits, x_1 in the most significant one.  No
+    exponent exceeds ``top``, so no field overflows; within one degree,
+    int order is lex order, and multiplying by a variable adds a constant.
     """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return {}
-    if any(not g.is_homogeneous() for g in gens):
-        raise ValueError("graded generator counts need homogeneous generators")
-    nvars = gens[0].nvars
     by_degree = {}
     for g in gens:
-        by_degree.setdefault(g.total_degree(), []).append(g)
+        nvars = g.nvars
+        degrees = {sum(m) for m, _ in g.terms}
+        if len(degrees) > 1:
+            raise ValueError("graded generator counts need homogeneous generators")
+        if degrees:
+            by_degree.setdefault(degrees.pop(), []).append(g)
+    if not by_degree:
+        return {}
     top = max(by_degree)
     if up_to is not None:
         top = max(top, up_to)
-    variables = [tuple(1 if k == i else 0 for k in range(nvars)) for i in range(nvars)]
+    width = max(top.bit_length(), 1)
+    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
+    variables = [1 << s for s in shifts]
     profile = {}
     basis = []  # echelon rows of the current graded piece, as dicts
     for j in range(min(by_degree), top + 1):
         echelon = {}
         for row in basis:
             for v in variables:
-                echelon_insert(echelon, {mono_mul(m, v): c for m, c in row.items()})
+                echelon_insert(echelon, {m + v: c for m, c in row.items()})
         before = len(echelon)
-        for g in by_degree.get(j, []):
-            echelon_insert(echelon, dict(g.terms))
+        for g in by_degree.get(j, ()):
+            echelon_insert(echelon, {sum([e << s for e, s in zip(m, shifts)]): c
+                                     for m, c in g.terms})
         beta = len(echelon) - before
         if beta:
             profile[j] = beta

@@ -28,6 +28,8 @@ import functools
 import random
 import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
@@ -46,6 +48,14 @@ class CellKind(enum.Enum):
         return self.value
 
 
+# The frame functions below and in betti.py depend on the staircase alone
+# (and a degree), and their values are immutable, so they are memoized: the
+# callers visit many points of the cell of one staircase.  Bounded, so a
+# long enumeration of staircases does not grow the memo without end.
+FRAME_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def degree_matrix(E):
     """U(E): u_ij = m_j - m_{i-1} + i - j, for i = 1..t+1, j = 1..t."""
     m, t = E.m, E.t
@@ -53,6 +63,7 @@ def degree_matrix(E):
                  for i in range(1, t + 2))
 
 
+@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def slot_set(E):
     """S(E): pairs (i,j), j < i, with 0 <= u_ij < d_j, in column-major order.
 
@@ -245,62 +256,84 @@ def validate_cell_matrix(N, kind):
 # ---------------------------------------------------------------------------
 # the bijection
 
+_COEFFS = attrgetter("coeffs")
+
+
 def minors_ideal(N):
     """Signed maximal minors f_0..f_t of M0(E) + N.
 
-    f_i is (-1)^(t-i) times the minor deleting row i+1.  The structured
-    shape (zero above the diagonal, one nonzero superdiagonal block after
-    the deleted row) gives every minor by a linear recurrence in the
-    bottom-right Hessenberg blocks.  Every entry lies in k[y] except for
-    the -x below the diagonal, so the recurrence runs in k[y][x]: a value
-    is a list of dense k[y] coefficient lists indexed by the power of x,
-    each product is one ``_convolve`` per power of x, and the -x entry is
-    one shifted subtraction.
+    f_i is (-1)^(t-i) times the minor deleting row i+1: the product
+    P_i = h_1...h_i of the diagonal entries h_c = y^(d_c) + n_cc above the
+    deleted row times the determinant D[i] of the bottom-right Hessenberg
+    block below it, and the D[i] follow a division-free linear recurrence.
+    Every entry lies in k[y] except for the -x below the diagonal, so the
+    recurrence runs in k[y][x] and costs what the nonzero entries cost:
+
+    - D[i] is a dict {power of x: dense k[y] coefficient list} holding the
+      powers that received a term, each product is one ``_convolve`` per
+      such power, and the -x entry is one shifted subtraction;
+    - only the nonzero entries below the subdiagonal are visited;
+    - a product of diagonal entries is kept as y^s times a list, and a
+      zero n_cc only adds d_c to s.  While every diagonal entry so far
+      vanishes, P_i is y^(m_i) and f_i = +-P_i D[i] is an exponent shift;
+      that is every V1, V2 and V3 matrix.
     """
     E, field = N.E, N.field
     t = E.t
     d = E.d
     zero, one = field.zero, field.one
-    cols = [  # cols[c][r] = coefficients of n_(r+1, c+1)
-        [e.coeffs for e in col] for col in zip(*N.entries)]
+    unit = [one]
+    cols = [list(map(_COEFFS, col)) for col in zip(*N.entries)]  # cols[c][r]: n_(r+1, c+1)
 
-    # h_c = y^(d_c) + n_cc
+    # h[c] = y^(d_c) + n_cc as a list, or None for the monomial y^(d_c)
     h = [None] * (t + 1)
     for c in range(1, t + 1):
         n = cols[c - 1][c - 1]
-        h[c] = list(n) + [zero] * (d[c - 1] - len(n)) + [one]
+        if n:
+            h[c] = list(n) + [zero] * (d[c - 1] - len(n)) + [one]
 
-    # D[i] = det of rows i+2..t+1, cols i+1..t, as its coefficients of x^0..x^(t-i)
+    # D[i] = det of rows i+2..t+1, cols i+1..t
     D = [None] * (t + 1)
-    D[t] = [[one]]
+    D[t] = {0: unit}
     for i in range(t - 1, -1, -1):
         col = cols[i]
+        below = D[i + 1]
         # a = 1: the entry n_(i+2,i+1) - x times D[i+1]
-        acc = [_convolve(p, col[i + 1], zero) for p in D[i + 1]] + [[]]
-        for k, p in enumerate(D[i + 1], 1):
-            _add_into(acc[k], p, True, zero)
-        # a >= 2: n_(i+1+a,i+1) h_(i+2)...h_(i+a) D[i+a], alternating in sign
-        last = max((a for a in range(2, t - i + 1) if col[i + a]), default=1)
-        hprod = [one]
-        for a in range(2, last + 1):
-            hprod = _convolve(hprod, h[i + a], zero)
-            if col[i + a]:
-                e = _convolve(col[i + a], hprod, zero)
-                for k, p in enumerate(D[i + a]):
-                    _add_into(acc[k], _convolve(p, e, zero), a % 2 == 0, zero)
+        sub = col[i + 1]
+        acc = {k: _convolve(p, sub, zero) for k, p in below.items()} if sub else {}
+        for k, p in below.items():
+            _add_into(acc.setdefault(k + 1, []), p, True, zero)
+        # a >= 2: n_(i+1+a,i+1) h_(i+2)...h_(i+a) D[i+a], alternating in sign;
+        # y^s core = h_(i+2)...h_c
+        s, core, c = 0, unit, i + 1
+        for r in compress(range(i + 2, t + 1), col[i + 2:]):
+            while c < r:
+                c += 1
+                if h[c] is None:
+                    s += d[c - 1]
+                else:
+                    core = _convolve(core, h[c], zero)
+            e = [zero] * s + (list(col[r]) if core is unit else _convolve(col[r], core, zero))
+            for k, p in D[r].items():
+                _add_into(acc.setdefault(k, []), _convolve(p, e, zero), (r - i) % 2 == 0, zero)
         D[i] = acc
 
     fs = []
-    P = [one]
+    s, core = 0, unit  # y^s core = P_i
     for i in range(t + 1):
         if i >= 1:
-            P = _convolve(P, h[i], zero)
-        sP = [-c for c in P] if (t - i) % 2 == 1 else P
+            if h[i] is None:
+                s += d[i - 1]
+            else:
+                core = _convolve(core, h[i], zero)
+        neg = (t - i) % 2 == 1
+        Di = D[i]
         terms = []
-        for k in range(len(D[i]) - 1, -1, -1):
-            p = _convolve(D[i][k], sP, zero)
+        for k in sorted(Di, reverse=True):
+            p = Di[k] if core is unit else _convolve(Di[k], core, zero)
             # ints where integral, as in Polynomial arithmetic
-            terms.extend(((k, j), _integral(p[j])) for j in range(len(p) - 1, -1, -1) if p[j])
+            terms.extend(((k, j + s), _integral(-p[j] if neg else p[j]))
+                         for j in range(len(p) - 1, -1, -1) if p[j])
         fs.append(Polynomial._raw(field, 2, tuple(terms)))
     return fs
 

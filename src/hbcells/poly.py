@@ -300,6 +300,7 @@ class Polynomial:
 
         Terms free of variable i go into the result under their own monomial;
         only the others are expanded against the powers of ``replacement``.
+        Over QQ an integral coefficient of the result is an int.
         """
         powers = [replacement]  # powers[e - 1] is replacement^e
         acc = {}
@@ -324,10 +325,10 @@ class Polynomial:
                     acc[key] = v
                 else:
                     del acc[key]
-        return Polynomial.from_dict(self.field, self.nvars, acc)
+        return Polynomial._from_sum(self.field, self.nvars, acc)
 
     def evaluate(self, values):
-        """Evaluate at a full point (one value per variable)."""
+        """Evaluate at a full point (one value per variable); over QQ an int where integral."""
         total = self.field.zero
         for m, c in self.terms:
             v = c
@@ -335,7 +336,7 @@ class Polynomial:
                 if e:
                     v = v * x**e
             total = total + v
-        return total
+        return _integral(total)
 
     # -- structure ----------------------------------------------------------
 

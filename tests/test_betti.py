@@ -1,5 +1,6 @@
 """Resolution degrees, graded piece matrices, Betti numbers and strata."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -68,6 +69,30 @@ def test_slot_set_matches_degree_matrix_definition():
                                         if 0 <= U[i - 1][j - 1] < E.d[j - 1])
             count += 1
     assert count == 2713
+
+
+def _fields(record):
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+
+
+def test_memoized_frame_functions_equal_a_fresh_computation():
+    # slot_set, degree_matrix, resolution_degrees and graded_matrix depend on
+    # the staircase (and j) alone and are memoized per staircase value
+    frames = (slot_set, degree_matrix, resolution_degrees, graded_matrix)
+    assert all(0 < fn.cache_info().maxsize < 10 ** 5 for fn in frames)
+    for d in range(1, 10):
+        for E in enumerate_staircases(d):
+            again = Staircase(E.m)  # an equal staircase, another object
+            for fn in (slot_set, degree_matrix):
+                assert fn(E) == fn.__wrapped__(E)
+                assert fn(again) is fn(E)
+            rd = resolution_degrees(E)
+            assert _fields(rd) == _fields(resolution_degrees.__wrapped__(E))
+            assert resolution_degrees(again) is rd
+            for j in range(min(rd.a) - 1, max(rd.b) + 2):
+                gm = graded_matrix(E, j)
+                assert _fields(gm) == _fields(graded_matrix.__wrapped__(E, j))
+                assert graded_matrix(again, j) is gm
 
 
 # -- graded piece matrices --------------------------------------------------------

@@ -459,6 +459,16 @@ def test_points_of_residual_variety_give_the_expected_cell():
         assert leading_term_ideal(buchberger_reduced(members)) == E
 
 
+def test_back_substitute_over_qq_gives_ints_where_integral():
+    # the logged expressions are evaluated by Polynomial.evaluate, which
+    # gives an int wherever a rational value is integral
+    fam, rep = cell_report(Staircase((0, 1, 2)).generators(minimal=True), 2, graded=False)
+    values = back_substitute(rep, {k: Fraction(1, 2) for k in rep.survivors})
+    eliminated = [values[k] for k, _ in rep.eliminated]
+    assert eliminated == [Fraction(-1, 4), 0, 0]
+    assert [type(v) for v in eliminated] == [Fraction, int, int]
+
+
 def test_graded_n2_consistency_small():
     for d in range(1, 7):
         for E in enumerate_staircases(d):

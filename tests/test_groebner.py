@@ -1,5 +1,6 @@
 """Buchberger engine: S-polynomials, reduction, reduced bases, oracles."""
 
+import itertools
 import math
 import random
 
@@ -9,15 +10,16 @@ from hbcells import groebner
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
-                              graded_minimal_generators, is_groebner_basis,
+                              graded_beta0_profile, graded_minimal_generators, is_groebner_basis,
                               leading_term_ideal, normal_form, reduce,
                               s_polynomial)
 from hbcells.hilbert_burch import (CellKind, canonical_matrix, cell_kinds_of_ideal,
-                                   minors_ideal, random_cell_matrix,
-                                   validate_cell_matrix)
+                                   cell_matrix_from_parameters, minors_ideal,
+                                   random_cell_matrix, slot_set, validate_cell_matrix)
+from hbcells.linalg import echelon_insert
 from hbcells.poly import (Polynomial, exact_quotient, mono_div, mono_divides, mono_lcm,
-                          mono_mul, parse_polynomial)
-from hbcells.staircase import Staircase, staircase_from_monomial_ideal
+                          mono_mul, monomials_of_degree, parse_polynomial)
+from hbcells.staircase import Staircase, enumerate_staircases, staircase_from_monomial_ideal
 
 
 def P(text, field=QQ):
@@ -247,7 +249,6 @@ def test_colength_examples():
 
 
 def test_colength_matches_enumeration():
-    from hbcells.staircase import enumerate_staircases
     for d in range(1, 15):
         for E in enumerate_staircases(d):
             ideal = E.monomial_ideal()
@@ -258,6 +259,53 @@ def test_colength_matches_enumeration():
         d = rng.randint(15, 30)
         E = rng.choice(enumerate_staircases(d))
         assert colength(E.monomial_ideal()) == d
+
+
+def _box_standard_monomials(ideal):
+    """Reference: scan the box under the pure powers, None when one is missing."""
+    bounds = [ideal.pure_power_exponent(i) for i in range(ideal.nvars)]
+    if None in bounds:
+        return None
+    return [m for m in itertools.product(*(range(b) for b in bounds)) if not ideal.contains(m)]
+
+
+def test_colength_and_standard_monomials_match_the_box_scan():
+    rng = random.Random(23)
+    for nvars in (2, 3, 4):
+        for _ in range(150):
+            gens = [tuple(rng.randint(0, 5) for _ in range(nvars))
+                    for _ in range(rng.randint(1, 6))]
+            # most draws get every pure power, some miss one
+            gens += [tuple(rng.randint(1, 6) if k == i else 0 for k in range(nvars))
+                     for i in range(nvars) if rng.random() < 0.9]
+            ideal = MonomialIdeal(nvars, gens)
+            reference = _box_standard_monomials(ideal)
+            if reference is None:
+                assert colength(ideal) == math.inf
+                with pytest.raises(DomainError, match="infinite colength"):
+                    ideal.standard_monomials()
+            else:
+                assert ideal.standard_monomials() == reference  # lex order kept
+                assert colength(ideal) == len(reference)
+
+
+def test_colength_edge_ideals():
+    for nvars in (1, 2, 3):
+        unit = MonomialIdeal(nvars, [(0,) * nvars])
+        assert colength(unit) == 0 and unit.standard_monomials() == []
+        assert colength(MonomialIdeal(nvars, [])) == math.inf
+    assert MonomialIdeal(1, [(4,)]).standard_monomials() == [(0,), (1,), (2,), (3,)]
+
+
+def test_colength_costs_the_standard_monomials_not_their_box():
+    # 64,000,000 standard monomials in 160,000 slices along z, counted
+    # without visiting them one by one
+    assert colength(MonomialIdeal(3, [(400, 0, 0), (0, 400, 0), (0, 0, 400)])) == 400 ** 3
+    # a box of 10^12 monomials holding 3,000 standard ones
+    big = MonomialIdeal(3, [(10 ** 4, 0, 0), (0, 10 ** 4, 0), (0, 0, 10 ** 4), (1, 1, 0),
+                            (1, 0, 1), (0, 1, 1)])
+    assert colength(big) == 3 * 10 ** 4 - 2
+    assert len(big.standard_monomials()) == 3 * 10 ** 4 - 2
 
 
 # -- the last-result memo -----------------------------------------------------
@@ -358,3 +406,73 @@ def test_graded_generators_staircase_top():
 def test_graded_generators_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         graded_minimal_generators([P("x - 1")], 1)
+
+
+def _beta0_profile_by_tuples(gens, up_to=None):
+    """Reference: the generator-count oracle with rows keyed by exponent tuples."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return {}
+    nvars = gens[0].nvars
+    by_degree = {}
+    for g in gens:
+        by_degree.setdefault(g.total_degree(), []).append(g)
+    top = max(by_degree) if up_to is None else max(max(by_degree), up_to)
+    variables = [tuple(1 if k == i else 0 for k in range(nvars)) for i in range(nvars)]
+    profile = {}
+    basis = []
+    for j in range(min(by_degree), top + 1):
+        echelon = {}
+        for row in basis:
+            for v in variables:
+                echelon_insert(echelon, {mono_mul(m, v): c for m, c in row.items()})
+        before = len(echelon)
+        for g in by_degree.get(j, []):
+            echelon_insert(echelon, dict(g.terms))
+        if len(echelon) > before:
+            profile[j] = len(echelon) - before
+        basis = list(echelon.values())
+    return profile
+
+
+def test_packed_oracle_matches_the_tuple_oracle_on_the_criterion_05_sweep():
+    # the points of criterion 05 in tests/test_acceptance.py, same seed
+    rng = random.Random(20260809)
+    for d in range(1, 13):
+        for E in enumerate_staircases(d):
+            slots = slot_set(E)
+            for _ in range(50):
+                p = {s: rng.randint(-3, 3) for s in slots}
+                fs = minors_ideal(cell_matrix_from_parameters(E, p))
+                assert graded_beta0_profile(fs) == _beta0_profile_by_tuples(fs), (E.m, p)
+
+
+def _random_homogeneous(rng, field, nvars, deg):
+    monos = monomials_of_degree(nvars, deg)
+    terms = {m: field.of(rng.randint(-2, 2)) for m in rng.sample(monos, min(len(monos), 3))}
+    return Polynomial(field, nvars, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("nvars", [1, 3, 4])
+def test_packed_oracle_matches_the_tuple_oracle_in_more_variables(field, nvars):
+    rng = random.Random(31 * nvars + field.char)
+    nonzero = 0
+    for _ in range(60):
+        gens = [_random_homogeneous(rng, field, nvars, rng.randint(0 if nvars == 1 else 1, 4))
+                for _ in range(rng.randint(1, 4))]
+        top = max(g.total_degree() for g in gens)
+        for up_to in (None, top + 1, top + 3):
+            profile = graded_beta0_profile(gens, up_to)
+            assert profile == _beta0_profile_by_tuples(gens, up_to), (gens, up_to)
+            nonzero += bool(profile)
+        # past the top degree, no new minimal generator appears
+        assert graded_minimal_generators(gens, top + 3) == 0
+    assert nonzero >= 100
+
+
+def test_packed_oracle_at_degree_zero():
+    one = Polynomial.constant(QQ, 2, 1)
+    assert graded_beta0_profile([one]) == {0: 1}
+    assert graded_beta0_profile([one, P("x")], up_to=3) == {0: 1}
+

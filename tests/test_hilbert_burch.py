@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hbcells import hilbert_burch
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.groebner import buchberger_reduced, leading_term_ideal, normal_form
@@ -15,8 +16,8 @@ from hbcells.hilbert_burch import (CellKind, CellMatrix, _y_coefficients,
                                    cell_matrix_from_parameters, minors_ideal,
                                    random_cell_matrix, slot_set,
                                    validate_cell_matrix)
-from hbcells.poly import (Polynomial, UniPoly, _normal_form_dict, _reducers, parse_ideal,
-                          parse_polynomial)
+from hbcells.poly import (Polynomial, UniPoly, _convolve, _normal_form_dict, _reducers,
+                          parse_ideal, parse_polynomial)
 from hbcells.staircase import (Staircase, enumerate_staircases,
                                staircase_from_monomial_ideal)
 
@@ -361,6 +362,35 @@ def test_round_trip_at_large_t_on_sparse_cells():
         assert canonical_matrix(minors_ideal(N)) == (E, N), (d, picks)
         seen += len(picks)
     assert seen >= 12
+
+
+def test_minors_of_a_power_of_x_take_linearly_many_products(monkeypatch):
+    # on (x^n, y) only column 1 can be nonzero: the recurrence visits the
+    # nonzero entries only and multiplies by a zero diagonal as an exponent
+    # shift, so its k[y] products grow linearly in n
+    calls = [0]
+
+    def counting(a, b, zero):
+        calls[0] += 1
+        return _convolve(a, b, zero)
+
+    monkeypatch.setattr(hilbert_burch, "_convolve", counting)
+    counts = {}
+    for n in (100, 200, 400):
+        E = Staircase((0,) + (1,) * n)
+        for name, N in (("zero", CellMatrix.zero(E)), ("V0", random_cell_matrix(E, CellKind.V0, n))):
+            calls[0] = 0
+            fs = minors_ideal(N)
+            counts[name, n] = calls[0]
+            assert len(fs) == n + 1 and fs[-1].lt == (0, 1)
+            if n == 100:
+                monkeypatch.setattr(hilbert_burch, "_convolve", _convolve)
+                assert canonical_matrix(fs) == (E, N)
+                monkeypatch.setattr(hilbert_burch, "_convolve", counting)
+    for name in ("zero", "V0"):
+        assert [counts[name, n] <= 3 * n for n in (100, 200, 400)] == [True] * 3, counts
+        assert counts[name, 400] - counts[name, 200] <= 2 * (counts[name, 200] - counts[name, 100]) + 2
+    assert counts["V0", 100] >= 100  # column 1 of the V0 draw is nonzero
 
 
 def test_canonicalize_rejects_bad_ideals():

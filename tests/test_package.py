@@ -59,6 +59,48 @@ def test_profiled_functions_of_the_benchmark_resolve():
         assert isinstance(obj.__code__, types.CodeType), (module, qualname)
 
 
+def _functools_memos(tree):
+    """(line, maxsize expression or None) for each functools memo in ``tree``.
+
+    ``functools.cache`` (and importing it) gives the expression ``None``, as
+    does ``lru_cache(maxsize=None)``; a bare ``lru_cache`` gives its default,
+    128, as a constant.
+    """
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, ast.Constant(None)) for a in node.names if a.name == "cache"]
+            continue
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        else:
+            continue
+        if name == "cache" and isinstance(node, ast.Attribute):
+            out.append((node.lineno, ast.Constant(None)))
+        elif name == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else (
+                call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"])
+            out.append((node.lineno, sizes[0] if sizes else ast.Constant(128)))
+    return out
+
+
+def test_every_memo_has_a_finite_maxsize():
+    # functools.cache and lru_cache(maxsize=None) keep every distinct argument
+    # for the life of the process; the package's memos are bounded
+    found = 0
+    for path in MODULES:
+        module = importlib.import_module(f"hbcells.{path.stem}")
+        for line, expr in _functools_memos(ast.parse(path.read_text())):
+            size = eval(compile(ast.Expression(expr), str(path), "eval"), vars(module))
+            assert type(size) is int and size > 0, f"{path.name}:{line} has maxsize {size!r}"
+            found += 1
+    assert found >= 4  # the frame functions of hilbert_burch and betti
+
+
 # -- frozen value types and records ---------------------------------------------
 
 E = Staircase((0, 1, 3))

@@ -192,6 +192,20 @@ def test_arithmetic_over_qq_gives_ints_where_integral():
     assert _types(p * p) == [(Fraction(1, 4), Fraction), (3, int), (9, int)]
 
 
+def test_substitute_and_evaluate_over_qq_give_ints_where_integral():
+    p = Polynomial(QQ, 2, {(1, 0): Fraction(1, 2)})
+    assert _types(p.substitute(0, Polynomial(QQ, 2, {(0, 1): 2}))) == [(1, int)]
+    assert _types(p.substitute(0, Polynomial(QQ, 2, {(0, 1): 1}))) == [(Fraction(1, 2), Fraction)]
+    value = p.evaluate([2, 0])
+    assert value == 1 and type(value) is int
+    assert p.evaluate([1, 0]) == Fraction(1, 2)
+    assert type(Polynomial(QQ, 2, {(1, 1): 3}).evaluate([Fraction(1, 3), 1])) is int
+    # finite fields keep their elements
+    q = Polynomial(GF5, 2, {(1, 0): 2})
+    assert q.evaluate([GF5.of(3), GF5.zero]) == GF5.one
+    assert q.substitute(0, Polynomial(GF5, 2, {(0, 1): 3})).terms == (((0, 1), GF5.one),)
+
+
 # -- lex order --------------------------------------------------------------
 
 def test_lex_ignores_degree():
