@@ -6,6 +6,13 @@ every staircase, all parameter points of the generic (ungraded) family
 over F_q and keeps those passing Buchberger's criterion verbatim: each
 ideal has a unique reduced Groebner basis, so each is counted exactly
 once and no dimension formula enters the oracle side.
+
+The points are enumerated member by member: each family member with n
+parameters has a table of its q^n monic (lead, tail) forms, built once per
+staircase, and a point is one choice from every table.  Each point runs the
+criterion of ``groebner.is_groebner_basis`` on the member pairs whose leads
+are not coprime, through the same helper.  ``BRUTE_FORCE_POINT_LIMIT``
+bounds the number of points.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import GF
-from .groebner import is_groebner_basis
-from .generic_cells import generic_family, instantiate
+from .groebner import _criterion_holds, _critical_pairs
+from .generic_cells import generic_family
 from .hilbert_burch import CellKind, cell_dimension
 from .staircase import enumerate_staircases
 
@@ -63,11 +70,40 @@ def cell_census(d):
     return CellCensus(d, tuple(records), total)
 
 
+# The most points brute_force_ideal_count enumerates, summed over the
+# staircases: every colength d <= 3 over F_q, q <= 5, fits; the largest,
+# (d, q) = (3, 5), has 406,875 points.
+BRUTE_FORCE_POINT_LIMIT = 500_000
+
+
+def _points(family, elems):
+    """Every parameter point of ``family`` as the tuple of its members' monic (lead, tail) forms.
+
+    Each member with n parameters gets a table of its q^n forms: a tail is
+    ((m, -v), ...) in support order with the zero values dropped, as
+    ``_reducers(instantiate(...))`` builds it.  Parameters are numbered
+    member by member, so the product of the tables runs through the points
+    in the order of ``itertools.product(elems, repeat=family.nparams)``.
+    """
+    tables = []
+    for lead, support in family.members:
+        monos = [m for m, _ in support]
+        tables.append([
+            (lead, tuple([(m, -v) for m, v in zip(monos, values) if v]))
+            for values in itertools.product(elems, repeat=len(monos))])
+    return itertools.product(*tables)
+
+
 def brute_force_ideal_count(d, q):
     """Count every ideal of colength d in F_q[x,y] by exhaustive Buchberger.
 
     Kept to d <= 3: the parameter spaces grow as q^N with N up to 8 already
-    at colength 3.
+    at colength 3.  The points of all staircases together, the sum of
+    q^nparams, are bounded by ``BRUTE_FORCE_POINT_LIMIT``: a larger count
+    raises DomainError before any point is enumerated.  The points of a
+    staircase come from its members' option tables (``_points``), and each
+    is counted when it passes the criterion of ``is_groebner_basis`` on the
+    member pairs with non-coprime leads, found once per staircase.
     """
     if d < 1:
         raise ValueError("colength must be at least 1")
@@ -76,11 +112,16 @@ def brute_force_ideal_count(d, q):
             f"brute-force counting is limited to colength <= 3 (got {d}): "
             "the enumeration grows like q^N with N the full parameter count")
     field = GF(q)
+    families = [generic_family(E.generators(minimal=True), 2, graded=False)
+                for E in enumerate_staircases(d)]
+    points = sum(q ** family.nparams for family in families)
+    if points > BRUTE_FORCE_POINT_LIMIT:
+        raise DomainError(
+            f"brute-force counting at colength {d} over F_{q} has {points} points, over the "
+            f"budget of {BRUTE_FORCE_POINT_LIMIT} (census.BRUTE_FORCE_POINT_LIMIT)")
     elems = field.elements()
     count = 0
-    for E in enumerate_staircases(d):
-        family = generic_family(E.generators(minimal=True), 2, graded=False)
-        for values in itertools.product(elems, repeat=family.nparams):
-            if is_groebner_basis(instantiate(family, values, field)):
-                count += 1
+    for family in families:
+        pairs = _critical_pairs([lead for lead, _ in family.members])
+        count += sum(1 for point in _points(family, elems) if _criterion_holds(point, pairs))
     return count

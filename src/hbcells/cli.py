@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import betti as betti_mod
@@ -37,6 +38,22 @@ def _field_arg(text):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
     raise argparse.ArgumentTypeError(f"--field takes 'q' or 'p:<prime>', got {text!r}")
+
+
+def _prime_power(text):
+    """A prime power 2 <= q < 2**31; the bound keeps the trial division under 46,341 steps."""
+    try:
+        q = int(text)
+    except ValueError:
+        q = 0
+    if 2 <= q < 2**31:
+        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)  # least prime factor
+        n = q
+        while n % p == 0:
+            n //= p
+        if n == 1:
+            return q
+    raise argparse.ArgumentTypeError(f"expected a prime power 2 <= q < 2**31, got {text!r}")
 
 
 def _staircase(args):
@@ -323,7 +340,8 @@ def build_parser():
     p = sub.add_parser("census", help="cell dimensions and point counts at a colength")
     common(p)
     p.add_argument("--d", type=int, required=True, help="colength")
-    p.add_argument("--q", type=int, help="evaluate the census total at q")
+    p.add_argument("--q", type=_prime_power,
+                   help="evaluate the census total at the prime power q")
     p.add_argument("--brute-force", action="store_true",
                    help="also run the exhaustive ideal count over F_q")
     p.set_defaults(fn=cmd_census)

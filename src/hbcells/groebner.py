@@ -237,12 +237,19 @@ def _reduced_basis(start):
 def is_groebner_basis(fs):
     """Check Buchberger's criterion directly (coprime pairs skipped)."""
     reducers = _reducers([f for f in fs if not f.is_zero])
-    for a, b in itertools.combinations(reducers, 2):
-        if mono_lcm(a[0], b[0]) == mono_mul(a[0], b[0]):
-            continue
-        if _normal_form_dict(_s_pair(a, b), reducers):
-            return False
-    return True
+    return _criterion_holds(reducers, _critical_pairs([lead for lead, _ in reducers]))
+
+
+def _critical_pairs(leads):
+    """The index pairs i < j of leads that are not coprime, in combination order."""
+    return [(i, j) for i, j in itertools.combinations(range(len(leads)), 2)
+            if mono_lcm(leads[i], leads[j]) != mono_mul(leads[i], leads[j])]
+
+
+def _criterion_holds(reducers, pairs):
+    """Whether the S-pair of every index pair of monic (lead, tail) reducers reduces to 0."""
+    return not any(_normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
+                   for i, j in pairs)
 
 
 def leading_term_ideal(gb):

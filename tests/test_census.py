@@ -1,12 +1,20 @@
 """Census totals against exhaustive ideal counts over small fields."""
 
+import itertools
+import time
 from collections import Counter
 
 import pytest
 
-from hbcells.census import brute_force_ideal_count, cell_census
+from hbcells import census
+from hbcells.census import BRUTE_FORCE_POINT_LIMIT, brute_force_ideal_count, cell_census
 from hbcells.errors import DomainError
+from hbcells.field import GF
+from hbcells.generic_cells import generic_family, instantiate
+from hbcells.groebner import is_groebner_basis
 from hbcells.hilbert_burch import CellKind
+from hbcells.poly import _reducers
+from hbcells.staircase import enumerate_staircases
 
 
 def test_census_d1():
@@ -52,6 +60,46 @@ def test_brute_force_matches_census_gf4():
 def test_brute_force_refuses_large_colength():
     with pytest.raises(DomainError, match="colength"):
         brute_force_ideal_count(4, 2)
+
+
+@pytest.mark.parametrize("d,q", [(d, q) for d in (1, 2) for q in (2, 3, 4, 5)] + [(3, 2)])
+def test_brute_force_matches_the_literal_criterion_per_staircase(d, q, monkeypatch):
+    # the option tables give, point by point and in order, the reducers of the
+    # instantiated family, and each staircase counts what is_groebner_basis accepts
+    field = GF(q)
+    elems = field.elements()
+    for E in enumerate_staircases(d):
+        family = generic_family(E.generators(minimal=True), 2, graded=False)
+        values = list(itertools.product(elems, repeat=family.nparams))
+        assert list(census._points(family, elems)) == [
+            tuple(_reducers(instantiate(family, v, field))) for v in values]
+        monkeypatch.setattr(census, "enumerate_staircases", lambda d, E=E: [E])
+        assert brute_force_ideal_count(d, q) == sum(
+            is_groebner_basis(instantiate(family, v, field)) for v in values), E
+
+
+def test_brute_force_point_budget(monkeypatch):
+    def points(d, q):
+        return sum(q ** generic_family(E.generators(minimal=True), 2, graded=False).nparams
+                   for E in enumerate_staircases(d))
+
+    assert points(3, 5) == 406_875 <= BRUTE_FORCE_POINT_LIMIT < points(3, 7) == 5_884_851
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"5884851 points.*census\.BRUTE_FORCE_POINT_LIMIT"):
+        brute_force_ideal_count(3, 7)
+    with pytest.raises(DomainError, match="4611686014132420609 points"):
+        brute_force_ideal_count(1, 2147483647)  # q^2 points: refused, not enumerated
+    assert time.perf_counter() - start < 5
+    # checked before any point is enumerated; a count equal to the budget runs
+    enumerated = []
+    points_of = census._points
+    monkeypatch.setattr(census, "_points", lambda *a: enumerated.append(a) or points_of(*a))
+    monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", 23)
+    with pytest.raises(DomainError, match="24 points"):
+        brute_force_ideal_count(2, 2)
+    assert enumerated == []
+    monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", 24)
+    assert brute_force_ideal_count(2, 2) == 24 and len(enumerated) == 2
 
 
 def _euler_product(shift, top):

@@ -176,6 +176,31 @@ def test_census_subcommand(capsys):
     assert data["at_q"] == {"q": 2, "total": 24, "brute_force": 24}
 
 
+def test_census_q_is_a_prime_power(capsys):
+    for q in ("-3", "0", "1", "6", "12", "x", "2.0", str(2**31)):
+        code, out, err = run(capsys, "census", "--d", "2", "--q", q)
+        assert code == 2 and out == "", q
+        assert f"argument --q: expected a prime power 2 <= q < 2**31, got '{q}'" in err
+    for q, total in (("2", 24), ("4", 320), ("8", 4608), ("9", 7290), ("2147483647",
+                     2147483647**4 + 2147483647**3)):
+        code, out, _ = run(capsys, "census", "--d", "2", "--q", q)
+        assert code == 0 and out.endswith(f"total({q}) = {total}\n")
+    # a prime power that is no field of the brute force stays a usage error
+    code, out, err = run(capsys, "census", "--d", "2", "--q", "8", "--brute-force")
+    assert code == 2 and out == ""
+    assert err == "usage error: field order must be a prime below 2**31, got 8\n"
+
+
+def test_census_brute_force_budget(capsys):
+    # q^2 points at colength 1: refused before any is enumerated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "--d", "1", "--q", "2147483647", "--brute-force")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("domain error: brute-force counting at colength 1 over F_2147483647 "
+                          "has 4611686014132420609 points, over the budget of 500000")
+
+
 def test_latex_output(capsys):
     code, out, _ = run(capsys, "frame", "--m", "0,3,3,5", "--format", "latex")
     assert code == 0 and out.startswith(r"\begin{array}")
