@@ -62,11 +62,6 @@ def resolution_degrees(E):
     return ResolutionDegrees(E, a, b, _by_degree(a), _by_degree(b))
 
 
-def canonical_parameters(E):
-    """Column-major order of S(E); parameter p_k is the k-th slot (1-based)."""
-    return slot_set(E)
-
-
 def _entry_tag(d, i1, i2):
     """The entry of M(p)_j in row i1, column i2 of the staircase with steps d."""
     if i1 == i2:
@@ -125,10 +120,6 @@ class GradedPieceMatrix:
     def parameters(self):
         """The S(E) slots appearing in this graded piece."""
         return [tag[1:] for row in self.entries for tag in row if tag[0] == "p"]
-
-    def numeric(self, assignment, field=QQ):
-        """Rows of M(p)_j with parameters replaced by their values."""
-        return _numeric(self.entries, assignment, field)
 
     def symbolic_star(self, param_index):
         """Star entries as polynomials in the S(E) parameter space."""
@@ -240,11 +231,6 @@ def betti_numbers(E, assignment, field=QQ):
         if b0 or b1:
             data[j] = (b0, b1)
     return BettiTable(data)
-
-
-def monomial_betti(E):
-    """BettiTable of the monomial ideal E itself (all parameters zero)."""
-    return betti_numbers(E, {s: 0 for s in slot_set(E)})
 
 
 def _det(rows):

@@ -10,9 +10,9 @@ once and no dimension formula enters the oracle side.
 The points are enumerated member by member: each family member with n
 parameters has a table of its q^n monic (lead, tail) forms, built once per
 staircase, and a point is one choice from every table.  Each point runs the
-criterion of ``groebner.is_groebner_basis`` on the member pairs whose leads
-are not coprime, through the same helper.  ``BRUTE_FORCE_POINT_LIMIT``
-bounds the number of points.
+criterion of ``groebner.is_groebner_basis`` through the same helper, on the
+staircase's adjacent pairs, which the Gebauer-Moeller update keeps for its
+leads.  ``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import GF
-from .groebner import _criterion_holds, _critical_pairs
+from .groebner import _criterion_holds, _pairs_of
 from .generic_cells import generic_family
 from .hilbert_burch import CellKind, cell_dimension
 from .staircase import enumerate_staircases
@@ -103,7 +103,7 @@ def brute_force_ideal_count(d, q):
     raises DomainError before any point is enumerated.  The points of a
     staircase come from its members' option tables (``_points``), and each
     is counted when it passes the criterion of ``is_groebner_basis`` on the
-    member pairs with non-coprime leads, found once per staircase.
+    pairs of ``groebner._pairs_of``, found once per staircase.
     """
     if d < 1:
         raise ValueError("colength must be at least 1")
@@ -122,6 +122,6 @@ def brute_force_ideal_count(d, q):
     elems = field.elements()
     count = 0
     for family in families:
-        pairs = _critical_pairs([lead for lead, _ in family.members])
+        pairs = _pairs_of([lead for lead, _ in family.members])
         count += sum(1 for point in _points(family, elems) if _criterion_holds(point, pairs))
     return count

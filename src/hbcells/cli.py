@@ -161,7 +161,7 @@ def cmd_kinds(args):
 
 
 def _parse_assignment(text, E):
-    slots = betti_mod.canonical_parameters(E)
+    slots = hb.slot_set(E)
     if text == "zero":
         return {s: 0 for s in slots}
     if text == "generic":
@@ -357,10 +357,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except UsageExit as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (UsageExit, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -166,17 +166,45 @@ class FFElement:
         return str(self.val)
 
 
-class PrimeField:
+class _FiniteField:
+    """What GF(p) and GF(4) share: elements are ``FFElement`` indices in [0, size)."""
+
+    def __init__(self, char, size):
+        self.char = char
+        self.size = size
+        self.zero = FFElement(0, self)
+        self.one = FFElement(1, self)
+
+    def div(self, a, b):
+        return self.of(a) / b if isinstance(a, int) else a / b
+
+    def inv(self, a):
+        return self.div(self.one, a)
+
+    def elements(self):
+        return [FFElement(v, self) for v in range(self.size)]
+
+    def decode(self, v):
+        return FFElement(v % self.size, self)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and other.size == self.size
+
+    def __hash__(self):
+        return hash(self.size)
+
+    def __repr__(self):
+        return f"GF({self.size})"
+
+
+class PrimeField(_FiniteField):
     """GF(p) for a prime p < 2**31."""
 
     def __init__(self, p):
         if not isinstance(p, int) or not 2 <= p < 2**31 or not _is_prime(p):
             raise ValueError(f"field order must be a prime below 2**31, got {p!r}")
+        super().__init__(p, p)
         self.p = p
-        self.char = p
-        self.size = p
-        self.zero = FFElement(0, self)
-        self.one = FFElement(1, self)
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -198,36 +226,12 @@ class PrimeField:
         base = self._mul(num % self.p, self._inv(den % self.p)) if den != 1 else num % self.p
         return FFElement(base, self)
 
-    def div(self, a, b):
-        return self.of(a) / b if isinstance(a, int) else a / b
 
-    def inv(self, a):
-        return self.div(self.one, a)
-
-    def elements(self):
-        return [FFElement(v, self) for v in range(self.p)]
-
-    def decode(self, v):
-        return FFElement(v % self.p, self)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.p)
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-class QuarticField:
+class QuarticField(_FiniteField):
     """GF(4) = GF(2)[w]/(w^2+w+1), elements encoded 0,1,w=2,w+1=3."""
 
     def __init__(self):
-        self.char = 2
-        self.size = 4
-        self.zero = FFElement(0, self)
-        self.one = FFElement(1, self)
+        super().__init__(2, 4)
 
     @staticmethod
     def _add(a, b):
@@ -258,27 +262,6 @@ class QuarticField:
         if den % 2 == 0:
             raise ZeroDivisionError("denominator vanishes in GF(4)")
         return FFElement(v, self)
-
-    def div(self, a, b):
-        return self.of(a) / b if isinstance(a, int) else a / b
-
-    def inv(self, a):
-        return self.div(self.one, a)
-
-    def elements(self):
-        return [FFElement(v, self) for v in range(4)]
-
-    def decode(self, v):
-        return FFElement(v & 3, self)
-
-    def __eq__(self, other):
-        return isinstance(other, QuarticField)
-
-    def __hash__(self):
-        return hash(4)
-
-    def __repr__(self):
-        return "GF(4)"
 
 
 # One shared field object per order: elements of a field only combine with

@@ -1,8 +1,9 @@
 """Buchberger engine over exact fields.
 
-S-polynomials, multivariate division, reduced Groebner bases with the
-Gebauer-Moeller pair update (product + chain criteria), leading term
+S-polynomials, multivariate division, reduced Groebner bases, leading term
 ideals, colength, and a rank-based count of graded minimal generators.
+Every S-pair set comes from one rule on lead monomials, the Gebauer-Moeller
+update (product and chain criteria).
 This module is the independent verification oracle for everything the
 cell machinery produces, so it never consults the structured formulas it
 is used to check.
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import echelon_insert
-from .poly import (Polynomial, _normal_form_dict, _reducers, _s_pair, mono_divides,
-                   mono_lcm, mono_mul)
+from .poly import (Polynomial, _integral, _normal_form_dict, _reducers, _s_pair,
+                   mono_divides, mono_lcm, mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +149,31 @@ def normal_form(f, basis):
 # ---------------------------------------------------------------------------
 # Buchberger
 
-def _gm_update(G, pairs, f):
-    """Gebauer-Moeller pair update when appending f to G."""
-    t = len(G)
-    lf = f.lt
-    kept = []
-    for (L, i, j) in pairs:
-        # chain criterion against the new element
-        if (not mono_divides(lf, L)
-                or mono_lcm(G[i].lt, lf) == L
-                or mono_lcm(G[j].lt, lf) == L):
-            kept.append((L, i, j))
+def _gm_update(leads, t, pairs):
+    """Gebauer-Moeller update of the pairs (L, i, j) of ``leads[:t]`` as ``leads[t]`` joins:
+    the chain criterion prunes the old pairs; minimal lcms and the product criterion, the new."""
+    lf = leads[t]
+    kept = [(L, i, j) for L, i, j in pairs if not mono_divides(lf, L)
+            or mono_lcm(leads[i], lf) == L or mono_lcm(leads[j], lf) == L]
     groups = {}
     for i in range(t):
-        groups.setdefault(mono_lcm(G[i].lt, lf), []).append(i)
+        groups.setdefault(mono_lcm(leads[i], lf), []).append(i)
     minimal = []
-    for L in sorted(groups):
-        if not any(mono_divides(M, L) for M in minimal):
+    for L, group in sorted(groups.items()):
+        if not any([mono_divides(M, L) for M in minimal]):
             minimal.append(L)
-    for L in minimal:
-        # product criterion: a coprime pair in the group kills the lcm class
-        if not any(mono_lcm(G[i].lt, lf) == mono_mul(G[i].lt, lf) for i in groups[L]):
-            kept.append((L, min(groups[L]), t))
-    G.append(f)
+            if L not in [mono_mul(leads[i], lf) for i in group]:
+                kept.append((L, group[0], t))
     return kept
+
+
+def _pairs_of(leads):
+    """The pairs that the Gebauer-Moeller update keeps as ``leads`` join in order: Buchberger's
+    criterion needs only these.  For a staircase's minimal generators, the adjacent pairs."""
+    pairs = []
+    for t in range(1, len(leads)):
+        pairs = _gm_update(leads, t, pairs)
+    return pairs
 
 
 # The key and basis of the last buchberger_reduced computation: one entry,
@@ -204,52 +206,49 @@ def buchberger_reduced(gens):
 
 
 def _reduced_basis(start):
-    """Buchberger's algorithm on a nonempty list of nonzero generators."""
+    """Buchberger's algorithm on a nonempty list of nonzero generators.
+
+    The basis is held as monic (lead, tail) reducers; Polynomials are built for the output only.
+    """
     field, nvars = start[0].field, start[0].nvars
-    G = []
-    pairs = []
-    for g in start:
-        pairs = _gm_update(G, pairs, g.monic())
-    reducers = _reducers(G)  # grows with G
+    reducers = _reducers(start)
+    leads = [lead for lead, _ in reducers]
+    pairs = _pairs_of(leads)
     while pairs:
-        best = min(range(len(pairs)), key=lambda k: (pairs[k][0], pairs[k][1], pairs[k][2]))
-        L, i, j = pairs.pop(best)
+        _, i, j = pair = min(pairs)
+        pairs.remove(pair)
         rem = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
         if rem:
-            r = Polynomial.from_dict(field, nvars, rem).monic()
-            pairs = _gm_update(G, pairs, r)
-            reducers += _reducers([r])
+            (lead, c), *tail = sorted(rem.items(), reverse=True)
+            inv = field.div(field.one, c)
+            reducers.append((lead, tuple([(m, _integral(inv * v)) for m, v in tail])))
+            leads.append(lead)
+            pairs = _gm_update(leads, len(leads) - 1, pairs)
     # minimalize: drop elements whose lead is divisible by another lead
-    G.sort(key=lambda g: g.lt)
+    reducers.sort(key=lambda r: r[0])
     minimal = []
-    for g in G:
-        if not any(mono_divides(h.lt, g.lt) for h in minimal):
-            minimal.append(g)
-    # interreduce tails
-    reduced = []
-    for k, g in enumerate(minimal):
-        rem = _normal_form_dict(dict(g.terms), _reducers(minimal[:k] + minimal[k + 1:]))
-        reduced.append(Polynomial.from_dict(field, g.nvars, rem).monic())
-    reduced.sort(key=lambda g: g.lt, reverse=True)
-    return tuple(reduced)
+    for lead, tail in reducers:
+        if not any(mono_divides(m, lead) for m, _ in minimal):
+            minimal.append((lead, tail))
+    # interreduce tails (no lead divides a term below it, so its own reducer never acts)
+    basis = []
+    for lead, tail in reversed(minimal):
+        rem = _normal_form_dict(dict(tail), minimal)
+        rem[lead] = field.one
+        basis.append(Polynomial.from_dict(field, nvars, rem))
+    return tuple(basis)
 
 
 def is_groebner_basis(fs):
-    """Check Buchberger's criterion directly (coprime pairs skipped)."""
+    """Check Buchberger's criterion on the pairs that the Gebauer-Moeller update keeps."""
     reducers = _reducers([f for f in fs if not f.is_zero])
-    return _criterion_holds(reducers, _critical_pairs([lead for lead, _ in reducers]))
-
-
-def _critical_pairs(leads):
-    """The index pairs i < j of leads that are not coprime, in combination order."""
-    return [(i, j) for i, j in itertools.combinations(range(len(leads)), 2)
-            if mono_lcm(leads[i], leads[j]) != mono_mul(leads[i], leads[j])]
+    return _criterion_holds(reducers, _pairs_of([lead for lead, _ in reducers]))
 
 
 def _criterion_holds(reducers, pairs):
-    """Whether the S-pair of every index pair of monic (lead, tail) reducers reduces to 0."""
+    """Whether the S-pair of every pair (L, i, j) of monic (lead, tail) reducers reduces to 0."""
     return not any(_normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
-                   for i, j in pairs)
+                   for _, i, j in pairs)
 
 
 def leading_term_ideal(gb):
@@ -258,11 +257,6 @@ def leading_term_ideal(gb):
     if not gb:
         raise ValueError("empty basis")
     return MonomialIdeal(gb[0].nvars, [g.lt for g in gb])
-
-
-def ideals_equal(gens_a, gens_b):
-    """Whether two generating sets span the same ideal (via reduced GBs)."""
-    return buchberger_reduced(gens_a) == buchberger_reduced(gens_b)
 
 
 # ---------------------------------------------------------------------------

@@ -461,12 +461,6 @@ class UniPoly:
             return UniPoly.zero(self.field)
         return UniPoly(self.field, tuple(c * x for x in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by y^k."""
-        if not self.coeffs:
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def __divmod__(self, other):
         return divide_univariate(self, other)
 

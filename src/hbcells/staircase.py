@@ -92,16 +92,6 @@ class Staircase:
     def standard_monomials(self):
         return [(a, b) for a in range(self.t) for b in range(self.m[self.t - a])]
 
-    def hilbert_function(self):
-        """h_j = number of standard monomials of degree j."""
-        if self.colength == 0:
-            return ()
-        counts = {}
-        for a in range(self.t):
-            for b in range(self.m[self.t - a]):
-                counts[a + b] = counts.get(a + b, 0) + 1
-        return tuple(counts.get(j, 0) for j in range(max(counts) + 1))
-
     def __lt__(self, other):
         return self.m < other.m
 

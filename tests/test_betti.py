@@ -9,8 +9,7 @@ import random
 import pytest
 
 from hbcells.betti import (betti_numbers, g_dim, graded_matrix, lex_codim,
-                           monomial_betti, resolution_degrees,
-                           stratum_descriptor, strata_descriptors)
+                           resolution_degrees, stratum_descriptor, strata_descriptors)
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.groebner import graded_beta0_profile
@@ -19,6 +18,11 @@ from hbcells.hilbert_burch import (cell_matrix_from_parameters, degree_matrix,
 from hbcells.staircase import HSeries, Staircase, enumerate_staircases
 
 E4 = Staircase((0, 1, 3, 4, 4, 5, 7))  # d = (1,2,1,0,1,2)
+
+
+def monomial_betti(E):
+    """BettiTable of the monomial ideal E itself (all parameters zero)."""
+    return betti_numbers(E, {s: 0 for s in slot_set(E)})
 
 
 # -- resolution degrees --------------------------------------------------------

@@ -1,5 +1,6 @@
 """Buchberger engine: S-polynomials, reduction, reduced bases, oracles."""
 
+import collections
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from hbcells import groebner
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
+from hbcells.generic_cells import generic_family
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
                               graded_beta0_profile, graded_minimal_generators, is_groebner_basis,
                               leading_term_ideal, normal_form, reduce,
@@ -238,6 +240,73 @@ def test_unit_ideal():
     assert gb == [P("1")]
     E = leading_term_ideal(gb)
     assert E.gens == ((0, 0),) and colength(E) == 0
+
+
+def _all_pairs_criterion(fs):
+    """Buchberger's criterion on every pair, through the public S-polynomial and division."""
+    fs = [f for f in fs if not f.is_zero]
+    return all(normal_form(s_polynomial(f, g), fs).is_zero
+               for f, g in itertools.combinations(fs, 2))
+
+
+def _random_sparse(rng, field, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[mono] = rng.choice(field.elements()) if field.char else field.of(rng.randint(-3, 3))
+    return Polynomial(field, nvars, terms)
+
+
+def _variants(rng, field, gb):
+    """Truncated, duplicated, redundant and perturbed versions of a reduced basis."""
+    nvars = gb[0].nvars
+    x = Polynomial.variable(field, nvars, rng.randrange(nvars))
+    out = [gb, gb[:-1], gb[1:], gb + [gb[0]], [gb[-1]] + gb,
+           gb + [gb[0] * x + gb[-1].scale(_random_unit(rng, field))]]
+    for g in gb:  # one member's tail gains a term
+        below = [m for m in itertools.product(range(3), repeat=nvars) if m < g.lt]
+        if below:
+            c = _random_unit(rng, field)
+            bumped = g + Polynomial.monomial(field, nvars, rng.choice(below), c)
+            out.append([bumped if h is g else h for h in gb])
+    return out
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(4)], ids=["QQ", "GF2", "GF3", "GF4"])
+def test_is_groebner_basis_agrees_with_the_all_pairs_criterion(field, nvars):
+    # the Gebauer-Moeller pairs decide exactly what every pair decides, on
+    # bases with redundant, repeated and perturbed members as well
+    rng = random.Random(31 * nvars + (field.size if field.char else 0))
+    verdicts = collections.Counter()
+    while sum(verdicts.values()) < 1000:
+        gens = [g for g in (_random_sparse(rng, field, nvars) for _ in range(rng.randint(2, 3)))
+                if not g.is_zero]
+        if not gens:
+            continue
+        gb = buchberger_reduced(gens)
+        if len(gb) < 2:  # one member: every variant below is a Groebner basis
+            continue
+        for fs in _variants(rng, field, gb) + [gens]:
+            expected = _all_pairs_criterion(fs)
+            assert is_groebner_basis(fs) == expected, fs
+            verdicts[expected] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+
+def test_pairs_of_staircase_leads_are_the_adjacent_pairs():
+    # the syzygies of x^(t-i) y^(m_i) are the columns of M0(E): consecutive
+    # minimal generators, and none for the coprime (x^a, y^b)
+    for d in range(1, 13):
+        for E in enumerate_staircases(d):
+            leads = E.generators(minimal=True)
+            family = generic_family(leads, 2, graded=False)
+            assert [lead for lead, _ in family.members] == leads
+            pairs = [(i, j) for _, i, j in groebner._pairs_of(leads)]
+            if len(leads) == 2:
+                assert pairs == [], E
+            else:
+                assert pairs == [(k - 1, k) for k in range(1, len(leads))], E
 
 
 # -- colength -----------------------------------------------------------------

@@ -308,10 +308,9 @@ def test_round_trip_is_exact():
 
 def test_round_trip_other_generators():
     # generators that are NOT the minors still canonicalize to the same ideal
-    from hbcells.groebner import ideals_equal
     gens = parse_ideal("x^2 - y^3, x*y", ("x", "y"))
     E, N = canonical_matrix(gens)
-    assert ideals_equal(minors_ideal(N), gens)
+    assert buchberger_reduced(minors_ideal(N)) == buchberger_reduced(gens)
     E2, N2 = canonical_matrix(minors_ideal(N))
     assert (E2, N2) == (E, N)
 
