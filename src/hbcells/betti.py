@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import FFElement, QQ
-from .linalg import rank
+from .linalg import echelon_insert
 from .poly import Polynomial
 from .staircase import HSeries, Staircase, lex_segment_from_hseries
 from .hilbert_burch import FRAME_CACHE_SIZE, slot_set
@@ -79,16 +79,22 @@ def _strand(d, rows, cols):
     return tuple(out)
 
 
-def _numeric(entries, assignment, field):
-    """Rows of tags with parameters replaced by their values, read in ``field``."""
-    if field.char:  # an int or Fraction value maps into the field, never stays an integer
-        assignment = {s: v if isinstance(v, FFElement) else field.of(v)
-                      for s, v in assignment.items()}
-    values = {"one": field.one, "zero": field.zero}
-    out = []
+def _tag_text(tag):
+    """An entry of M(p)_j as displayed: 1, 0 or p_{i1 i2}."""
+    if tag[0] == "p":
+        return f"p_{{{tag[1]}{tag[2]}}}"
+    return "1" if tag[0] == "one" else "0"
+
+
+def _numeric(entries, assignment, one):
+    """Each row of tags as a dict column -> value, zero values dropped."""
     for row in entries:
-        out.append([values[tag[0]] if len(tag) == 1 else assignment[tag[1:]] for tag in row])
-    return out
+        values = {}
+        for k, tag in enumerate(row):
+            v = one if tag[0] == "one" else assignment[tag[1:]] if tag[0] == "p" else 0
+            if v:
+                values[k] = v
+        yield values
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -149,18 +155,11 @@ class GradedPieceMatrix:
 
     def to_latex(self):
         """Bordered display of M(p)_j with the degree j on both borders."""
-        def cell(tag):
-            if tag[0] == "one":
-                return "1"
-            if tag[0] == "zero":
-                return "0"
-            return f"p_{{{tag[1]}{tag[2]}}}"
-
         ncols = len(self.cols)
         lines = [r"\begin{array}{r|" + "c" * max(ncols, 1) + "}"]
         lines.append(" & " + " & ".join([str(self.j)] * ncols) + r" \\ \hline")
         for row in self.entries:
-            lines.append(f"{self.j} & " + " & ".join(cell(tag) for tag in row) + r" \\")
+            lines.append(f"{self.j} & " + " & ".join(map(_tag_text, row)) + r" \\")
         lines.append(r"\end{array}")
         return "\n".join(lines)
 
@@ -220,14 +219,16 @@ def betti_numbers(E, assignment, field=QQ):
     unknown = [s for s in assignment if s not in known]
     if unknown:
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
-    rd = resolution_degrees(E)
-    d = E.d
+    if field.char:  # an int or Fraction value maps into the field, never stays an integer
+        assignment = {s: v if isinstance(v, FFElement) else field.of(v)
+                      for s, v in assignment.items()}
     data = {}
-    for j in rd.degrees():
-        rows, cols = rd.w(j), rd.v(j)
-        r = rank(_numeric(_strand(d, rows, cols), assignment, field))
-        b0 = len(rows) - r
-        b1 = len(cols) - r
+    for j in resolution_degrees(E).degrees():
+        gm = graded_matrix(E, j)
+        echelon = {}
+        r = sum(echelon_insert(echelon, row) is not None
+                for row in _numeric(gm.entries, assignment, field.one))
+        b0, b1 = len(gm.rows) - r, len(gm.cols) - r
         if b0 or b1:
             data[j] = (b0, b1)
     return BettiTable(data)
@@ -318,10 +319,7 @@ def lex_codim(E, j, u):
     """
     if not E.is_lex_segment:
         raise DomainError(f"{E} is not a lex segment")
-    gm = graded_matrix(E, j)
-    shared = len(set(gm.rows) & set(gm.cols))
-    beta0 = len(gm.rows) - shared
-    beta1 = len(gm.cols) - shared
+    beta0, beta1 = graded_matrix(E, j).star_shape
     if not (beta0 - beta1 <= u <= beta0):
         raise DomainError(
             f"u={u} outside [{max(beta0 - beta1, 0)}, {beta0}]: stratum empty or full")

@@ -196,10 +196,7 @@ def cmd_stratum(args):
 
     def text():
         gm = desc.matrix
-        tags = {"one": "1", "zero": "0"}
-        star = [
-            [tags.get(tag[0], f"p_{{{tag[1]}{tag[2]}}}" if len(tag) > 2 else "?") for tag in row]
-            for row in gm.star_entries]
+        star = [list(map(betti_mod._tag_text, row)) for row in gm.star_entries]
         lines = [f"j={desc.j} u={desc.u} rank_bound={desc.rank_bound}",
                  f"star rows {list(gm.star_rows)} cols {list(gm.star_cols)}"]
         if star:
@@ -248,22 +245,22 @@ def cmd_generic(args):
 
 def cmd_census(args):
     census = census_mod.cell_census(args.d)
+    payload = census.to_json()
+    if args.q is not None:
+        payload["at_q"] = at_q = {"q": args.q, "total": census.evaluate(args.q)}
+        if args.brute_force:
+            at_q["brute_force"] = census_mod.brute_force_ideal_count(args.d, args.q)
 
     def text():
         lines = [f"{E}: " + " ".join(f"{k}={v}" for k, v in sorted(dims.items(), key=lambda kv: kv[0].value))
                  for E, dims in census.records]
         lines.append(f"total = {census.total_string()}")
         if args.q is not None:
-            lines.append(f"total({args.q}) = {census.evaluate(args.q)}")
+            lines.append(f"total({args.q}) = {at_q['total']}")
             if args.brute_force:
-                lines.append(f"brute_force({args.q}) = {census_mod.brute_force_ideal_count(args.d, args.q)}")
+                lines.append(f"brute_force({args.q}) = {at_q['brute_force']}")
         return "\n".join(lines)
 
-    payload = census.to_json()
-    if args.q is not None:
-        payload["at_q"] = {"q": args.q, "total": census.evaluate(args.q)}
-        if args.brute_force:
-            payload["at_q"]["brute_force"] = census_mod.brute_force_ideal_count(args.d, args.q)
     _emit(args, text, payload)
     return 0
 

@@ -65,13 +65,10 @@ def degree_matrix(E):
 
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def slot_set(E):
-    """S(E): pairs (i,j), j < i, with 0 <= u_ij < d_j, in column-major order.
-
-    u_ij is computed as in :func:`degree_matrix`, but only below the diagonal.
-    """
-    m, n = E.m, len(E.m)
-    return tuple([(i, j) for j in range(1, n) for i in range(j + 1, n + 1)
-                  if 0 <= m[j] - m[i - 1] + i - j < m[j] - m[j - 1]])
+    """S(E): pairs (i,j), j < i, with 0 <= u_ij < d_j, in column-major order."""
+    U, d, t = degree_matrix(E), E.d, E.t
+    return tuple([(i, j) for j in range(1, t + 1) for i in range(j + 1, t + 2)
+                  if 0 <= U[i - 1][j - 1] < d[j - 1]])
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

@@ -39,14 +39,3 @@ def echelon_insert(echelon, row):
         row = new
     return None
 
-
-def rank(rows):
-    """Rank of a list of dict-rows (or list-rows) with exact entries."""
-    echelon = {}
-    r = 0
-    for row in rows:
-        if not isinstance(row, dict):
-            row = {i: v for i, v in enumerate(row) if v}
-        if echelon_insert(echelon, row) is not None:
-            r += 1
-    return r

@@ -145,7 +145,7 @@ class HSeries:
     h: tuple
 
     def __init__(self, h):
-        h = tuple(int(v) for v in h)
+        h = tuple(map(operator.index, h))
         if not h:
             raise DomainError("empty Hilbert function")
         if h[0] != 1:

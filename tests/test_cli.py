@@ -176,6 +176,26 @@ def test_census_subcommand(capsys):
     assert data["at_q"] == {"q": 2, "total": 24, "brute_force": 24}
 
 
+def test_census_brute_force_counts_once_in_every_format(capsys, monkeypatch):
+    import hbcells.census as census_mod
+    count = census_mod.brute_force_ideal_count
+    calls = []
+
+    def spy(d, q):
+        calls.append((d, q))
+        return count(d, q)
+
+    monkeypatch.setattr(census_mod, "brute_force_ideal_count", spy)
+    outs = {}
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, outs[fmt], _ = run(capsys, "census", "--d", "2", "--q", "3", "--brute-force",
+                                 "--format", fmt)
+        assert code == 0 and calls == [(2, 3)], fmt
+    assert outs["text"].endswith("total(3) = 108\nbrute_force(3) = 108\n")
+    assert json.loads(outs["json"])["at_q"] == {"q": 3, "total": 108, "brute_force": 108}
+
+
 def test_census_q_is_a_prime_power(capsys):
     for q in ("-3", "0", "1", "6", "12", "x", "2.0", str(2**31)):
         code, out, err = run(capsys, "census", "--d", "2", "--q", q)

@@ -192,3 +192,15 @@ def test_readme_api_table_names_public_api():
     assert len(names) >= 30 and "brute_force_ideal_count" in names
     for name in names:
         assert name in hbcells.__all__ and hasattr(hbcells, name), name
+
+
+def test_readme_layout_lists_every_module():
+    # the README's Layout block names each module of src/hbcells once, so a
+    # module added or deleted without its line fails here
+    root = pathlib.Path(__file__).parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme[readme.index("## Layout"):].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    modules = sorted(p.name for p in (root / "src" / "hbcells").glob("*.py")
+                     if p.name != "__init__.py")
+    assert sorted(listed) == modules and len(listed) == len(set(listed))

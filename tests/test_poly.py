@@ -112,6 +112,19 @@ def test_gf_gives_one_shared_field_per_order():
     assert GF(4).of(3) == GF(4).of(1)
 
 
+def test_gf_returns_a_known_order_without_testing_primality(monkeypatch):
+    import hbcells.field as field_mod
+    first = GF(2147483647)
+    tested = []
+    monkeypatch.setattr(field_mod, "_is_prime", lambda p: tested.append(p) or True)
+    assert GF(2147483647) is first and GF(5) is GF5 and tested == []
+    # a look-up by value alone would take 5.0 for 5; non-int orders keep being refused
+    monkeypatch.undo()
+    for q in (5.0, 6, True, 2.0, "5"):
+        with pytest.raises(ValueError, match="field order must be a prime below 2"):
+            GF(q)
+
+
 def test_mixing_finite_field_elements_raises_domain_error():
     with pytest.raises(DomainError):
         GF(5).one + PrimeField(5).one  # a separately built field of the same order

@@ -115,6 +115,17 @@ def test_hseries_admissibility():
         HSeries((1, 2, 1, 2))
 
 
+def test_hseries_rejects_non_integer_entries():
+    # as Staircase does: a float or a string is refused, never truncated
+    for h in ((1, 2.5, 1), (1, 2.0, 1), ("1", "2", "1"), (1.0,)):
+        with pytest.raises(TypeError):
+            HSeries(h)
+        with pytest.raises(TypeError):
+            lex_segment_from_hseries(h)
+    assert HSeries([1, 2, 1]).h == (1, 2, 1)
+    assert lex_segment_from_hseries((1, 2, 1)).m == (0, 1, 3)
+
+
 def test_hseries_derived_data():
     h = HSeries((1, 2, 1))
     assert h.c == 2 and h.s == 2
