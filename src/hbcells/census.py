@@ -12,7 +12,8 @@ parameters has a table of its q^n monic (lead, tail) forms, built once per
 staircase, and a point is one choice from every table.  Each point runs the
 criterion of ``groebner.is_groebner_basis`` through the same helper, on the
 staircase's adjacent pairs, which the Gebauer-Moeller update keeps for its
-leads.  ``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points.
+leads.  ``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points, and
+``CENSUS_STAIRCASE_LIMIT`` the number of staircases of a census.
 """
 
 from __future__ import annotations
@@ -58,8 +59,37 @@ class CellCensus:
         }
 
 
+# The most staircases cell_census enumerates: colength 32 has 8,349 and runs
+# in about 0.5 s, colength 33 has 10,143 and is refused.
+CENSUS_STAIRCASE_LIMIT = 10_000
+
+
+def _staircase_count(d, cap):
+    """p(d), the number of staircases of colength d, by Euler's pentagonal
+    recurrence; it stops at the first p(n) > cap, n <= d, and returns that."""
+    p = [1]
+    for n in range(1, d + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * (p[n - g] + (p[n - g - k] if g + k <= n else 0))
+            k += 1
+        p.append(total)
+        if total > cap:
+            break
+    return p[-1]
+
+
 def cell_census(d):
-    """The dimensions of the four cells of every staircase of colength d."""
+    """The dimensions of the four cells of every staircase of colength d.
+
+    A colength with more than ``CENSUS_STAIRCASE_LIMIT`` staircases raises
+    DomainError before any is enumerated.
+    """
+    if (count := _staircase_count(d, CENSUS_STAIRCASE_LIMIT)) > CENSUS_STAIRCASE_LIMIT:
+        raise DomainError(
+            f"the census at colength {d} has {count} staircases or more, over the budget "
+            f"of {CENSUS_STAIRCASE_LIMIT} (census.CENSUS_STAIRCASE_LIMIT)")
     records = []
     total = {}
     for E in enumerate_staircases(d):

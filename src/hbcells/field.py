@@ -273,7 +273,7 @@ def GF(q):
     """The finite field of order q, one shared object per order; q must be prime or 4."""
     if type(q) is int and q in _FIELDS:  # 5.0 == 5 and hashes alike, so only an int looks up
         return _FIELDS[q]
-    field = QuarticField() if q == 4 else PrimeField(q)
+    field = QuarticField() if isinstance(q, int) and q == 4 else PrimeField(q)
     return _FIELDS.setdefault(field.size, field)
 
 

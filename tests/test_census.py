@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from hbcells import census
-from hbcells.census import BRUTE_FORCE_POINT_LIMIT, brute_force_ideal_count, cell_census
+from hbcells.census import (BRUTE_FORCE_POINT_LIMIT, CENSUS_STAIRCASE_LIMIT,
+                            brute_force_ideal_count, cell_census)
 from hbcells.errors import DomainError
 from hbcells.field import GF
 from hbcells.generic_cells import generic_family, instantiate
@@ -41,6 +42,32 @@ def test_census_json():
     assert data["total"] == "q^4 + q^3"
     assert [cell["m"] for cell in data["cells"]] == [[0, 1, 1], [0, 2]]
     assert data["cells"][1]["dims"] == {"V0": 4, "V1": 2, "V2": 1, "V3": 1}
+
+
+def test_staircase_count_is_the_partition_number():
+    assert [census._staircase_count(d, 10**9) for d in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert all(census._staircase_count(d, 10**9) == len(enumerate_staircases(d))
+               for d in range(1, 21))
+    assert census._staircase_count(100, 10**9) == 190_569_292
+    # the recurrence stops at the first count over the cap
+    assert census._staircase_count(10**12, CENSUS_STAIRCASE_LIMIT) == 10_143
+
+
+def test_census_refuses_a_colength_over_the_staircase_budget(monkeypatch):
+    enumerated = []
+    monkeypatch.setattr(census, "enumerate_staircases", lambda d: enumerated.append(d) or [])
+    start = time.perf_counter()
+    for d in (33, 100, 10**12):
+        with pytest.raises(DomainError, match=r"colength \d+ has 10143 staircases or more, "
+                                              r"over the budget of 10000"):
+            cell_census(d)
+    assert time.perf_counter() - start < 1 and enumerated == []
+
+
+def test_census_runs_the_largest_colength_within_the_budget():
+    c = cell_census(32)
+    assert len(c.records) == sum(c.total.values()) == 8_349 <= CENSUS_STAIRCASE_LIMIT
+    assert c.total_string().startswith("q^64 + q^63 + 2*q^62")
 
 
 def test_brute_force_trivial_count():

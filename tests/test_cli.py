@@ -221,6 +221,15 @@ def test_census_brute_force_budget(capsys):
                           "has 4611686014132420609 points, over the budget of 500000")
 
 
+def test_census_staircase_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "--d", "100")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("domain error: the census at colength 100 has 10143 staircases or more, "
+                   "over the budget of 10000 (census.CENSUS_STAIRCASE_LIMIT)\n")
+
+
 def test_latex_output(capsys):
     code, out, _ = run(capsys, "frame", "--m", "0,3,3,5", "--format", "latex")
     assert code == 0 and out.startswith(r"\begin{array}")

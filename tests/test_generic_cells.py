@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections.abc import Sequence
 
@@ -289,13 +290,18 @@ def test_elimination_widens_exponent_fields_when_they_overflow(monkeypatch):
     assert len(widths) >= 2 and widths[0] == eqs.packing.width and widths == sorted(set(widths))
 
 
-def _reference_equations(family):
+def _coprime(a, b):
+    return not any(i and j for i, j in zip(a, b))
+
+
+def _reference_equations(family, all_pairs=False):
     """The S-pair reduction written with Polynomial coefficients in the parameters.
 
     Each member becomes a monic (lead, tail) pair whose tail coefficients are
-    the Polynomials -a_k; every S-pair (``_s_pair``) is divided by the members
-    with ``_normal_form_dict``, and the remainder coefficients, in decreasing
-    monomial order, go through ``_normalize``.
+    the Polynomials -a_k; every S-pair (``_s_pair``) of two members whose leads
+    share a variable, or of any two members with ``all_pairs``, is divided by
+    the members with ``_normal_form_dict``, and the remainder coefficients, in
+    decreasing monomial order, go through ``_normalize``.
     """
     npar = family.nparams
 
@@ -307,6 +313,8 @@ def _reference_equations(family):
                 for lead, support in family.members]
     eqs = []
     for a, b in itertools.combinations(reducers, 2):
+        if not all_pairs and _coprime(a[0], b[0]):
+            continue
         rem = _normal_form_dict(_s_pair(a, b), reducers)
         eqs.extend(rem[mono] for mono in sorted(rem, reverse=True))
     return _normalize(eqs)
@@ -333,7 +341,50 @@ def test_buchberger_equations_match_the_polynomial_coefficient_reduction():
         seen["families"] += 1
         seen["equations"] += len(eqs)
         seen["fraction"] += any(isinstance(c, Fraction) for eq in eqs for _, c in eq.terms)
-    assert seen == {"families": 266, "equations": 1904, "fraction": 27}, seen
+    assert seen == {"families": 266, "equations": 1614, "fraction": 11}, seen
+
+
+def test_coprime_pairs_add_no_equation_to_the_report():
+    # the product criterion: the all-pairs list only adds equations, and the
+    # elimination ends the same, substitution log included
+    dropped = 0
+    for fam in _generic_elim_families():
+        eqs = buchberger_equations(fam)
+        full = _reference_equations(fam, all_pairs=True)
+        rest = iter(eq.to_str(fam.names) for eq in full)
+        assert all(eq.to_str(fam.names) in rest for eq in eqs), fam.E.gens
+        dropped += len(full) - len(eqs)
+        assert (eliminate_linear(full, fam.nparams, fam.names).to_json(with_log=True)
+                == eliminate_linear(eqs, fam.nparams, fam.names).to_json(with_log=True))
+    assert dropped == 1904 - 1614
+
+
+@pytest.mark.parametrize("q, expected", [
+    (2, {"families": 50, "points": 20683, "groebner": 7591}),
+    (3, {"families": 38, "points": 4936, "groebner": 4924}),
+])
+def test_equations_vanish_exactly_at_the_groebner_points_over_small_fields(q, expected):
+    # every 2-variable family of colength <= 6 with at most 5,000 points over F_q
+    F = GF(q)
+    seen = {"families": 0, "points": 0, "groebner": 0}
+    for d in range(1, 7):
+        for E in enumerate_staircases(d):
+            for graded in (True, False):
+                fam = generic_family(E.generators(minimal=True), 2, graded)
+                if q ** fam.nparams > 5000:
+                    continue
+                eqs = buchberger_equations(fam)
+                unpack = eqs.packing.unpack
+                rows = [[(unpack(key), c) for key, c in terms] for terms in eqs.rows]
+                for point in itertools.product(range(q), repeat=fam.nparams):
+                    vanish = all(sum(c * math.prod(v ** e for v, e in zip(point, mono))
+                                     for mono, c in terms) % q == 0 for terms in rows)
+                    members = instantiate(fam, [F.of(v) for v in point], F)
+                    assert vanish == is_groebner_basis(members), (E.m, graded, point)
+                    seen["points"] += 1
+                    seen["groebner"] += vanish
+                seen["families"] += 1
+    assert seen == expected
 
 
 def test_buchberger_equations_hold_no_integral_fraction():
@@ -346,7 +397,7 @@ def test_buchberger_equations_hold_no_integral_fraction():
                     count += 1
                     assert not any(isinstance(c, Fraction) and c.denominator == 1
                                    for _, c in eq.terms), eq.terms
-    assert count == 516
+    assert count == 347
 
 
 def test_buchberger_equations_widen_exponent_fields_when_they_overflow(monkeypatch):

@@ -118,9 +118,10 @@ def test_gf_returns_a_known_order_without_testing_primality(monkeypatch):
     tested = []
     monkeypatch.setattr(field_mod, "_is_prime", lambda p: tested.append(p) or True)
     assert GF(2147483647) is first and GF(5) is GF5 and tested == []
-    # a look-up by value alone would take 5.0 for 5; non-int orders keep being refused
+    # a look-up by value alone would take 5.0 for 5; non-int orders keep being
+    # refused, 4.0 as well, though 4.0 == 4 is the order of QuarticField
     monkeypatch.undo()
-    for q in (5.0, 6, True, 2.0, "5"):
+    for q in (5.0, 6, True, 2.0, "5", 4.0, "4", Fraction(4)):
         with pytest.raises(ValueError, match="field order must be a prime below 2"):
             GF(q)
 
