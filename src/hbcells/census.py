@@ -9,16 +9,18 @@ once and no dimension formula enters the oracle side.
 
 The points are enumerated member by member: each family member with n
 parameters has a table of its q^n monic (lead, tail) forms, built once per
-staircase, and a point is one choice from every table.  Each point runs the
-criterion of ``groebner.is_groebner_basis`` through the same helper, on the
+staircase, and a point is one choice from every table.  The criterion of
+``groebner.is_groebner_basis`` runs through the same helper, on the
 staircase's adjacent pairs, which the Gebauer-Moeller update keeps for its
-leads.  ``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points, and
+leads: each pair once per choice of the suffix it reduces by (``_accepted``).
+``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points, and
 ``CENSUS_STAIRCASE_LIMIT`` the number of staircases of a census.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -106,8 +108,8 @@ def cell_census(d):
 BRUTE_FORCE_POINT_LIMIT = 500_000
 
 
-def _points(family, elems):
-    """Every parameter point of ``family`` as the tuple of its members' monic (lead, tail) forms.
+def _tables(family, elems):
+    """The option tables of ``family``'s members, whose product is every parameter point.
 
     Each member with n parameters gets a table of its q^n forms: a tail is
     ((m, -v), ...) in support order with the zero values dropped, as
@@ -121,7 +123,37 @@ def _points(family, elems):
         tables.append([
             (lead, tuple([(m, -v) for m, v in zip(monos, values) if v]))
             for values in itertools.product(elems, repeat=len(monos))])
-    return itertools.product(*tables)
+    return tables
+
+
+def _accepted(tables, pairs):
+    """The number of points of ``tables`` whose S-pairs ``pairs`` (L, i, j), i < j, reduce to 0.
+
+    Member f_i has lead x^(t-i) y^(m_i), and no term of the S-pair of (i, j)
+    or of its reduction has x-degree above t - i: only f_i, ..., f_t divide
+    its terms, so it reduces as by all members.  The walk chooses f_t down
+    to f_0, checks the pairs of f_k on the suffix (f_k, ..., f_t) as soon
+    as f_k is chosen, and prunes the subtree when one fails.  Below the
+    lowest pair, as for (x^a, y^b) with none, every completion is accepted
+    and is counted, not walked.
+    """
+    low = min([i for _, i, _ in pairs], default=len(tables))
+    free = math.prod(map(len, tables[:low]))
+    checks = [[] for _ in tables]
+    for L, i, j in pairs:
+        checks[i].append((L, 0, j - i))
+
+    def walk(k, suffix):
+        if k < low:
+            return free
+        count = 0
+        for f in tables[k]:
+            s = (f, *suffix)
+            if _criterion_holds(s, checks[k]):
+                count += walk(k - 1, s)
+        return count
+
+    return walk(len(tables) - 1, ())
 
 
 def brute_force_ideal_count(d, q):
@@ -130,10 +162,10 @@ def brute_force_ideal_count(d, q):
     Kept to d <= 3: the parameter spaces grow as q^N with N up to 8 already
     at colength 3.  The points of all staircases together, the sum of
     q^nparams, are bounded by ``BRUTE_FORCE_POINT_LIMIT``: a larger count
-    raises DomainError before any point is enumerated.  The points of a
-    staircase come from its members' option tables (``_points``), and each
-    is counted when it passes the criterion of ``is_groebner_basis`` on the
-    pairs of ``groebner._pairs_of``, found once per staircase.
+    raises DomainError before any option table is built.  The points of a
+    staircase come from its members' option tables (``_tables``), and
+    ``_accepted`` counts those passing the criterion of ``is_groebner_basis``
+    on the pairs of ``groebner._pairs_of``, found once per staircase.
     """
     if d < 1:
         raise ValueError("colength must be at least 1")
@@ -153,5 +185,5 @@ def brute_force_ideal_count(d, q):
     count = 0
     for family in families:
         pairs = _pairs_of([lead for lead, _ in family.members])
-        count += sum(1 for point in _points(family, elems) if _criterion_holds(point, pairs))
+        count += _accepted(_tables(family, elems), pairs)
     return count

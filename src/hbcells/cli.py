@@ -244,6 +244,8 @@ def cmd_generic(args):
 
 
 def cmd_census(args):
+    if args.brute_force and args.q is None:
+        raise UsageExit("--brute-force needs --q, the order of the field GF(q)")
     census = census_mod.cell_census(args.d)
     payload = census.to_json()
     if args.q is not None:

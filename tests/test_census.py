@@ -1,6 +1,7 @@
 """Census totals against exhaustive ideal counts over small fields."""
 
 import itertools
+import random
 import time
 from collections import Counter
 
@@ -12,9 +13,9 @@ from hbcells.census import (BRUTE_FORCE_POINT_LIMIT, CENSUS_STAIRCASE_LIMIT,
 from hbcells.errors import DomainError
 from hbcells.field import GF
 from hbcells.generic_cells import generic_family, instantiate
-from hbcells.groebner import is_groebner_basis
+from hbcells.groebner import _pairs_of, is_groebner_basis
 from hbcells.hilbert_burch import CellKind
-from hbcells.poly import _reducers
+from hbcells.poly import _normal_form_dict, _reducers, _s_pair
 from hbcells.staircase import enumerate_staircases
 
 
@@ -79,6 +80,12 @@ def test_brute_force_matches_census(d, q):
     assert brute_force_ideal_count(d, q) == cell_census(d).evaluate(q)
 
 
+@pytest.mark.parametrize("q,count", [(3, 1053), (4, 5376), (5, 19375)])
+def test_brute_force_matches_census_at_colength_3(q, count):
+    # (3, 5) has 406,875 points, the most the point budget lets through
+    assert brute_force_ideal_count(3, q) == cell_census(3).evaluate(q) == count
+
+
 def test_brute_force_matches_census_gf4():
     assert brute_force_ideal_count(1, 4) == 16
     assert brute_force_ideal_count(2, 4) == cell_census(2).evaluate(4) == 320
@@ -89,20 +96,45 @@ def test_brute_force_refuses_large_colength():
         brute_force_ideal_count(4, 2)
 
 
-@pytest.mark.parametrize("d,q", [(d, q) for d in (1, 2) for q in (2, 3, 4, 5)] + [(3, 2)])
+@pytest.mark.parametrize("d,q", [(d, q) for d in (1, 2) for q in (2, 3, 4, 5)] + [(3, 2), (3, 3)])
 def test_brute_force_matches_the_literal_criterion_per_staircase(d, q, monkeypatch):
-    # the option tables give, point by point and in order, the reducers of the
-    # instantiated family, and each staircase counts what is_groebner_basis accepts
+    # the product of the option tables gives, point by point and in order, the
+    # reducers of the instantiated family, and each staircase counts what
+    # is_groebner_basis accepts
     field = GF(q)
     elems = field.elements()
     for E in enumerate_staircases(d):
         family = generic_family(E.generators(minimal=True), 2, graded=False)
         values = list(itertools.product(elems, repeat=family.nparams))
-        assert list(census._points(family, elems)) == [
+        assert list(itertools.product(*census._tables(family, elems))) == [
             tuple(_reducers(instantiate(family, v, field))) for v in values]
         monkeypatch.setattr(census, "enumerate_staircases", lambda d, E=E: [E])
         assert brute_force_ideal_count(d, q) == sum(
             is_groebner_basis(instantiate(family, v, field)) for v in values), E
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_pair_reduces_by_the_suffix_of_its_lower_member(q):
+    # member f_i has lead x^(t-i) y^(m_i), so no term of the S-pair of (i, j),
+    # i < j, nor of its reduction, is divisible by the lead of f_0..f_(i-1):
+    # the suffix f_i..f_t leaves the same remainder as the whole basis
+    field = GF(q)
+    rng = random.Random(q)
+    nonzero = Counter()
+    for d in range(1, 7):
+        for E in enumerate_staircases(d):
+            family = generic_family(E.generators(minimal=True), 2, graded=False)
+            pairs = _pairs_of([lead for lead, _ in family.members])
+            assert all(i < j for _, i, j in pairs), E
+            for _ in range(40):
+                values = [rng.choice(field.elements()) for _ in range(family.nparams)]
+                reducers = _reducers(instantiate(family, values, field))
+                for _, i, j in pairs:
+                    full = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
+                    suffix = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers[i:])
+                    assert suffix == full, (E, values, i, j)
+                    nonzero[bool(full)] += 1
+    assert nonzero[True] > 500 and nonzero[False] > 20, nonzero
 
 
 def test_brute_force_point_budget(monkeypatch):
@@ -117,10 +149,10 @@ def test_brute_force_point_budget(monkeypatch):
     with pytest.raises(DomainError, match="4611686014132420609 points"):
         brute_force_ideal_count(1, 2147483647)  # q^2 points: refused, not enumerated
     assert time.perf_counter() - start < 5
-    # checked before any point is enumerated; a count equal to the budget runs
+    # checked before any option table is built; a count equal to the budget runs
     enumerated = []
-    points_of = census._points
-    monkeypatch.setattr(census, "_points", lambda *a: enumerated.append(a) or points_of(*a))
+    tables_of = census._tables
+    monkeypatch.setattr(census, "_tables", lambda *a: enumerated.append(a) or tables_of(*a))
     monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", 23)
     with pytest.raises(DomainError, match="24 points"):
         brute_force_ideal_count(2, 2)

@@ -176,6 +176,21 @@ def test_census_subcommand(capsys):
     assert data["at_q"] == {"q": 2, "total": 24, "brute_force": 24}
 
 
+def test_census_brute_force_largest_budgeted_count(capsys):
+    # --d 3 --q 5 has 406,875 points, the most that the budget lets through
+    code, out, _ = run(capsys, "census", "--d", "3", "--q", "5", "--brute-force",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["at_q"] == {"q": 5, "total": 19375, "brute_force": 19375}
+
+
+def test_census_brute_force_needs_q(capsys):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "census", "--d", "2", "--brute-force", "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == "usage error: --brute-force needs --q, the order of the field GF(q)\n"
+
+
 def test_census_brute_force_counts_once_in_every_format(capsys, monkeypatch):
     import hbcells.census as census_mod
     count = census_mod.brute_force_ideal_count
