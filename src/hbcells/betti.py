@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .field import FFElement, QQ
+from .field import QQ
 from .linalg import echelon_insert
 from .poly import Polynomial
 from .staircase import HSeries, Staircase, lex_segment_from_hseries
@@ -219,9 +219,7 @@ def betti_numbers(E, assignment, field=QQ):
     unknown = [s for s in assignment if s not in known]
     if unknown:
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
-    if field.char:  # an int or Fraction value maps into the field, never stays an integer
-        assignment = {s: v if isinstance(v, FFElement) else field.of(v)
-                      for s, v in assignment.items()}
+    assignment = {s: field.of(v) for s, v in assignment.items()}
     data = {}
     for j in resolution_degrees(E).degrees():
         gm = graded_matrix(E, j)

@@ -37,7 +37,7 @@ def _field_arg(text):
             return GF(int(text[2:]))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-    raise argparse.ArgumentTypeError(f"--field takes 'q' or 'p:<prime>', got {text!r}")
+    raise argparse.ArgumentTypeError(f"--field takes 'q' or 'p:<order>', got {text!r}")
 
 
 def _prime_power(text):
@@ -281,7 +281,8 @@ def build_parser():
                            help="staircase differences d")
         if field:
             p.add_argument("--field", type=_field_arg, default=QQ,
-                           help="coefficient field: q (rationals) or p:<prime>")
+                           help="coefficient field: q (rationals) or p:<order> for GF(order), "
+                                "the order a prime below 2**31 or 4")
 
     p = sub.add_parser("frame", help="M0(E), degree matrix U(E) and slot set S(E)")
     common(p, staircase=True)

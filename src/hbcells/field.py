@@ -7,6 +7,11 @@ polynomials -- never leave the integers).  Finite field elements are small
 wrapper objects with operator overloading, so polynomial code is written
 once against ordinary ``+ - * /`` and truthiness for zero tests.
 
+A scalar enters a field only through ``field.of``: an element of the field
+is returned as it is, an ``int`` or a ``Fraction`` is mapped into the field,
+and anything else raises ``DomainError``, an element of another field (one
+of the same order built apart included) too.
+
 Division of two raw ints would produce a float, so any coefficient
 division must go through ``field.div``.
 """
@@ -41,7 +46,11 @@ class RationalField:
 
     @staticmethod
     def of(num, den=1):
-        """Coerce ``num/den`` to a field element (int when integral)."""
+        """``num/den`` in QQ, an int when integral; ``DomainError`` for a scalar that is not rational."""
+        if type(num) is int and den == 1:
+            return num
+        if not isinstance(num, (int, Fraction)):
+            raise DomainError(f"{num!r} ({type(num).__name__}) is not a scalar of QQ")
         q = Fraction(num, den)
         return q.numerator if q.denominator == 1 else q
 
@@ -51,9 +60,6 @@ class RationalField:
             raise ZeroDivisionError("division by zero in QQ")
         q = Fraction(a) / Fraction(b)
         return q.numerator if q.denominator == 1 else q
-
-    def inv(self, a):
-        return self.div(1, a)
 
     decode = of  # JSON decoding coincides with coercion
 
@@ -83,13 +89,9 @@ class FFElement:
         self.field = field
 
     def _coerce(self, other):
-        if isinstance(other, FFElement):
-            if other.field is not self.field:
-                raise DomainError("mixing elements of different finite fields")
+        if type(other) is FFElement and other.field is self.field:  # the hot path, inline
             return other
-        if isinstance(other, int):
-            return self.field.of(other)
-        return NotImplemented
+        return self.field.of(other) if isinstance(other, (FFElement, int, Fraction)) else NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -175,11 +177,20 @@ class _FiniteField:
         self.zero = FFElement(0, self)
         self.one = FFElement(1, self)
 
-    def div(self, a, b):
-        return self.of(a) / b if isinstance(a, int) else a / b
+    def of(self, num, den=1):
+        """``num/den`` in the field; ``DomainError`` for a scalar of another field."""
+        if isinstance(num, FFElement):
+            if num.field is not self:
+                raise DomainError(f"elements of {num.field!r} and of another field {self!r} do not mix")
+            return num if den == 1 else num / self.of(den)
+        if isinstance(num, Fraction):
+            num, den = num.numerator * den, num.denominator
+        elif not isinstance(num, int):
+            raise DomainError(f"{num!r} ({type(num).__name__}) is not a scalar of {self!r}")
+        return FFElement(self._index(num, den), self)
 
-    def inv(self, a):
-        return self.div(self.one, a)
+    def div(self, a, b):
+        return self.of(a) / b
 
     def elements(self):
         return [FFElement(v, self) for v in range(self.size)]
@@ -220,11 +231,8 @@ class PrimeField(_FiniteField):
             raise ZeroDivisionError(f"division by zero in GF({self.p})")
         return pow(a, -1, self.p)
 
-    def of(self, num, den=1):
-        if isinstance(num, Fraction):
-            num, den = num.numerator * den, num.denominator
-        base = self._mul(num % self.p, self._inv(den % self.p)) if den != 1 else num % self.p
-        return FFElement(base, self)
+    def _index(self, num, den):
+        return self._mul(num % self.p, self._inv(den % self.p)) if den != 1 else num % self.p
 
 
 class QuarticField(_FiniteField):
@@ -255,13 +263,10 @@ class QuarticField(_FiniteField):
             raise ZeroDivisionError("division by zero in GF(4)")
         return {1: 1, 2: 3, 3: 2}[a]
 
-    def of(self, num, den=1):
-        if isinstance(num, Fraction):
-            num, den = num.numerator * den, num.denominator
-        v = num % 2
+    def _index(self, num, den):
         if den % 2 == 0:
             raise ZeroDivisionError("denominator vanishes in GF(4)")
-        return FFElement(v, self)
+        return num % 2
 
 
 # One shared field object per order: elements of a field only combine with

@@ -491,9 +491,3 @@ def back_substitute(report, survivor_values=None, field=QQ):
     for k, expr in reversed(report.eliminated):
         vals[k] = expr.evaluate(vals)
     return vals
-
-
-def single_parameter_factor(eq):
-    """Index of a parameter dividing every monomial of eq, or None."""
-    supports = [{k for k, e in enumerate(mono) if e} for mono, _ in eq.terms]
-    return min(set.intersection(*supports), default=None) if supports else None

@@ -145,6 +145,8 @@ class CellMatrix:
                 n = entries[i - 1][j - 1]
                 if not isinstance(n, UniPoly):
                     n = UniPoly(field, n)
+                elif n.field is not field and n.field != field:
+                    raise DomainError(f"entry ({i},{j}) over {n.field!r} in a matrix over {field!r}")
                 if i < j and n:
                     raise ValueError(f"entry ({i},{j}) above the diagonal must vanish")
                 if n.degree >= d[j - 1]:
@@ -420,13 +422,13 @@ def canonical_matrix(gens):
         if len(nkk) > dk:
             raise DomainError("column normalization failed: diagonal degree too large")
         if nkk:
-            entries[k - 1][k - 1] = UniPoly(field, nkk)
+            entries[k - 1][k - 1] = UniPoly._raw(field, nkk)
         h = nkk + [zero] * (dk - len(nkk)) + [one]
         newf = {a: list(c) for a, c in seed.items()}
         for j, qj in coefs.items():
             q, r = _divmod([-c for c in qj], h, field)
             if r:
-                entries[j][k - 1] = UniPoly(field, r)
+                entries[j][k - 1] = UniPoly._raw(field, r)
             if q:
                 for a, c in fs[j].items():
                     _add_into(newf.setdefault(a, []), _convolve(q, c, zero), False, zero)
@@ -495,8 +497,7 @@ def random_cell_matrix(E, kind, seed, field=QQ):
     if field.char == 0:
         draw = lambda: field.of(rng.randint(-4, 4))
     else:
-        elems = field.elements()
-        draw = lambda: rng.choice(elems)
+        draw = lambda: field.decode(rng.randrange(field.size))
 
     t = E.t
     d = E.d
@@ -519,5 +520,5 @@ def random_cell_matrix(E, kind, seed, field=QQ):
             coeffs = [draw() for _ in range(dj)]
             if kind == CellKind.V2 and j < i <= kend + 1:
                 coeffs[0] = z
-            entries[i - 1][j - 1] = UniPoly(field, coeffs)
+            entries[i - 1][j - 1] = UniPoly._raw(field, coeffs)
     return CellMatrix._raw(E, entries, field)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import add, le, sub
 
 from .errors import DomainError, ParseError
-from .field import FFElement, QQ
+from .field import QQ
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +119,14 @@ class Polynomial:
     def __init__(self, field, nvars, terms):
         """``terms``: mapping or iterable of (monomial, coefficient) pairs.
 
-        Over a finite field a coefficient that is not yet a field element (an
-        int or a Fraction) is mapped into the field with ``field.of``, as in
-        :class:`UniPoly`.
+        Every coefficient enters the field through ``field.of``.
         """
         items = terms.items() if hasattr(terms, "items") else terms
         acc = {}
         for mono, c in items:
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} has wrong arity for {nvars} variables")
-            if field.char and not isinstance(c, FFElement):
-                c = field.of(c)
+            c = field.of(c)
             if mono in acc:
                 c = acc[mono] + c
             if c:
@@ -166,14 +163,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field, nvars, c):
-        c = field.of(c) if isinstance(c, int) else c
+        c = field.of(c)
         if not c:
             return cls.zero(field, nvars)
         return cls._raw(field, nvars, (((0,) * nvars, c),))
 
     @classmethod
     def monomial(cls, field, nvars, mono, c=None):
-        c = field.one if c is None else c
+        c = field.one if c is None else field.of(c)
         if not c:
             return cls.zero(field, nvars)
         return cls._raw(field, nvars, ((tuple(mono), c),))
@@ -279,6 +276,7 @@ class Polynomial:
 
     def scale(self, c):
         """c * self.  Over QQ the product is an int wherever it is integral."""
+        c = self.field.of(c)
         if not c:
             return Polynomial.zero(self.field, self.nvars)
         if self.field.char:
@@ -381,17 +379,23 @@ def polynomial_to_str(p, names=None):
 class UniPoly:
     """Dense univariate polynomial over an exact field, variable ``y``.
 
-    Over a finite field every coefficient that is not yet a field element
-    (an int or a Fraction) is mapped into the field with ``field.of``.
+    Every coefficient enters the field through ``field.of``.
     """
 
     field: object
     coeffs: tuple
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        if field.char:
-            cs = [c if isinstance(c, FFElement) else field.of(c) for c in cs]
+        self._set(field, list(map(field.of, coeffs)))
+
+    @classmethod
+    def _raw(cls, field, cs):
+        """Trusted constructor: ``cs`` is a list of elements of ``field``, trimmed in place."""
+        self = object.__new__(cls)
+        self._set(field, cs)
+        return self
+
+    def _set(self, field, cs):
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "field", field)
@@ -399,16 +403,11 @@ class UniPoly:
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
+        return cls._raw(field, [])
 
     @classmethod
     def y_power(cls, field, k, c=None):
-        c = field.one if c is None else c
-        return cls(field, (field.zero,) * k + (c,))
+        return cls._raw(field, [field.zero] * k + [field.one if c is None else field.of(c)])
 
     @property
     def is_zero(self):

@@ -12,8 +12,7 @@ import time
 from hbcells.betti import (betti_numbers, g_dim, graded_matrix, lex_codim,
                            resolution_degrees, stratum_descriptor)
 from hbcells.census import brute_force_ideal_count, cell_census
-from hbcells.generic_cells import (affine_space_check, cell_report,
-                                   single_parameter_factor)
+from hbcells.generic_cells import affine_space_check, cell_report
 from hbcells.groebner import (buchberger_reduced, graded_beta0_profile,
                               leading_term_ideal)
 from hbcells.hilbert_burch import (CellKind, canonical_frame, canonical_matrix,
@@ -24,6 +23,7 @@ from hbcells.hilbert_burch import (CellKind, canonical_frame, canonical_matrix,
 from hbcells.poly import monomials_of_degree
 from hbcells.staircase import (HSeries, Staircase, enumerate_staircases,
                                staircase_from_monomial_ideal)
+from test_generic_cells import single_parameter_factor
 
 
 def _report(name, fn):

@@ -262,6 +262,14 @@ def test_prime_field_flag(capsys):
     assert code == 0
 
 
+def test_prime_field_flag_near_the_order_bound(capsys):
+    # a random matrix over GF(2^31 - 1) draws its entries without listing the field
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "minors", "--m", "0,2", "--field", "p:2147483647")
+    assert code == 0 and out.strip()
+    assert time.perf_counter() - start < 1
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "canonicalize", "x^2")
     assert code == 1 and "domain error" in err

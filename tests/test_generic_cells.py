@@ -17,8 +17,7 @@ from hbcells.field import GF, QQ
 from hbcells.generic_cells import (ParameterEquations, affine_space_check,
                                    back_substitute, buchberger_equations,
                                    cell_report, eliminate_linear, generic_family,
-                                   instantiate, prune_multiples,
-                                   single_parameter_factor)
+                                   instantiate, prune_multiples)
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
@@ -28,6 +27,12 @@ from hbcells.staircase import Staircase, enumerate_staircases
 EX21 = [(0, 0, 4), (0, 4, 0), (1, 2, 1), (3, 0, 1)]                      # n=3
 EX22 = [(0, 0, 0, 2), (0, 1, 0, 1), (0, 2, 0, 0), (1, 0, 0, 1)]          # n=4
 EX23 = [(0, 0, 0, 2), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (2, 0, 0, 0)]
+
+
+def single_parameter_factor(eq):
+    """Index of a parameter dividing every monomial of eq, or None."""
+    supports = [{k for k, e in enumerate(mono) if e} for mono, _ in eq.terms]
+    return min(set.intersection(*supports), default=None) if supports else None
 
 
 # -- family construction -------------------------------------------------------

@@ -1,7 +1,9 @@
 """The bijection between cell matrices and ideals, and everything around it."""
 
+import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -567,6 +569,31 @@ def test_random_matrix_finite_field():
     assert staircase_from_monomial_ideal(leading_term_ideal(gb)) == E335
     E2, N2 = canonical_matrix(fs)
     assert (E2, N2) == (E335, N)
+
+
+def test_random_matrix_over_small_fields_is_pinned():
+    # The draws over GF(q) are pinned to those of rng.choice(field.elements()):
+    # randrange(q) reads the same random stream.  SHA-256 of the JSON matrices
+    # for every staircase of colength <= 5, every kind and seeds 0-4.
+    h = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7):
+        for d in range(1, 6):
+            for E in enumerate_staircases(d):
+                for kind in CellKind:
+                    for seed in range(5):
+                        h.update(json.dumps(random_cell_matrix(E, kind, seed, GF(q)).to_json()).encode())
+    assert h.hexdigest() == "90c866dccd6098500f4c58c807915c91f6ba06b1371d5879a1c8fc8c1a3041a7"
+    N = random_cell_matrix(Staircase((0, 1, 3)), CellKind.V0, 7, GF(4))
+    assert N.to_json()["N"] == [[[2], []], [[1], []], [[3], [0, 2]]]
+
+
+def test_random_matrix_over_a_large_prime_does_not_list_the_field(monkeypatch):
+    F = GF(2**31 - 1)
+    monkeypatch.setattr(F, "elements", lambda: pytest.fail("listed every element of the field"))
+    start = time.perf_counter()
+    N = random_cell_matrix(Staircase((0, 2)), CellKind.V0, 1, F)
+    assert time.perf_counter() - start < 0.5
+    assert validate_cell_matrix(N, CellKind.V0)[0] and N.n(2, 1).degree == 1
 
 
 # -- JSON ----------------------------------------------------------------------------

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbcells.betti import betti_numbers
 from hbcells.errors import DomainError, ParseError
 from hbcells.field import GF, QQ, PrimeField, scalar_from_json, scalar_to_json
+from hbcells.hilbert_burch import CellMatrix, slot_set
 from hbcells.poly import (Polynomial, UniPoly, divide_univariate, exact_quotient,
                           lex_compare, parse_polynomial, polynomial_to_str)
+from hbcells.staircase import Staircase
 
 GF5 = GF(5)
 
@@ -170,6 +173,60 @@ def test_polynomial_maps_ints_into_a_finite_field():
     assert Polynomial(GF(4), 1, {(1,): 2}).is_zero
     # QQ keeps its ints and Fractions as they are
     assert Polynomial(QQ, 1, {(1,): Fraction(1, 2), (0,): 7}).terms == (((1,), Fraction(1, 2)), ((0,), 7))
+
+
+# Every constructor that takes a scalar c into a field F, each through F.of.
+E02 = Staircase((0, 2))
+DOORS = {
+    "Polynomial": lambda F, c: Polynomial(F, 2, {(0, 1): c, (1, 0): 1}),
+    "Polynomial.constant": lambda F, c: Polynomial.constant(F, 2, c),
+    "Polynomial.monomial": lambda F, c: Polynomial.monomial(F, 2, (1, 0), c),
+    "Polynomial.scale": lambda F, c: Polynomial.variable(F, 2, 0).scale(c),
+    "UniPoly": lambda F, c: UniPoly(F, [1, c]),
+    "CellMatrix": lambda F, c: CellMatrix(E02, [[[c]], [[1, c]]], F),
+    "betti_numbers": lambda F, c: betti_numbers(E02, dict.fromkeys(slot_set(E02), c), F),
+}
+
+
+@pytest.mark.parametrize("door", DOORS.values(), ids=DOORS.keys())
+@pytest.mark.parametrize("c, mapped", [
+    (GF(3).one, None),
+    (PrimeField(5).one, None),  # a separately built field of the same order
+    (7, GF5.of(2)),
+    (Fraction(1, 2), GF5.of(3)),
+    (GF5.of(4), GF5.of(4)),
+], ids=["GF(3)", "PrimeField(5)", "int", "Fraction", "GF(5)"])
+def test_a_scalar_enters_a_finite_field_only_through_its_door(door, c, mapped):
+    if mapped is None:
+        with pytest.raises(DomainError):
+            door(GF5, c)
+    else:
+        assert door(GF5, c) == door(GF5, mapped)
+
+
+@pytest.mark.parametrize("door", DOORS.values(), ids=DOORS.keys())
+def test_a_scalar_enters_qq_only_through_its_door(door):
+    for c in (GF(3).one, GF5.of(2), 0.5):
+        with pytest.raises(DomainError):
+            door(QQ, c)
+    assert door(QQ, Fraction(4, 2)) == door(QQ, 2)
+    assert door(QQ, Fraction(1, 2)) == door(QQ, QQ.of(1, 2))
+
+
+def test_qq_constructors_keep_ints_and_make_integral_fractions_ints():
+    assert UniPoly(QQ, [Fraction(4, 2), 3]).coeffs == (2, 3)
+    assert _types(Polynomial(QQ, 1, {(1,): Fraction(4, 2)})) == [(2, int)]
+    assert _types(Polynomial.constant(QQ, 1, Fraction(6, 3))) == [(2, int)]
+    assert _types(Polynomial.monomial(QQ, 1, (1,), Fraction(-3, 1))) == [(-3, int)]
+
+
+def test_a_cell_matrix_refuses_an_entry_over_another_field():
+    entries = [[UniPoly(GF(3), [1])], [UniPoly(GF(3), [2])]]
+    with pytest.raises(DomainError):
+        CellMatrix(E02, entries, QQ)
+    with pytest.raises(DomainError):
+        CellMatrix(E02, entries, GF5)
+    assert CellMatrix(E02, entries, GF(3)).n(2, 1) == UniPoly(GF(3), [2])
 
 
 def _types(p):
