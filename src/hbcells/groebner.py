@@ -3,7 +3,9 @@
 S-polynomials, multivariate division, reduced Groebner bases, leading term
 ideals, colength, and a rank-based count of graded minimal generators.
 Every S-pair set comes from one rule on lead monomials, the Gebauer-Moeller
-update (product and chain criteria).
+update (product and chain criteria).  What depends on the leads alone -- the
+pairs kept over a lead list and its minimal leads -- is memoized per lead
+tuple (``_lead_facts``), so the many ideals of one Groebner cell share it.
 This module is the independent verification oracle for everything the
 cell machinery produces, so it never consults the structured formulas it
 is used to check.
@@ -14,6 +16,7 @@ that name) and every S-polynomial ``poly._s_pair``, both on ``.monic()`` forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -167,13 +170,32 @@ def _gm_update(leads, t, pairs):
     return kept
 
 
-def _pairs_of(leads):
-    """The pairs that the Gebauer-Moeller update keeps as ``leads`` join in order: Buchberger's
-    criterion needs only these.  For a staircase's minimal generators, the adjacent pairs."""
+# The lead-only facts below are memoized on the lead tuple: every ideal of one
+# Groebner cell has the same leads, and callers visit many of them.  Bounded,
+# so a long run over many lead lists does not grow the memo without end.
+LEAD_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=LEAD_CACHE_SIZE)
+def _lead_facts(leads):
+    """What a tuple of lead monomials fixes on its own: the pairs (L, i, j) that the
+    Gebauer-Moeller update keeps as ``leads`` join in order, and the indices of the minimal
+    leads (divisible by no other; the first of equal ones), in ascending lead order."""
     pairs = []
     for t in range(1, len(leads)):
         pairs = _gm_update(leads, t, pairs)
-    return pairs
+    minimal = []
+    for i in sorted(range(len(leads)), key=leads.__getitem__):
+        if not any([mono_divides(leads[j], leads[i]) for j in minimal]):
+            minimal.append(i)
+    return tuple(pairs), tuple(minimal)
+
+
+def _pairs_of(leads):
+    """The pairs that the Gebauer-Moeller update keeps as ``leads`` join in order: Buchberger's
+    criterion needs only these.  For a staircase's minimal generators, the adjacent pairs.
+    A new list each call, so a caller may consume it."""
+    return list(_lead_facts(tuple(leads))[0])
 
 
 # The key and basis of the last buchberger_reduced computation: one entry,
@@ -225,11 +247,7 @@ def _reduced_basis(start):
             leads.append(lead)
             pairs = _gm_update(leads, len(leads) - 1, pairs)
     # minimalize: drop elements whose lead is divisible by another lead
-    reducers.sort(key=lambda r: r[0])
-    minimal = []
-    for lead, tail in reducers:
-        if not any(mono_divides(m, lead) for m, _ in minimal):
-            minimal.append((lead, tail))
+    minimal = [reducers[i] for i in _lead_facts(tuple(leads))[1]]
     # interreduce tails (no lead divides a term below it, so its own reducer never acts)
     basis = []
     for lead, tail in reversed(minimal):

@@ -146,7 +146,8 @@ class CellMatrix:
                 if not isinstance(n, UniPoly):
                     n = UniPoly(field, n)
                 elif n.field is not field and n.field != field:
-                    raise DomainError(f"entry ({i},{j}) over {n.field!r} in a matrix over {field!r}")
+                    raise DomainError(
+                        f"entry ({i},{j}) over another field {n.field!r} in a matrix over {field!r}")
                 if i < j and n:
                     raise ValueError(f"entry ({i},{j}) above the diagonal must vanish")
                 if n.degree >= d[j - 1]:

@@ -223,7 +223,8 @@ class Polynomial:
     def _same_field(self, other):
         """Raise DomainError unless ``other`` lives over the same field."""
         if other.field is not self.field and other.field != self.field:
-            raise DomainError(f"polynomials over {self.field!r} and {other.field!r} do not mix")
+            raise DomainError(f"polynomials over {self.field!r} and over another field "
+                              f"{other.field!r} do not mix")
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):

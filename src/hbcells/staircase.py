@@ -6,17 +6,19 @@ m_i the least j with x^(t-i) y^j in E.  The correspondence
 E <-> m <-> d (d_i = m_i - m_{i-1}) <-> partition of the colength is a
 bijection; this module implements it together with Hilbert functions,
 lex-segment construction from a Hilbert series, and enumeration by
-colength.
+colength.  A ``Staircase`` stores d next to m; the staircase of a lead list
+is memoized per lead tuple, after a budget check on t (``STAIRCASE_T_LIMIT``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .groebner import MonomialIdeal
+from .groebner import LEAD_CACHE_SIZE, MonomialIdeal
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -24,10 +26,12 @@ class Staircase:
     """The vector (m_0, ..., m_t) of a finite-colength monomial ideal.
 
     Entries must be integers: anything else (``1.5``, ``"1"``) raises
-    ``TypeError`` rather than being truncated.
+    ``TypeError`` rather than being truncated.  The differences d are
+    stored on construction; equality and hashing read m alone.
     """
 
     m: tuple
+    d: tuple = field(compare=False)
 
     def __init__(self, m):
         m = tuple(map(operator.index, m))
@@ -37,10 +41,12 @@ class Staircase:
             raise DomainError(f"m_0 must be 0, got {m[0]}")
         if m[1] <= 0:
             raise DomainError(f"m_1 must be positive, got {m[1]}")
-        for i in range(1, len(m) - 1):
-            if m[i + 1] < m[i]:
-                raise DomainError(f"m must be nondecreasing: m_{i + 1}={m[i + 1]} < m_{i}={m[i]}")
+        d = tuple(map(operator.sub, itertools.islice(m, 1, None), m))  # d_(i+1) = d[i]
+        if min(d) < 0:
+            i = next(i for i, v in enumerate(d) if v < 0)
+            raise DomainError(f"m must be nondecreasing: m_{i + 1}={m[i + 1]} < m_{i}={m[i]}")
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def from_d(cls, d):
@@ -52,10 +58,6 @@ class Staircase:
     @property
     def t(self):
         return len(self.m) - 1
-
-    @property
-    def d(self):
-        return tuple(self.m[i] - self.m[i - 1] for i in range(1, len(self.m)))
 
     @property
     def colength(self):
@@ -112,12 +114,31 @@ def staircase_from_monomial_ideal(E):
     return _staircase_from_leads(E.gens)
 
 
+# The largest t (least power of x in the ideal) whose staircase is built: the
+# staircase holds t + 1 exponents, and x^99999999999 would exhaust memory before
+# it ended.  At the limit, ``hb-cells kinds "x^33554432, y"`` peaks at 1.1 GB
+# and takes about 10 s (2-CPU x86-64 host, Python 3.11).
+STAIRCASE_T_LIMIT = 2 ** 25
+
+
 def _staircase_from_leads(gens):
     """The staircase of the monomial ideal generated by the pairs (a, b) in ``gens``.
 
     The generators need not be minimal, so the leads of any Groebner basis
-    give its staircase without building a :class:`MonomialIdeal`.
+    give its staircase without building a :class:`MonomialIdeal`.  A t
+    above ``STAIRCASE_T_LIMIT`` raises ``DomainError``.
     """
+    gens = tuple(gens)
+    t = min((a for a, b in gens if not b), default=None)
+    if t is not None and t > STAIRCASE_T_LIMIT:
+        raise DomainError(f"the least power of x in the ideal is x^{t}: a staircase of {t} steps "
+                          f"is over the budget of {STAIRCASE_T_LIMIT} (staircase.STAIRCASE_T_LIMIT)")
+    return _staircase_of_leads(gens)
+
+
+# memoized like groebner._lead_facts: every ideal of one Groebner cell has the same leads
+@functools.lru_cache(maxsize=LEAD_CACHE_SIZE)
+def _staircase_of_leads(gens):
     t = min((a for a, b in gens if not b), default=None)
     my = min((b for a, b in gens if not a), default=None)
     if t is None or my is None:

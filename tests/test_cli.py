@@ -168,6 +168,18 @@ def test_generic_subcommand_refuses_an_ungraded_family_over_budget(capsys):
     assert "Traceback" not in err
 
 
+def test_a_pure_power_over_the_staircase_budget_exits_1(capsys):
+    # the staircase of (x^t, y) holds t + 1 exponents: refused before it is built
+    for command in ("kinds", "canonicalize"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "x^99999999999, y")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert err == ("domain error: the least power of x in the ideal is x^99999999999: a staircase "
+                       "of 99999999999 steps is over the budget of 33554432 "
+                       "(staircase.STAIRCASE_T_LIMIT)\n")
+
+
 def test_census_subcommand(capsys):
     code, out, _ = run(capsys, "census", "--d", "2", "--q", "2", "--brute-force",
                        "--format", "json")

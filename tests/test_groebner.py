@@ -1,6 +1,7 @@
 """Buchberger engine: S-polynomials, reduction, reduced bases, oracles."""
 
 import collections
+import functools
 import itertools
 import math
 import random
@@ -309,6 +310,31 @@ def test_pairs_of_staircase_leads_are_the_adjacent_pairs():
                 assert pairs == [(k - 1, k) for k in range(1, len(leads))], E
 
 
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_lead_facts_equal_a_direct_pass(nvars):
+    # the memoized pairs are those of a plain _gm_update loop, and the minimal
+    # indices pick MonomialIdeal's generators, the first of equal leads
+    rng = random.Random(nvars)
+    for _ in range(300):
+        leads = tuple(tuple(rng.randint(0, 3) for _ in range(nvars))
+                      for _ in range(rng.randint(1, 7)))
+        direct = []
+        for t in range(1, len(leads)):
+            direct = groebner._gm_update(leads, t, direct)
+        pairs, minimal = groebner._lead_facts(leads)
+        assert list(pairs) == direct == groebner._pairs_of(list(leads)), leads
+        assert [leads[i] for i in minimal] == sorted(MonomialIdeal(nvars, leads).gens), leads
+        assert all(leads.index(leads[i]) == i for i in minimal), leads
+
+
+def test_pairs_of_returns_a_fresh_list():
+    leads = [(3, 0), (2, 1), (0, 2)]
+    first = groebner._pairs_of(leads)
+    expected = list(first)
+    first.clear()
+    assert groebner._pairs_of(leads) == expected == [((3, 1), 0, 1), ((2, 2), 1, 2)]
+
+
 # -- colength -----------------------------------------------------------------
 
 def test_colength_examples():
@@ -399,6 +425,27 @@ def test_chart_round_trip_builds_one_basis(builds):
         assert canonical_matrix(fs) == (E, N)
         assert cell_kinds_of_ideal(fs) == {k for k in CellKind if validate_cell_matrix(N, k)[0]}
     assert len(builds) == len(CellKind)
+
+
+def test_chart_round_trip_runs_one_gebauer_moeller_pass(monkeypatch):
+    # every ideal of the cell has the leads x^(t-i) y^(m_i): the pairs and the
+    # minimal leads are worked out once for all kinds and draws
+    E = Staircase((0, 1, 3, 4, 4))
+    updates = []
+    inner = groebner._gm_update
+    monkeypatch.setattr(groebner, "_gm_update",
+                        lambda leads, t, pairs: updates.append(t) or inner(leads, t, pairs))
+    fresh = functools.lru_cache(maxsize=groebner.LEAD_CACHE_SIZE)(groebner._lead_facts.__wrapped__)
+    monkeypatch.setattr(groebner, "_lead_facts", fresh)
+    for kind in CellKind:
+        for seed in range(3):
+            N = random_cell_matrix(E, kind, seed)
+            fs = minors_ideal(N)
+            assert canonical_matrix(fs) == (E, N)
+            assert cell_kinds_of_ideal(fs) == {k for k in CellKind
+                                               if validate_cell_matrix(N, k)[0]}
+    assert updates == list(range(1, E.t + 1))  # one pass over the t + 1 minors
+    assert fresh.cache_info().misses == 1
 
 
 def test_memo_returns_a_fresh_list(builds):

@@ -229,6 +229,18 @@ def test_a_cell_matrix_refuses_an_entry_over_another_field():
     assert CellMatrix(E02, entries, GF(3)).n(2, 1) == UniPoly(GF(3), [2])
 
 
+def test_a_separately_built_field_of_the_same_order_is_another_field():
+    # the entries pass no coefficient through ``field.of``, so only the
+    # field comparison at the door can refuse them
+    apart = PrimeField(5)
+    assert apart != GF5 and GF(5) == GF5 and hash(apart) == hash(GF5)
+    entries = [[UniPoly(apart, [1])], [UniPoly(apart, [2])]]
+    with pytest.raises(DomainError, match="another field"):
+        CellMatrix(E02, entries, GF5)
+    with pytest.raises(DomainError, match="do not mix"):
+        poly_of("x+1", apart) * poly_of("x+1", GF5)
+
+
 def _types(p):
     return [(c, type(c)) for _, c in p.terms]
 

@@ -1,9 +1,11 @@
 """Staircase combinatorics: bijections, Hilbert functions, lex segments."""
 
+import dataclasses
 import random
 
 import pytest
 
+from hbcells import staircase
 from hbcells.errors import DomainError
 from hbcells.groebner import MonomialIdeal
 from hbcells.staircase import (HSeries, Staircase, enumerate_staircases,
@@ -31,6 +33,15 @@ def test_invariants_enforced():
         Staircase((0, 2, 1))
     with pytest.raises(DomainError):
         Staircase((0,))
+
+
+def test_d_is_stored_and_equality_reads_m_alone():
+    E, F = Staircase.from_d((1, 2)), Staircase((0, 1, 3))
+    assert E == F and hash(E) == hash(F) and E.d == F.d == (1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        E.d = (1, 2)
+    object.__setattr__(E, "d", ())
+    assert E == F and hash(E) == hash(F)
 
 
 def test_non_integer_entries_rejected():
@@ -61,6 +72,25 @@ def test_from_monomial_ideal_errors():
             staircase_from_monomial_ideal(MonomialIdeal(2, gens))
     with pytest.raises(ValueError):
         staircase_from_monomial_ideal(MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+
+
+def test_staircase_of_a_lead_list_is_memoized():
+    leads = [(3, 0), (2, 3), (1, 3), (0, 5), (4, 0), (1, 4)]  # not minimal
+    E = staircase._staircase_from_leads(leads)
+    assert E == Staircase((0, 3, 3, 5))
+    assert staircase._staircase_from_leads(tuple(leads)) is E
+
+
+def test_a_pure_power_over_the_budget_is_refused_before_the_staircase_is_built(monkeypatch):
+    built = []
+    inner = staircase._staircase_of_leads
+    monkeypatch.setattr(staircase, "_staircase_of_leads",
+                        lambda gens: built.append(gens) or inner(gens))
+    monkeypatch.setattr(staircase, "STAIRCASE_T_LIMIT", 5)
+    assert staircase._staircase_from_leads([(5, 0), (0, 1)]) == Staircase((0,) + (1,) * 5)
+    with pytest.raises(DomainError, match="x\\^6: a staircase of 6 steps is over the budget of 5"):
+        staircase._staircase_from_leads([(7, 0), (6, 0), (0, 1)])
+    assert built == [((5, 0), (0, 1))]
 
 
 def test_generators_full_and_minimal():
