@@ -9,18 +9,20 @@ once and no dimension formula enters the oracle side.
 
 The points are enumerated member by member: each family member with n
 parameters has a table of its q^n monic (lead, tail) forms, built once per
-staircase, and a point is one choice from every table.  The criterion of
-``groebner.is_groebner_basis`` runs through the same helper, on the
-staircase's adjacent pairs, which the Gebauer-Moeller update keeps for its
-leads: each pair once per choice of the suffix it reduces by (``_accepted``).
+staircase on packed monomials, and a point is one choice from every table.
+The criterion of ``groebner.is_groebner_basis`` runs through the same helper
+and the same kernel, on the staircase's adjacent pairs, which the
+Gebauer-Moeller update keeps for its leads: each pair once per choice of the
+suffix it reduces by (``_accepted``).  The members below the lowest pair
+are in no check, so their points are counted, and their tables never built.
 ``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points, and
 ``CENSUS_STAIRCASE_LIMIT`` the number of staircases of a census.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -28,6 +30,7 @@ from .field import GF
 from .groebner import _criterion_holds, _pairs_of
 from .generic_cells import generic_family
 from .hilbert_burch import CellKind, cell_dimension
+from .poly import _widening
 from .staircase import enumerate_staircases
 
 
@@ -108,48 +111,54 @@ def cell_census(d):
 BRUTE_FORCE_POINT_LIMIT = 500_000
 
 
-def _tables(family, elems):
-    """The option tables of ``family``'s members, whose product is every parameter point.
+def _tables(members, negs, P):
+    """The option tables of family ``members``, on the keys of the packing ``P``.
 
     Each member with n parameters gets a table of its q^n forms: a tail is
     ((m, -v), ...) in support order with the zero values dropped, as
-    ``_reducers(instantiate(...))`` builds it.  Parameters are numbered
-    member by member, so the product of the tables runs through the points
-    in the order of ``itertools.product(elems, repeat=family.nparams)``.
+    ``_reducers(P, instantiate(...))`` builds it; ``negs`` lists -v for the
+    field elements v in the order of ``field.elements()``.  Parameters are
+    numbered member by member, so the product of the tables runs through the
+    points in the order of ``itertools.product(elems, repeat=...)``.
     """
+    pack = P.pack
     tables = []
-    for lead, support in family.members:
-        monos = [m for m, _ in support]
+    for lead, support in members:
+        lead, monos = pack(lead), [pack(m) for m, _ in support]
         tables.append([
-            (lead, tuple([(m, -v) for m, v in zip(monos, values) if v]))
-            for values in itertools.product(elems, repeat=len(monos))])
+            (lead, tuple([(m, v) for m, v in zip(monos, values) if v]))
+            for values in itertools.product(negs, repeat=len(monos))])
     return tables
 
 
-def _accepted(tables, pairs):
-    """The number of points of ``tables`` whose S-pairs ``pairs`` (L, i, j), i < j, reduce to 0.
+def _accepted(family, pairs, negs, P):
+    """The number of points of ``family`` whose S-pairs ``pairs`` (L, i, j), i < j, reduce to 0.
 
     Member f_i has lead x^(t-i) y^(m_i), and no term of the S-pair of (i, j)
     or of its reduction has x-degree above t - i: only f_i, ..., f_t divide
     its terms, so it reduces as by all members.  The walk chooses f_t down
-    to f_0, checks the pairs of f_k on the suffix (f_k, ..., f_t) as soon
-    as f_k is chosen, and prunes the subtree when one fails.  Below the
-    lowest pair, as for (x^a, y^b) with none, every completion is accepted
-    and is counted, not walked.
+    to the lowest member in a pair, checks the pairs of f_k on the suffix
+    (f_k, ..., f_t) as soon as f_k is chosen, and prunes the subtree when one
+    fails.  Below the lowest pair, as for (x^a, y^b) with none, every
+    completion is accepted: those members' q^(their parameter count) points
+    are counted, and their tables are not built.
     """
-    low = min([i for _, i, _ in pairs], default=len(tables))
-    free = math.prod(map(len, tables[:low]))
+    members = family.members
+    low = min([i for _, i, _ in pairs], default=len(members))
+    free = len(negs) ** sum([len(support) for _, support in members[:low]])
+    tables = _tables(members[low:], negs, P)
     checks = [[] for _ in tables]
     for L, i, j in pairs:
-        checks[i].append((L, 0, j - i))
+        checks[i - low].append((P.pack(L), 0, j - i))
+    guard = P.guard
 
     def walk(k, suffix):
-        if k < low:
+        if k < 0:
             return free
         count = 0
         for f in tables[k]:
             s = (f, *suffix)
-            if _criterion_holds(s, checks[k]):
+            if _criterion_holds(s, checks[k], guard):
                 count += walk(k - 1, s)
         return count
 
@@ -163,9 +172,11 @@ def brute_force_ideal_count(d, q):
     at colength 3.  The points of all staircases together, the sum of
     q^nparams, are bounded by ``BRUTE_FORCE_POINT_LIMIT``: a larger count
     raises DomainError before any option table is built.  The points of a
-    staircase come from its members' option tables (``_tables``), and
-    ``_accepted`` counts those passing the criterion of ``is_groebner_basis``
-    on the pairs of ``groebner._pairs_of``, found once per staircase.
+    staircase come from its members' option tables (``_tables``), built on
+    packed monomials at the width that ``poly._widening`` chooses for the
+    instantiated family, and ``_accepted`` counts those passing the criterion
+    of ``is_groebner_basis`` on the pairs of ``groebner._pairs_of``, found
+    once per staircase.
     """
     if d < 1:
         raise ValueError("colength must be at least 1")
@@ -181,9 +192,11 @@ def brute_force_ideal_count(d, q):
         raise DomainError(
             f"brute-force counting at colength {d} over F_{q} has {points} points, over the "
             f"budget of {BRUTE_FORCE_POINT_LIMIT} (census.BRUTE_FORCE_POINT_LIMIT)")
-    elems = field.elements()
+    negs = [-v for v in field.elements()]
     count = 0
     for family in families:
-        pairs = _pairs_of([lead for lead, _ in family.members])
-        count += _accepted(_tables(family, elems), pairs)
+        leads = [lead for lead, _ in family.members]
+        # the width of _reducers(instantiate(...)): no tail exponent is above the leads'
+        count += _widening(functools.partial(_accepted, family, _pairs_of(leads), negs),
+                           2, max(map(max, leads)))
     return count

@@ -18,15 +18,14 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from operator import lshift, or_
+from operator import or_
 
 from .errors import DomainError
 from .field import QQ
 from .groebner import MonomialIdeal
-from .poly import (Polynomial, exact_quotient, mono_degree, mono_div, mono_divides, mono_lcm,
-                   mono_mul, monomials_of_degree)
+from .poly import (Polynomial, _Packing, exact_quotient, mono_degree, mono_div, mono_divides,
+                   mono_lcm, mono_mul, monomials_of_degree)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -117,45 +116,6 @@ def prune_multiples(eqs):
 _BUCHBERGER_WIDTH = 4
 
 
-class _Packing:
-    """Parameter monomials packed into one int each, with ``width``-bit fields.
-
-    a^e is the sum of e_k << shifts[k], a1 in the top field, so int order is
-    lex order, a product is ``+`` and a_k alone is ``1 << shifts[k]``.  The top
-    bit of each field is a guard: it stays clear while every exponent is below
-    2^(width-1), and a run that sees it set starts again with wider fields.
-    """
-
-    __slots__ = ("nparams", "width", "shifts", "lows", "guard", "fmask")
-
-    def __init__(self, nparams, width):
-        self.nparams, self.width = nparams, width
-        self.shifts = [(nparams - 1 - k) * width for k in range(nparams)]
-        self.lows = sum(1 << s for s in self.shifts)
-        self.guard = self.lows << (width - 1)
-        self.fmask = (1 << (width - 1)) - 1
-
-    def pack(self, mono):
-        return sum(map(lshift, mono, self.shifts))
-
-    def unpack(self, key):
-        """The exponent tuple of a key, visiting only its nonzero fields."""
-        n, width = self.nparams, self.width
-        mono = [0] * n
-        while key:
-            field = (key.bit_length() - 1) // width
-            shift = field * width
-            mono[n - 1 - field] = key >> shift
-            key &= (1 << shift) - 1
-        return tuple(mono)
-
-    def polynomial(self, terms, den):
-        """The QQ Polynomial of an int term tuple in decreasing key order, over ``den``."""
-        unpack = self.unpack
-        return Polynomial._raw(QQ, self.nparams, tuple(
-            (unpack(key), v // den if v % den == 0 else Fraction(v, den)) for key, v in terms))
-
-
 def _primitive(acc):
     """The primitive form of a nonzero {key: int} dict: a term tuple in decreasing
     key order with integer content 1 and a positive leading coefficient."""
@@ -205,7 +165,7 @@ class ParameterEquations(Sequence):
     def widened(self):
         """The rows on fields twice as wide, term order kept: int order is lex order."""
         P = self.packing
-        W = _Packing(P.nparams, 2 * P.width)
+        W = _Packing(P.nvars, 2 * P.width)
         rows = [tuple((W.pack(P.unpack(key)), v) for key, v in terms) for terms in self.rows]
         return ParameterEquations(W, tuple(rows))
 
@@ -340,7 +300,7 @@ def _eliminate_packed(eqs):
     left, as Polynomials.
     """
     P = eqs.packing
-    nparams, width, up = P.nparams, P.width, P.width - 1
+    nparams, width, up = P.nvars, P.width, P.width - 1
     lows, guard, fmask = P.lows, P.guard, P.fmask
     fill = guard - lows  # 2^(width-1) - 1 in every field
 
@@ -444,8 +404,8 @@ def eliminate_linear(eqs, nparams, names=None):
         raise DomainError(f"{len(names)} parameter names, expected {nparams}")
     if not isinstance(eqs, ParameterEquations):
         eqs = ParameterEquations.from_polynomials(eqs, nparams)
-    elif eqs.packing.nparams != nparams:
-        raise DomainError(f"equations in {eqs.packing.nparams} parameters, expected {nparams}")
+    elif eqs.packing.nvars != nparams:
+        raise DomainError(f"equations in {eqs.packing.nvars} parameters, expected {nparams}")
     while (done := _eliminate_packed(eqs)) is None:
         eqs = eqs.widened()
     eliminated, residual = done

@@ -11,7 +11,12 @@ cell machinery produces, so it never consults the structured formulas it
 is used to check.
 
 Every division here is the kernel ``poly._normal_form_dict`` (imported under
-that name) and every S-polynomial ``poly._s_pair``, both on ``.monic()`` forms.
+that name) and every S-polynomial ``poly._s_pair``, both on the packed
+``.monic()`` forms that ``poly._reducers`` builds once per basis, inside one
+``poly._widening`` run that chooses the field width.  Leads stay exponent
+tuples where the lead memos key on them, and only the outputs are unpacked.
+Lead lists too long to be shared by many ideals skip the memos
+(``LEAD_MEMO_LIMIT``).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import echelon_insert
-from .poly import (Polynomial, _integral, _normal_form_dict, _reducers, _s_pair,
-                   mono_divides, mono_lcm, mono_mul)
+from .poly import (_division, _integral, _normal_form_dict, _Overflow, _reducers, _s_pair, _top,
+                   _widening, mono_divides, mono_lcm, mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,15 @@ def s_polynomial(f, g):
     """(L/Lt f) f / Lc f - (L/Lt g) g / Lc g with L = lcm of leading terms."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomials need nonzero inputs")
-    return Polynomial.from_dict(f.field, f.nvars, _s_pair(*_reducers([f, g])))
+    L = mono_lcm(f.lt, g.lt)
+
+    def run(P):
+        work = _s_pair(*_reducers(P, [f, g]), P.pack(L))
+        if any([key & P.guard for key in work]):
+            raise _Overflow
+        return P.to_polynomial(f.field, work)
+
+    return _widening(run, f.nvars, _top([f, g]))
 
 
 def reduce(f, basis):
@@ -135,18 +148,14 @@ def reduce(f, basis):
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("reduction basis contains the zero polynomial")
-    field, nv = f.field, f.nvars
-    quots = [{} for _ in basis]
-    rem = _normal_form_dict(dict(f.terms), _reducers(basis, f), quots)
-    return (Polynomial.from_dict(field, nv, rem),
-            [Polynomial.from_dict(field, nv, qd).scale(field.div(field.one, g.lc))
-             for qd, g in zip(quots, basis)])
+    field = f.field
+    rem, quots = _division(f, basis, quotients=True)
+    return rem, [q.scale(field.div(field.one, g.lc)) for q, g in zip(quots, basis)]
 
 
 def normal_form(f, basis):
     """Remainder of ``f`` on division by ``basis``."""
-    rem = _normal_form_dict(dict(f.terms), _reducers(basis, f))
-    return Polynomial.from_dict(f.field, f.nvars, rem)
+    return _division(f, basis)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +184,25 @@ def _gm_update(leads, t, pairs):
 # so a long run over many lead lists does not grow the memo without end.
 LEAD_CACHE_SIZE = 1024
 
+# The longest lead list the lead memos keep, and the most steps of a kept
+# staircase.  An entry costs O(leads) memory or more and lives as long as the
+# memo: kept, a dropped staircase of x^10000000 holds the process at 169 MB.
+# At 64, an entry of staircase leads and its staircase take about 20 KB, so
+# full memos of them hold about 20 MB, near the size of the process itself
+# (at 256, about 80 MB).  The lead lists that many ideals share are far
+# shorter: a chart round trip of colength d has at most d + 1 leads, and the
+# benchmark's charts stop at colength 9, the acceptance tests' at 12.  A longer
+# list is worked out on each call: at 400 leads, a repeated chart round trip
+# takes 0.26 s instead of 0.04 s.
+LEAD_MEMO_LIMIT = 64
+
 
 @functools.lru_cache(maxsize=LEAD_CACHE_SIZE)
 def _lead_facts(leads):
     """What a tuple of lead monomials fixes on its own: the pairs (L, i, j) that the
     Gebauer-Moeller update keeps as ``leads`` join in order, and the indices of the minimal
-    leads (divisible by no other; the first of equal ones), in ascending lead order."""
+    leads (divisible by no other; the first of equal ones), in ascending lead order.
+    Callers go through ``_facts_of``, which skips the memo above ``LEAD_MEMO_LIMIT`` leads."""
     pairs = []
     for t in range(1, len(leads)):
         pairs = _gm_update(leads, t, pairs)
@@ -191,11 +213,16 @@ def _lead_facts(leads):
     return tuple(pairs), tuple(minimal)
 
 
+def _facts_of(leads):
+    """``_lead_facts`` of a lead tuple, memoized up to ``LEAD_MEMO_LIMIT`` leads."""
+    return (_lead_facts if len(leads) <= LEAD_MEMO_LIMIT else _lead_facts.__wrapped__)(leads)
+
+
 def _pairs_of(leads):
     """The pairs that the Gebauer-Moeller update keeps as ``leads`` join in order: Buchberger's
     criterion needs only these.  For a staircase's minimal generators, the adjacent pairs.
     A new list each call, so a caller may consume it."""
-    return list(_lead_facts(tuple(leads))[0])
+    return list(_facts_of(tuple(leads))[0])
 
 
 # The key and basis of the last buchberger_reduced computation: one entry,
@@ -230,43 +257,61 @@ def buchberger_reduced(gens):
 def _reduced_basis(start):
     """Buchberger's algorithm on a nonempty list of nonzero generators.
 
-    The basis is held as monic (lead, tail) reducers; Polynomials are built for the output only.
+    The basis is held as packed monic (lead, tail) reducers, with the leads
+    also kept as tuples for the pair rule; Polynomials are built for the output only.
     """
-    field, nvars = start[0].field, start[0].nvars
-    reducers = _reducers(start)
-    leads = [lead for lead, _ in reducers]
-    pairs = _pairs_of(leads)
-    while pairs:
-        _, i, j = pair = min(pairs)
-        pairs.remove(pair)
-        rem = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
-        if rem:
-            (lead, c), *tail = sorted(rem.items(), reverse=True)
-            inv = field.div(field.one, c)
-            reducers.append((lead, tuple([(m, _integral(inv * v)) for m, v in tail])))
-            leads.append(lead)
-            pairs = _gm_update(leads, len(leads) - 1, pairs)
-    # minimalize: drop elements whose lead is divisible by another lead
-    minimal = [reducers[i] for i in _lead_facts(tuple(leads))[1]]
-    # interreduce tails (no lead divides a term below it, so its own reducer never acts)
-    basis = []
-    for lead, tail in reversed(minimal):
-        rem = _normal_form_dict(dict(tail), minimal)
-        rem[lead] = field.one
-        basis.append(Polynomial.from_dict(field, nvars, rem))
-    return tuple(basis)
+    field = start[0].field
+
+    def run(P):
+        guard, pack, unpack = P.guard, P.pack, P.unpack
+        reducers = _reducers(P, start)
+        leads = [g.terms[0][0] for g in start]
+        facts = _facts_of(tuple(leads))
+        pairs = list(facts[0])
+        while pairs:
+            L, i, j = pair = min(pairs)
+            pairs.remove(pair)
+            rem = _normal_form_dict(_s_pair(reducers[i], reducers[j], pack(L)), reducers, guard)
+            if rem:
+                (lead, c), *tail = sorted(rem.items(), reverse=True)
+                inv = field.div(field.one, c)
+                reducers.append((lead, tuple([(m, _integral(inv * v)) for m, v in tail])))
+                leads.append(unpack(lead))
+                pairs = _gm_update(leads, len(leads) - 1, pairs)
+        if len(leads) > len(start):  # new leads joined: the minimal ones are among all of them
+            facts = _facts_of(tuple(leads))
+        # minimalize: drop elements whose lead is divisible by another lead
+        minimal = [reducers[i] for i in facts[1]]
+        # interreduce tails (no lead divides a term below it, so its own reducer never acts)
+        out = []
+        for lead, tail in reversed(minimal):
+            rem = _normal_form_dict(dict(tail), minimal, guard)
+            rem[lead] = field.one
+            out.append(P.to_polynomial(field, rem))
+        return tuple(out)
+
+    return _widening(run, start[0].nvars, _top(start))
 
 
 def is_groebner_basis(fs):
     """Check Buchberger's criterion on the pairs that the Gebauer-Moeller update keeps."""
-    reducers = _reducers([f for f in fs if not f.is_zero])
-    return _criterion_holds(reducers, _pairs_of([lead for lead, _ in reducers]))
+    fs = [f for f in fs if not f.is_zero]
+    pairs = _pairs_of([f.lt for f in fs])
+
+    def run(P):
+        pack = P.pack
+        return _criterion_holds(_reducers(P, fs), [(pack(L), i, j) for L, i, j in pairs], P.guard)
+
+    return _widening(run, fs[0].nvars if fs else 0, _top(fs))
 
 
-def _criterion_holds(reducers, pairs):
-    """Whether the S-pair of every pair (L, i, j) of monic (lead, tail) reducers reduces to 0."""
-    return not any(_normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
-                   for _, i, j in pairs)
+def _criterion_holds(reducers, pairs, guard):
+    """Whether the S-pair of every pair (L, i, j) of packed monic (lead, tail) reducers
+    reduces to 0, the lcm L packed too."""
+    for L, i, j in pairs:
+        if _normal_form_dict(_s_pair(reducers[i], reducers[j], L), reducers, guard):
+            return False
+    return True
 
 
 def leading_term_ideal(gb):

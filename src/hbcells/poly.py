@@ -1,9 +1,10 @@
 """Monomials, multivariate polynomials under lex order, and k[y] polynomials.
 
-Monomials are plain exponent tuples, one entry per ring variable.  The
-lexicographic order induced by x1 > x2 > ... > xn coincides with Python's
-native tuple comparison, which keeps the hot comparison paths free of any
-custom code.
+The public types hold monomials as plain exponent tuples, one entry per
+ring variable.  The lexicographic order induced by x1 > x2 > ... > xn
+coincides with Python's native tuple comparison, which keeps the hot
+comparison paths free of any custom code.  Inside the division kernel a
+monomial is one int (:class:`_Packing`), and only results are unpacked.
 
 A :class:`Polynomial` is an immutable association of monomials to nonzero
 coefficients, stored as a term tuple sorted in decreasing lex order so the
@@ -16,9 +17,13 @@ coefficients over two fields make unequal polynomials.
 Multivariate division over a field happens in one kernel,
 :func:`_normal_form_dict`, which divides a term dict by monic polynomials
 (no coefficient is inverted in its loop); Groebner reduction and exact
-quotients go through it, and S-polynomials through :func:`_s_pair`.  The
-generic-cell equations, whose coefficients are parameter polynomials, have
-their own packed reduction in ``generic_cells``.
+quotients go through it, and S-polynomials through :func:`_s_pair`.  Both
+run on packed monomials, so a product is ``+``, a quotient ``-`` and a
+divisibility test one subtraction; :func:`_widening` picks the field width
+from the largest input exponent and runs a computation again with wider
+fields when an exponent outgrows them.  The generic-cell equations, whose
+coefficients are parameter polynomials, have their own packed reduction in
+``generic_cells``.
 Dense k[y] coefficient lists have three kernels of their own:
 :func:`_convolve` (product), :func:`_divmod` (division with remainder) and
 :func:`_add_into` (accumulate).  ``UniPoly`` arithmetic and both directions
@@ -32,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, lshift, sub
 
 from .errors import DomainError, ParseError
 from .field import QQ
@@ -531,41 +536,154 @@ def _add_into(acc, p, negate, zero):
             acc[j] = acc[j] - c if negate else acc[j] + c
 
 
-def _normal_form_dict(work, reducers, quots=None):
-    """Divide the term dict ``work`` (consumed) by monic polynomials.
+# ---------------------------------------------------------------------------
+# packed monomials and the division kernel
 
-    ``reducers`` lists (lead, tail) pairs of monic polynomials.  Each step
-    cancels the largest remaining monomial with the first reducer whose lead
-    divides it, so the order of the list fixes the preference.  Returns the
-    remainder dict.  When ``quots`` (one dict per reducer) is given, the
-    quotient terms are recorded as ``quots[k][u] = c``; for a fixed reducer
-    ``u`` strictly decreases, so no term is written twice.
+class _Overflow(Exception):
+    """An exponent outgrew its packed field: the run starts again with wider fields."""
+
+
+class _Packing:
+    """Monomials in ``nvars`` variables packed into one int each, with ``width``-bit fields.
+
+    x^e is the sum of e_k << shifts[k], x1 in the top field, so int order is
+    lex order, a product is ``+``, a quotient ``-`` and x_k alone is
+    ``1 << shifts[k]``.  The top bit of each field is a guard: it stays clear
+    while every exponent is below 2^(width-1), and a run that sees it set
+    starts again with wider fields.  With every guard set in m, ``(m | guard)
+    - lead`` clears the guard of exactly the fields where lead's exponent
+    exceeds m's, so lead divides m when ``((m | guard) - lead) & guard == guard``.
+    """
+
+    __slots__ = ("nvars", "width", "shifts", "lows", "guard", "fmask")
+
+    def __init__(self, nvars, width):
+        self.nvars, self.width = nvars, width
+        self.shifts = list(range((nvars - 1) * width, -1, -width))
+        self.lows = ((1 << nvars * width) - 1) // ((1 << width) - 1)  # a 1 in every field
+        self.guard = self.lows << (width - 1)
+        self.fmask = (1 << (width - 1)) - 1
+
+    def pack(self, mono):
+        return sum(map(lshift, mono, self.shifts))
+
+    def pack_terms(self, terms):
+        """A list of (key, coefficient) pairs from (monomial, coefficient) pairs, in order."""
+        if self.nvars == 2:  # k[x, y]: two fields, packed without a loop over them
+            w = self.width
+            return [((a << w) + b, c) for (a, b), c in terms]
+        shifts = self.shifts
+        return [(sum(map(lshift, m, shifts)), c) for m, c in terms]
+
+    def unpack(self, key):
+        """The exponent tuple of a key, visiting only its nonzero fields."""
+        n, width = self.nvars, self.width
+        mono = [0] * n
+        while key:
+            field = (key.bit_length() - 1) // width
+            shift = field * width
+            mono[n - 1 - field] = key >> shift
+            key &= (1 << shift) - 1
+        return tuple(mono)
+
+    def polynomial(self, terms, den):
+        """The QQ Polynomial of an int term tuple in decreasing key order, over ``den``."""
+        unpack = self.unpack
+        return Polynomial._raw(QQ, self.nvars, tuple(
+            (unpack(key), v // den if v % den == 0 else Fraction(v, den)) for key, v in terms))
+
+    def to_polynomial(self, field, d):
+        """The Polynomial over ``field`` of a {key: coefficient} dict with nonzero coefficients.
+
+        Its keys are unpacked field by field: in a few variables that is faster
+        than ``unpack``, which pays off for sparse keys in many variables.  In
+        k[x, y] a key with clear guards is x's exponent times 2^width plus y's.
+        """
+        terms = sorted(d.items(), reverse=True)
+        if self.nvars == 2:
+            base = 1 << self.width
+            return Polynomial._raw(field, 2, tuple([(divmod(key, base), c) for key, c in terms]))
+        shifts, mask = self.shifts, self.fmask
+        return Polynomial._raw(field, self.nvars, tuple([
+            (tuple([key >> s & mask for s in shifts]), c) for key, c in terms]))
+
+
+def _start_width(top):
+    """The first field width for exponents up to ``top``: they fit, and at least 8 bits."""
+    return max(8, top.bit_length() + 1)
+
+
+def _top(polys):
+    """The largest exponent in the terms of ``polys``, 0 when there is none."""
+    monos = [m for p in polys for m, _ in p.terms]
+    return max(map(max, monos)) if monos and monos[0] else 0
+
+
+def _widening(run, nvars, top):
+    """``run(P)`` for a packing P of ``nvars`` variables whose fields fit exponents up to ``top``.
+
+    The width starts at ``_start_width(top)`` and doubles until ``top`` is
+    below the guard; each ``_Overflow`` that ``run`` raises starts it again
+    with fields twice as wide.  This is the boundary that chooses the width,
+    so an overflow never escapes it.
+    """
+    width = _start_width(top)
+    while True:
+        if not top >> (width - 1):
+            try:
+                return run(_Packing(nvars, width))
+            except _Overflow:
+                pass
+        width *= 2
+
+
+def _normal_form_dict(work, reducers, guard, quots=None):
+    """Divide the term dict ``work`` (consumed) by monic polynomials, on packed monomials.
+
+    ``reducers`` lists the (lead, tail) pairs of monic polynomials on the keys
+    of one ``_Packing`` whose guard bits are ``guard`` (``_reducers``), and
+    ``work`` is keyed the same way.  Each step cancels the largest remaining
+    monomial with the first reducer whose lead divides it, so the order of
+    the list fixes the preference.  Returns the remainder dict.  When
+    ``quots`` (one dict per reducer) is given, the quotient terms are
+    recorded as ``quots[k][u] = c``; for a fixed reducer ``u`` strictly
+    decreases, so no term is written twice.
+
+    A key made here or by ``_s_pair`` is a sum of two keys with clear guards,
+    so it is exact even when a guard is set (no field carries into the next).
+    Every key is checked when it is taken, before it is divided or kept, and
+    a set guard raises ``_Overflow``; a key that cancels first is never used.
     """
     rem = {}
     while work:
         m = max(work)
+        if m & guard:
+            raise _Overflow
         c = work.pop(m)
+        mg = m | guard
         for k, (lead, tail) in enumerate(reducers):
-            if mono_divides(lead, m):
-                u = mono_div(m, lead)
+            if (mg - lead) & guard == guard:
+                u = m - lead
                 if quots is not None:
                     quots[k][u] = c
+                c = -c
                 for tm, tc in tail:
-                    key = mono_mul(u, tm)
+                    key = u + tm
                     v = work.get(key)
-                    v = -(c * tc) if v is None else v - c * tc
-                    if v:
+                    if v is None:
+                        work[key] = c * tc  # nonzero: a field has no zero divisors
+                    elif v := v + c * tc:
                         work[key] = v
                     else:
-                        work.pop(key, None)
+                        del work[key]
                 break
         else:
             rem[m] = c
     return rem
 
 
-def _reducers(basis, f=None):
-    """The (lead, tail) pairs of the monic forms of ``basis``, in order.
+def _reducers(P, basis, f=None):
+    """The (lead, tail) pairs of the monic forms of ``basis`` on the keys of ``P``, in order.
 
     They must all be over one field, the field of ``f`` when it is given
     (the polynomial to be divided); otherwise this raises DomainError.
@@ -574,25 +692,47 @@ def _reducers(basis, f=None):
     ref = basis[0] if f is None and basis else f
     for g in basis:
         ref._same_field(g)
-    return [(g.lt, g.terms[1:]) for g in basis]
+    out = []
+    for g in basis:
+        terms = P.pack_terms(g.terms)
+        out.append((terms[0][0], tuple(terms[1:])))
+    return out
 
 
-def _s_pair(a, b):
-    """The S-polynomial of monic (lead, tail) pairs as a new term dict: the one S-pair kernel.
+def _s_pair(a, b, L):
+    """The S-polynomial of monic (lead, tail) pairs whose leads have the lcm ``L``, all packed,
+    as a new term dict: the one S-pair kernel.
 
-    It is u_a*tail_a - u_b*tail_b with u = lcm(leads) / lead; the leads cancel, nothing is divided.
+    It is u_a*tail_a - u_b*tail_b with u = L - lead; the leads cancel, nothing is
+    divided.  A key may have a guard set; the kernel checks each key it takes.
     """
     (la, ta), (lb, tb) = a, b
-    L = mono_lcm(la, lb)
-    ua, ub = mono_div(L, la), mono_div(L, lb)
-    work = {mono_mul(ua, m): c for m, c in ta}
+    ua, ub = L - la, L - lb
+    work = {ua + m: c for m, c in ta}
     for m, c in tb:
-        key = mono_mul(ub, m)
-        v = work.pop(key, None)
-        v = -c if v is None else v - c
-        if v:
+        key = ub + m
+        v = work.get(key)
+        if v is None:
+            work[key] = -c
+        elif v := v - c:
             work[key] = v
+        else:
+            del work[key]
     return work
+
+
+def _division(f, basis, quotients=False):
+    """Divide ``f`` by the monic forms of ``basis`` in the kernel: the remainder and, with
+    ``quotients``, the list of quotients by those monic forms (else None), as Polynomials."""
+    basis = list(basis)
+
+    def run(P):
+        quots = [{} for _ in basis] if quotients else None
+        rem = _normal_form_dict(dict(P.pack_terms(f.terms)), _reducers(P, basis, f), P.guard, quots)
+        return (P.to_polynomial(f.field, rem),
+                None if quots is None else [P.to_polynomial(f.field, q) for q in quots])
+
+    return _widening(run, f.nvars, _top([f, *basis]))
 
 
 def exact_quotient(f, g):
@@ -603,11 +743,8 @@ def exact_quotient(f, g):
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    quots = [{}]
-    if _normal_form_dict(dict(f.terms), _reducers([g], f), quots):
-        return None
-    field, lc = f.field, g.lc
-    return Polynomial.from_dict(field, f.nvars, {u: field.div(c, lc) for u, c in quots[0].items()})
+    rem, (q,) = _division(f, [g], quotients=True)
+    return None if rem else q.scale(f.field.div(f.field.one, g.lc))
 
 
 def divide_univariate(f, h):

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .groebner import LEAD_CACHE_SIZE, MonomialIdeal
+from .groebner import LEAD_CACHE_SIZE, LEAD_MEMO_LIMIT, MonomialIdeal
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -126,17 +126,21 @@ def _staircase_from_leads(gens):
 
     The generators need not be minimal, so the leads of any Groebner basis
     give its staircase without building a :class:`MonomialIdeal`.  A t
-    above ``STAIRCASE_T_LIMIT`` raises ``DomainError``.
+    above ``STAIRCASE_T_LIMIT`` raises ``DomainError``; one above
+    ``groebner.LEAD_MEMO_LIMIT`` is built afresh, not memoized.
     """
     gens = tuple(gens)
     t = min((a for a, b in gens if not b), default=None)
     if t is not None and t > STAIRCASE_T_LIMIT:
         raise DomainError(f"the least power of x in the ideal is x^{t}: a staircase of {t} steps "
                           f"is over the budget of {STAIRCASE_T_LIMIT} (staircase.STAIRCASE_T_LIMIT)")
+    if t is not None and t > LEAD_MEMO_LIMIT:
+        return _staircase_of_leads.__wrapped__(gens)
     return _staircase_of_leads(gens)
 
 
-# memoized like groebner._lead_facts: every ideal of one Groebner cell has the same leads
+# memoized like groebner._lead_facts: every ideal of one Groebner cell has the same leads;
+# a staircase of more than LEAD_MEMO_LIMIT steps is not kept
 @functools.lru_cache(maxsize=LEAD_CACHE_SIZE)
 def _staircase_of_leads(gens):
     t = min((a for a, b in gens if not b), default=None)

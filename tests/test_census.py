@@ -7,15 +7,15 @@ from collections import Counter
 
 import pytest
 
-from hbcells import census
+from hbcells import census, poly
 from hbcells.census import (BRUTE_FORCE_POINT_LIMIT, CENSUS_STAIRCASE_LIMIT,
                             brute_force_ideal_count, cell_census)
 from hbcells.errors import DomainError
 from hbcells.field import GF
 from hbcells.generic_cells import generic_family, instantiate
-from hbcells.groebner import _pairs_of, is_groebner_basis
+from hbcells.groebner import _pairs_of, is_groebner_basis, normal_form, s_polynomial
 from hbcells.hilbert_burch import CellKind
-from hbcells.poly import _normal_form_dict, _reducers, _s_pair
+from hbcells.poly import _Packing, _reducers, _top, _widening
 from hbcells.staircase import enumerate_staircases
 
 
@@ -99,18 +99,29 @@ def test_brute_force_refuses_large_colength():
 @pytest.mark.parametrize("d,q", [(d, q) for d in (1, 2) for q in (2, 3, 4, 5)] + [(3, 2), (3, 3)])
 def test_brute_force_matches_the_literal_criterion_per_staircase(d, q, monkeypatch):
     # the product of the option tables gives, point by point and in order, the
-    # reducers of the instantiated family, and each staircase counts what
-    # is_groebner_basis accepts
+    # packed reducers of the instantiated family, at the width chosen for them,
+    # and each staircase counts what is_groebner_basis accepts
     field = GF(q)
     elems = field.elements()
+    negs = [-v for v in elems]
     for E in enumerate_staircases(d):
         family = generic_family(E.generators(minimal=True), 2, graded=False)
         values = list(itertools.product(elems, repeat=family.nparams))
-        assert list(itertools.product(*census._tables(family, elems))) == [
-            tuple(_reducers(instantiate(family, v, field))) for v in values]
+        widths = {_widening(lambda P: P.width, 2, _top(instantiate(family, v, field)))
+                  for v in values}
+        assert len(widths) == 1, E
+        P = _Packing(2, widths.pop())
+        assert list(itertools.product(*census._tables(family.members, negs, P))) == [
+            tuple(_reducers(P, instantiate(family, v, field))) for v in values]
+        built = []
+        tables_of = census._tables
+        monkeypatch.setattr(census, "_tables", lambda ms, ns, P: built.append(P.width)
+                            or tables_of(ms, ns, P))
         monkeypatch.setattr(census, "enumerate_staircases", lambda d, E=E: [E])
         assert brute_force_ideal_count(d, q) == sum(
             is_groebner_basis(instantiate(family, v, field)) for v in values), E
+        assert built == [P.width]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -128,11 +139,12 @@ def test_a_pair_reduces_by_the_suffix_of_its_lower_member(q):
             assert all(i < j for _, i, j in pairs), E
             for _ in range(40):
                 values = [rng.choice(field.elements()) for _ in range(family.nparams)]
-                reducers = _reducers(instantiate(family, values, field))
-                for _, i, j in pairs:
-                    full = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers)
-                    suffix = _normal_form_dict(_s_pair(reducers[i], reducers[j]), reducers[i:])
-                    assert suffix == full, (E, values, i, j)
+                gs = instantiate(family, values, field)
+                for L, i, j in pairs:
+                    assert L == tuple(map(max, gs[i].lt, gs[j].lt))
+                    spoly = s_polynomial(gs[i], gs[j])
+                    full = normal_form(spoly, gs)
+                    assert normal_form(spoly, gs[i:]) == full, (E, values, i, j)
                     nonzero[bool(full)] += 1
     assert nonzero[True] > 500 and nonzero[False] > 20, nonzero
 
@@ -150,15 +162,28 @@ def test_brute_force_point_budget(monkeypatch):
         brute_force_ideal_count(1, 2147483647)  # q^2 points: refused, not enumerated
     assert time.perf_counter() - start < 5
     # checked before any option table is built; a count equal to the budget runs
-    enumerated = []
+    # and builds only the tables the walk reads: none at colength 2, where no
+    # staircase has a pair, and the three of (x^2, xy, y^2) at colength 3
+    built = []
     tables_of = census._tables
-    monkeypatch.setattr(census, "_tables", lambda *a: enumerated.append(a) or tables_of(*a))
-    monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", 23)
-    with pytest.raises(DomainError, match="24 points"):
-        brute_force_ideal_count(2, 2)
-    assert enumerated == []
+
+    def spy(*args):
+        tables = tables_of(*args)
+        built.extend(map(len, tables))
+        return tables
+
+    monkeypatch.setattr(census, "_tables", spy)
+    for d, count in ((2, 24), (3, 336)):
+        assert points(d, 2) == count
+        monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", count - 1)
+        with pytest.raises(DomainError, match=f"{count} points"):
+            brute_force_ideal_count(d, 2)
+        assert built == []
     monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", 24)
-    assert brute_force_ideal_count(2, 2) == 24 and len(enumerated) == 2
+    assert brute_force_ideal_count(2, 2) == 24 and built == []
+    monkeypatch.setattr(census, "BRUTE_FORCE_POINT_LIMIT", 336)
+    assert brute_force_ideal_count(3, 2) == cell_census(3).evaluate(2) == 112
+    assert built == [8, 8, 4]
 
 
 def _euler_product(shift, top):
@@ -183,3 +208,17 @@ def test_census_matches_ellingsrud_stromme(kind, shift):
     series = _euler_product(shift, top)
     for d in range(1, top + 1):
         assert Counter(dims[kind] for _, dims in cell_census(d).records) == series[d], d
+
+
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_a_census_from_a_small_start_width_widens_to_fit(start, monkeypatch):
+    # the width doubles until the leads fit below the guards, and the count holds
+    widths = []
+    tables_of = census._tables
+    monkeypatch.setattr(poly, "_start_width", lambda top: start)
+    monkeypatch.setattr(census, "_tables",
+                        lambda ms, negs, P: widths.append(P.width) or tables_of(ms, negs, P))
+    for q in (2, 3):
+        assert brute_force_ideal_count(3, q) == cell_census(3).evaluate(q)
+    # three staircases, whose largest exponents 3, 2 and 3 need 2 bits and a guard
+    assert widths == [{1: 4, 2: 4, 3: 3}[start]] * 6

@@ -21,8 +21,9 @@ from hbcells.generic_cells import (ParameterEquations, affine_space_check,
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
-from hbcells.poly import Polynomial, _normal_form_dict, _s_pair, monomials_of_degree
+from hbcells.poly import Polynomial, monomials_of_degree
 from hbcells.staircase import Staircase, enumerate_staircases
+from tuple_kernel import normal_form_dict, s_pair
 
 EX21 = [(0, 0, 4), (0, 4, 0), (1, 2, 1), (3, 0, 1)]                      # n=3
 EX22 = [(0, 0, 0, 2), (0, 1, 0, 1), (0, 2, 0, 0), (1, 0, 0, 1)]          # n=4
@@ -303,9 +304,9 @@ def _reference_equations(family, all_pairs=False):
     """The S-pair reduction written with Polynomial coefficients in the parameters.
 
     Each member becomes a monic (lead, tail) pair whose tail coefficients are
-    the Polynomials -a_k; every S-pair (``_s_pair``) of two members whose leads
-    share a variable, or of any two members with ``all_pairs``, is divided by
-    the members with ``_normal_form_dict``, and the remainder coefficients, in
+    the Polynomials -a_k; every S-pair (``tuple_kernel.s_pair``) of two members
+    whose leads share a variable, or of any two members with ``all_pairs``, is
+    divided by the members with the tuple kernel, and the remainder coefficients, in
     decreasing monomial order, go through ``_normalize``.
     """
     npar = family.nparams
@@ -320,7 +321,7 @@ def _reference_equations(family, all_pairs=False):
     for a, b in itertools.combinations(reducers, 2):
         if not all_pairs and _coprime(a[0], b[0]):
             continue
-        rem = _normal_form_dict(_s_pair(a, b), reducers)
+        rem = normal_form_dict(s_pair(a, b), reducers)
         eqs.extend(rem[mono] for mono in sorted(rem, reverse=True))
     return _normalize(eqs)
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from hbcells import groebner
+from hbcells import groebner, poly
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.generic_cells import generic_family
@@ -23,6 +23,8 @@ from hbcells.linalg import echelon_insert
 from hbcells.poly import (Polynomial, exact_quotient, mono_div, mono_divides, mono_lcm,
                           mono_mul, monomials_of_degree, parse_polynomial)
 from hbcells.staircase import Staircase, enumerate_staircases, staircase_from_monomial_ideal
+
+import tuple_kernel
 
 
 def P(text, field=QQ):
@@ -592,3 +594,112 @@ def test_packed_oracle_at_degree_zero():
     assert graded_beta0_profile([one]) == {0: 1}
     assert graded_beta0_profile([one, P("x")], up_to=3) == {0: 1}
 
+
+
+# -- the packed kernel against the tuple kernel ---------------------------------
+
+def _exact(p):
+    """The terms of a polynomial with each coefficient's type: equal means byte-identical."""
+    return [(m, type(c), c) for m, c in p.terms]
+
+
+def _random_terms(rng, field, nvars, most):
+    """Up to ``most`` random terms, exponents at most 3."""
+    terms = {}
+    for _ in range(rng.randint(1, most)):
+        mono = tuple(rng.randint(0, 3) for _ in range(nvars))
+        terms[mono] = rng.choice(field.elements()) if field.char else field.of(rng.randint(-5, 5))
+    return Polynomial(field, nvars, terms)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(4)], ids=["QQ", "GF2", "GF3", "GF4"])
+def test_the_packed_kernel_equals_the_tuple_kernel(field, nvars):
+    # every entry point of the kernel gives what the tuple kernel gives, term
+    # for term and coefficient type for coefficient type
+    rng = random.Random(101 * nvars + (field.size if field.char else 0))
+    seen = collections.Counter()
+    while seen["cases"] < 60:
+        f = _random_terms(rng, field, nvars, 4)
+        basis = [g for g in (_random_terms(rng, field, nvars, 4) for _ in range(rng.randint(1, 3)))
+                 if not g.is_zero]
+        # binomials: their bases stay binomial, so Buchberger ends fast in four variables
+        gens = [g for g in (_random_terms(rng, field, nvars, 2) for _ in range(rng.randint(2, 3)))
+                if not g.is_zero]
+        if not basis or not gens:
+            continue
+        seen["cases"] += 1
+        assert _exact(normal_form(f, basis)) == _exact(tuple_kernel.normal_form(f, basis))
+        (r, qs), (ref_r, ref_qs) = reduce(f, basis), tuple_kernel.reduce(f, basis)
+        assert [_exact(p) for p in (r, *qs)] == [_exact(p) for p in (ref_r, *ref_qs)]
+        g = basis[0]
+        for h in (f, f * g):
+            q, ref = exact_quotient(h, g), tuple_kernel.exact_quotient(h, g)
+            assert (q is None and ref is None) or _exact(q) == _exact(ref)
+            seen["exact"] += q is not None
+        if not f.is_zero:
+            assert _exact(s_polynomial(f, g)) == _exact(tuple_kernel.s_polynomial(f, g))
+        gb = buchberger_reduced(gens)
+        assert [_exact(p) for p in gb] == [_exact(p) for p in tuple_kernel.buchberger_reduced(gens)]
+        for fs in (basis, gens, gens + gb[:1], gb):
+            verdict = is_groebner_basis(fs)
+            assert verdict == tuple_kernel.is_groebner_basis(fs)
+            seen[verdict] += 1
+    assert seen["exact"] >= 60 and seen[False] >= 15 and seen[True] >= 60, seen
+
+
+@pytest.fixture
+def kernel_widths(monkeypatch):
+    """The field widths of the kernel's runs, in order."""
+    widths = []
+    inner = poly._normal_form_dict
+
+    def spy(work, reducers, guard, quots=None):
+        widths.append((guard & -guard).bit_length())  # the guard of the lowest field
+        return inner(work, reducers, guard, quots)
+
+    for module in (poly, groebner):
+        monkeypatch.setattr(module, "_normal_form_dict", spy)
+    return widths
+
+
+def test_the_kernel_widens_its_fields_when_an_exponent_outgrows_them(kernel_widths):
+    # x^3 by x - y^100 reaches y^300, past the 127 that an 8-bit field holds
+    f, g = P("x^3"), P("x - y^100")
+    assert normal_form(f, [g]) == tuple_kernel.normal_form(f, [g]) == P("y^300")
+    assert kernel_widths == [8, 16]
+    del kernel_widths[:]
+    rem, quots = reduce(f, [g])
+    assert (rem, quots) == tuple_kernel.reduce(f, [g])
+    assert quots == [P("x^2 + x*y^100 + y^200")]
+    assert kernel_widths == [8, 16]
+    del kernel_widths[:]
+    gb = buchberger_reduced([P("x^3 - y^300"), g])
+    assert gb == tuple_kernel.buchberger_reduced([P("x^3 - y^300"), g]) == [g]
+    assert set(kernel_widths) == {10}  # y^300 sets the start, and nothing outgrows it
+    del kernel_widths[:]
+    # the S-pair of x - y^100 and x^2 reduces to -y^200
+    assert not is_groebner_basis([g, P("x^2")])
+    assert not tuple_kernel.is_groebner_basis([g, P("x^2")])
+    assert kernel_widths == [8, 16]
+    del kernel_widths[:]
+    assert exact_quotient(f, g) is tuple_kernel.exact_quotient(f, g) is None
+    assert kernel_widths == [8, 16]
+    assert exact_quotient(P("x^3 - y^300"), g) == P("x^2 + x*y^100 + y^200")
+    # an S-polynomial is checked too: y^100 * (x - y^120) - x * (y^100 + 1) has y^220
+    assert s_polynomial(P("x - y^120"), P("y^100 + 1")) == P("-x - y^220")
+
+
+def test_the_lead_memo_skips_a_long_lead_list():
+    # an entry keeps O(leads) pairs: a list above the limit is worked out afresh
+    def leads(n):
+        return tuple((n - i, i) for i in range(n + 1))  # x^n, x^(n-1) y, ..., y^n
+
+    n = groebner.LEAD_MEMO_LIMIT
+    groebner._lead_facts.cache_clear()
+    long_facts = groebner._facts_of(leads(n))  # n + 1 leads: over the limit
+    assert groebner._lead_facts.cache_info().currsize == 0
+    assert long_facts == groebner._lead_facts.__wrapped__(leads(n))
+    assert [(i, j) for _, i, j in long_facts[0]] == [(i, i + 1) for i in range(n)]
+    assert groebner._facts_of(leads(n - 1)) is groebner._facts_of(leads(n - 1))
+    assert groebner._lead_facts.cache_info().currsize == 1

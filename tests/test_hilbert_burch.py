@@ -18,8 +18,7 @@ from hbcells.hilbert_burch import (CellKind, CellMatrix, _y_coefficients,
                                    cell_matrix_from_parameters, minors_ideal,
                                    random_cell_matrix, slot_set,
                                    validate_cell_matrix)
-from hbcells.poly import (Polynomial, UniPoly, _convolve, _normal_form_dict, _reducers,
-                          parse_ideal, parse_polynomial)
+from hbcells.poly import Polynomial, UniPoly, _convolve, parse_ideal, parse_polynomial
 from hbcells.staircase import (Staircase, enumerate_staircases,
                                staircase_from_monomial_ideal)
 
@@ -485,11 +484,12 @@ def test_v2_by_iterated_x_multiplication_matches_reducing_x_to_the_colength():
 
 def _v2_by_iterated_x(gb, E):
     """Reference V2 test: r <- NF(x*r) from r = 1 reaches 0 within colength steps."""
-    reducers = _reducers(gb)
-    r = {(0, 0): gb[0].field.one}
+    field = gb[0].field
+    x = Polynomial.variable(field, 2, 0)
+    r = Polynomial.constant(field, 2, field.one)
     for _ in range(E.colength):
-        r = _normal_form_dict({(i + 1, j): c for (i, j), c in r.items()}, reducers)
-        if not r:
+        r = normal_form(x * r, gb)
+        if r.is_zero:
             return True
     return False
 

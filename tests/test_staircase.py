@@ -7,7 +7,7 @@ import pytest
 
 from hbcells import staircase
 from hbcells.errors import DomainError
-from hbcells.groebner import MonomialIdeal
+from hbcells.groebner import LEAD_MEMO_LIMIT, MonomialIdeal
 from hbcells.staircase import (HSeries, Staircase, enumerate_staircases,
                                lex_segment_from_hseries,
                                staircase_from_monomial_ideal)
@@ -225,3 +225,16 @@ def test_enumerate_counts_are_partition_numbers():
         assert len(set(cells)) == len(cells)
         assert cells == sorted(cells)
         assert all(E.colength == d for E in cells)
+
+
+def test_a_staircase_over_the_memo_limit_is_not_kept():
+    # a staircase of t steps holds two tuples of t + 1 ints: a long one is built
+    # afresh on each call instead of staying alive in the memo
+    t = 100 * LEAD_MEMO_LIMIT
+    before = staircase._staircase_of_leads.cache_info().currsize
+    E = staircase._staircase_from_leads([(t, 0), (0, 1)])
+    assert E == Staircase((0,) + (1,) * t)
+    assert staircase._staircase_from_leads([(t, 0), (0, 1)]) is not E
+    assert staircase._staircase_of_leads.cache_info().currsize == before
+    short = [(LEAD_MEMO_LIMIT, 0), (0, 1)]
+    assert staircase._staircase_from_leads(short) is staircase._staircase_from_leads(short)
