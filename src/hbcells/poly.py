@@ -572,8 +572,8 @@ class _Packing:
         if self.nvars == 2:  # k[x, y]: two fields, packed without a loop over them
             w = self.width
             return [((a << w) + b, c) for (a, b), c in terms]
-        shifts = self.shifts
-        return [(sum(map(lshift, m, shifts)), c) for m, c in terms]
+        pack = self.pack
+        return [(pack(m), c) for m, c in terms]
 
     def unpack(self, key):
         """The exponent tuple of a key, visiting only its nonzero fields."""
@@ -595,17 +595,15 @@ class _Packing:
     def to_polynomial(self, field, d):
         """The Polynomial over ``field`` of a {key: coefficient} dict with nonzero coefficients.
 
-        Its keys are unpacked field by field: in a few variables that is faster
-        than ``unpack``, which pays off for sparse keys in many variables.  In
-        k[x, y] a key with clear guards is x's exponent times 2^width plus y's.
+        In k[x, y] a key with clear guards is x's exponent times 2^width plus
+        y's, so one ``divmod`` unpacks it.
         """
         terms = sorted(d.items(), reverse=True)
         if self.nvars == 2:
             base = 1 << self.width
             return Polynomial._raw(field, 2, tuple([(divmod(key, base), c) for key, c in terms]))
-        shifts, mask = self.shifts, self.fmask
-        return Polynomial._raw(field, self.nvars, tuple([
-            (tuple([key >> s & mask for s in shifts]), c) for key, c in terms]))
+        unpack = self.unpack
+        return Polynomial._raw(field, self.nvars, tuple([(unpack(key), c) for key, c in terms]))
 
 
 def _start_width(top):
@@ -622,19 +620,16 @@ def _top(polys):
 def _widening(run, nvars, top):
     """``run(P)`` for a packing P of ``nvars`` variables whose fields fit exponents up to ``top``.
 
-    The width starts at ``_start_width(top)`` and doubles until ``top`` is
-    below the guard; each ``_Overflow`` that ``run`` raises starts it again
-    with fields twice as wide.  This is the boundary that chooses the width,
-    so an overflow never escapes it.
+    The width starts at ``_start_width(top)``, and each ``_Overflow`` that
+    ``run`` raises starts it again with fields twice as wide.  This is the
+    boundary that chooses the width, so an overflow never escapes it.
     """
     width = _start_width(top)
     while True:
-        if not top >> (width - 1):
-            try:
-                return run(_Packing(nvars, width))
-            except _Overflow:
-                pass
-        width *= 2
+        try:
+            return run(_Packing(nvars, width))
+        except _Overflow:
+            width *= 2
 
 
 def _normal_form_dict(work, reducers, guard, quots=None):
@@ -694,6 +689,8 @@ def _reducers(P, basis, f=None):
         ref._same_field(g)
     out = []
     for g in basis:
+        if g.is_zero:
+            raise ValueError("the zero polynomial has no leading term")
         terms = P.pack_terms(g.terms)
         out.append((terms[0][0], tuple(terms[1:])))
     return out

@@ -210,15 +210,25 @@ def test_census_matches_ellingsrud_stromme(kind, shift):
         assert Counter(dims[kind] for _, dims in cell_census(d).records) == series[d], d
 
 
-@pytest.mark.parametrize("start", [1, 2, 3])
-def test_a_census_from_a_small_start_width_widens_to_fit(start, monkeypatch):
-    # the width doubles until the leads fit below the guards, and the count holds
-    widths = []
-    tables_of = census._tables
-    monkeypatch.setattr(poly, "_start_width", lambda top: start)
+@pytest.mark.parametrize("q", [2, 3])
+def test_an_overflow_mid_walk_counts_again_at_twice_the_width(q, monkeypatch):
+    # from the narrowest width that fits the leads, the third criterion check
+    # reports an overflow, as an exponent past its field would: the walk
+    # restarts at twice the width and none of its partial count is kept
+    widths, checks = [], []
+    tables_of, holds = census._tables, census._criterion_holds
+
+    def check(s, pairs, guard):
+        checks.append(guard)
+        if len(checks) == 3:
+            raise poly._Overflow
+        return holds(s, pairs, guard)
+
+    monkeypatch.setattr(poly, "_start_width", lambda top: top.bit_length() + 1)
     monkeypatch.setattr(census, "_tables",
                         lambda ms, negs, P: widths.append(P.width) or tables_of(ms, negs, P))
-    for q in (2, 3):
-        assert brute_force_ideal_count(3, q) == cell_census(3).evaluate(q)
-    # three staircases, whose largest exponents 3, 2 and 3 need 2 bits and a guard
-    assert widths == [{1: 4, 2: 4, 3: 3}[start]] * 6
+    monkeypatch.setattr(census, "_criterion_holds", check)
+    assert brute_force_ideal_count(3, q) == cell_census(3).evaluate(q)
+    # three staircases, whose largest exponents 3, 2 and 3 fit in 2 bits and a
+    # guard; the second makes the third check and runs again with 6-bit fields
+    assert widths == [3, 3, 6, 3]

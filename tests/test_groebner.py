@@ -109,6 +109,11 @@ def test_reduction_rejects_a_dividend_over_another_field():
 
 # -- reduction ----------------------------------------------------------------
 
+def test_normal_form_rejects_a_zero_basis_element():
+    with pytest.raises(ValueError, match="the zero polynomial has no leading term"):
+        normal_form(P("x"), [P("y"), Polynomial.zero(QQ, 2)])
+
+
 def test_reduce_single_step():
     r, qs = reduce(P("y^3"), [P("y^2")])
     assert r.is_zero and qs[0] == P("y")
@@ -688,6 +693,12 @@ def test_the_kernel_widens_its_fields_when_an_exponent_outgrows_them(kernel_widt
     assert exact_quotient(P("x^3 - y^300"), g) == P("x^2 + x*y^100 + y^200")
     # an S-polynomial is checked too: y^100 * (x - y^120) - x * (y^100 + 1) has y^220
     assert s_polynomial(P("x - y^120"), P("y^100 + 1")) == P("-x - y^220")
+    # in three variables too, where keys unpack field by nonzero field
+    f3, g3, r3 = (parse_polynomial(t, ("x", "y", "z")) for t in ("x^3", "x - z^100", "z^300"))
+    del kernel_widths[:]
+    rem, quots = reduce(f3, [g3])
+    assert (rem, quots) == tuple_kernel.reduce(f3, [g3]) and rem == r3
+    assert kernel_widths == [8, 16]
 
 
 def test_the_lead_memo_skips_a_long_lead_list():
