@@ -112,8 +112,11 @@ def prune_multiples(eqs):
                        for j, other in enumerate(eqs))]
 
 
-# Initial field width for ``buchberger_equations``: exponents up to 7 fit.
-_BUCHBERGER_WIDTH = 4
+# Initial field width for ``buchberger_equations``, and so for ``eliminate_linear``
+# on its output: exponents up to 127 fit, the floor that ``poly._start_width``
+# gives the division kernel.  At 4 bits, 6 of the 266 families of the tests'
+# ``_generic_elim_families()`` overflow in the elimination and redo all of it wider.
+_BUCHBERGER_WIDTH = 8
 
 
 def _primitive(acc):

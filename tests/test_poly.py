@@ -1,5 +1,6 @@
 """Core arithmetic: fields, monomial order, polynomials, parsing."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbcells.betti import betti_numbers
+import hbcells.field as field_mod
 from hbcells.errors import DomainError, ParseError
 from hbcells.field import GF, QQ, PrimeField, scalar_from_json, scalar_to_json
 from hbcells.hilbert_burch import CellMatrix, slot_set
@@ -116,7 +118,6 @@ def test_gf_gives_one_shared_field_per_order():
 
 
 def test_gf_returns_a_known_order_without_testing_primality(monkeypatch):
-    import hbcells.field as field_mod
     first = GF(2147483647)
     tested = []
     monkeypatch.setattr(field_mod, "_is_prime", lambda p: tested.append(p) or True)
@@ -129,11 +130,84 @@ def test_gf_returns_a_known_order_without_testing_primality(monkeypatch):
             GF(q)
 
 
+# GF(4) = GF(2)[w]/(w^2 + w + 1) on the encoding 0, 1, w = 2, w + 1 = 3
+GF4_ADD = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+GF4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+
+
+def _reference_ops(field):
+    """(add, sub, mul, neg, inv) on indices, written apart from the field code."""
+    if field.size == 4:
+        inv = {b: c for b in range(1, 4) for c in range(1, 4) if GF4_MUL[b][c] == 1}
+        return (lambda a, b: GF4_ADD[a][b], lambda a, b: GF4_ADD[a][b],
+                lambda a, b: GF4_MUL[a][b], lambda a: a, inv.__getitem__)
+    p = field.size
+    return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a, b: a * b % p,
+            lambda a: -a % p, lambda b: pow(b, -1, p))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), GF5, GF(7), GF(101)], ids=repr)
+def test_tabled_field_arithmetic_is_exact_on_interned_elements(field):
+    add, sub, mul, neg, inv = _reference_ops(field)
+    at = field.decode  # the element of an index (``of`` maps an int into GF(4) mod 2)
+    for a in field.elements():
+        assert a is at(a.val) and a is field.of(a) and -a is at(neg(a.val))
+        for k in range(-2, 4):
+            if a or k >= 0:
+                want = field.one
+                for _ in range(abs(k)):
+                    want = at(mul(want.val, a.val if k > 0 else inv(a.val)))
+                assert a ** k is want
+        for b in field.elements():
+            n = b.val  # an int operand goes through ``of``
+            assert a + b is at(add(a.val, b.val)) and a + n is a + field.of(n) is n + a
+            assert a - b is at(sub(a.val, b.val)) and a - n is a - field.of(n)
+            assert n - a is field.of(n) - a
+            assert a * b is at(mul(a.val, b.val)) and a * n is a * field.of(n) is n * a
+            if b:
+                assert a / b is at(mul(a.val, inv(b.val)))
+            if field.of(n):
+                assert a / n is a / field.of(n) and a.val / field.of(n) is field.of(a.val) / n
+    assert 101 <= field_mod.TABLE_LIMIT < 2147483647  # GF(101) by table, GF(2^31 - 1) computed
+
+
+def test_computed_field_arithmetic_matches_the_residues():
+    p = 2147483647
+    F = GF(p)
+    rng = random.Random(2147)
+    for _ in range(200):
+        x, y = rng.randrange(p), rng.randrange(1, p)
+        a, b = F.of(x), F.of(y)
+        assert (a + b).val == (x + y) % p and (a - b).val == (x - y) % p
+        assert (a * b).val == x * y % p and (-a).val == -x % p
+        assert (a / b).val == x * pow(y, -1, p) % p and (b ** -2).val == pow(y, -2, p)
+        assert (a ** 3).val == pow(x, 3, p) and (y - a).val == (y - x) % p
+
+
+@pytest.mark.parametrize("q", [5, 2147483647])
+def test_finite_field_elements_are_immutable(q):
+    one = GF(q).one
+    for name, value in (("val", 0), ("field", QQ), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(one, name, value)
+        with pytest.raises(AttributeError):
+            delattr(one, name)
+    assert GF(q).one == 1 and GF(q).one.field is GF(q)
+    # a copy of an immutable value is the value itself, as for an int
+    assert copy.copy(one) is one and copy.deepcopy([one])[0] is one
+
+
 def test_mixing_finite_field_elements_raises_domain_error():
     with pytest.raises(DomainError):
         GF(5).one + PrimeField(5).one  # a separately built field of the same order
     with pytest.raises(DomainError):
         GF(4).one * GF(2).one
+    ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b)
+    for a, b in ((GF5.one, PrimeField(5).one), (GF(101).one, GF(2147483647).one)):
+        for op in ops:
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(DomainError):
+                    op(x, y)
     with pytest.raises(DomainError):
         poly_of("x+1", PrimeField(5)) + poly_of("x+1", GF5)
 
