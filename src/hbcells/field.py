@@ -18,6 +18,10 @@ is returned as it is, an ``int`` or a ``Fraction`` is mapped into the field,
 and anything else raises ``DomainError``, an element of another field (one
 of the same order built apart included) too.
 
+A copy of a field or of an element is the object itself.  ``QQ``, ``GF(q)``
+and their elements unpickle to themselves; a field built apart from ``GF``
+cannot be pickled, as it would come back as another field.
+
 Division of two raw ints would produce a float, so any coefficient
 division must go through ``field.div``.
 """
@@ -28,6 +32,11 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError
+
+
+def _itself(self, memo=None):
+    """``__copy__`` and ``__deepcopy__`` of a value that is never copied."""
+    return self
 
 
 def _is_prime(p):
@@ -68,6 +77,10 @@ class RationalField:
         return q.numerator if q.denominator == 1 else q
 
     decode = of  # JSON decoding coincides with coercion
+    __copy__ = __deepcopy__ = _itself
+
+    def __reduce__(self):
+        return "QQ"  # the module attribute
 
     # Field hashes are ints, not salted str hashes, so the hash of a value
     # that holds its field repeats from one process to the next.
@@ -108,11 +121,10 @@ class FFElement:
         raise AttributeError(f"field elements are immutable: cannot delete {name!r}")
 
     # immutable, so a copy is the element itself, interned where it was
-    def __copy__(self):
-        return self
+    __copy__ = __deepcopy__ = _itself
 
-    def __deepcopy__(self, memo):
-        return self
+    def __reduce__(self):
+        return self.field.decode, (self.val,)
 
     def _coerce(self, other):
         if type(other) is type(self) and other.field is self.field:  # the hot path, inline
@@ -305,6 +317,14 @@ class _FiniteField:
 
     def __repr__(self):
         return f"GF({self.size})"
+
+    __copy__ = __deepcopy__ = _itself
+
+    def __reduce__(self):
+        if _FIELDS.get(self.size) is not self:
+            raise TypeError(f"a field {self!r} built apart from GF({self.size}) cannot be pickled: "
+                            "it would unpickle as another field")
+        return GF, (self.size,)
 
 
 class PrimeField(_FiniteField):

@@ -19,6 +19,12 @@ The signed maximal minors of M0(E) + N generate an ideal with leading
 term ideal E; conversely every such ideal arises from exactly one N, and
 ``canonical_matrix`` reconstructs it by normalizing the column syzygies
 of a reduced Groebner basis.
+
+A ``CellMatrix`` stores its nonzero entries only, keyed by (i, j) in
+column-major order.  Its producers build and check only those, and its
+readers (the minors, validation, JSON and LaTeX) walk only those, so a
+matrix costs what its nonzero entries cost, in time and in memory;
+``entries`` is a dense view for display.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
+from itertools import chain
 
 from .errors import DomainError
 from .field import QQ, scalar_from_json, scalar_to_json
@@ -122,142 +127,161 @@ def _run_end(E, j):
     return k
 
 
+def _checked_nonzeros(E, cells, field):
+    """The store of a cell matrix: the nonzero entries of ``cells``, in column-major order.
+
+    ``cells`` yields (i, j, entry), an entry a ``UniPoly`` or scalars for one.
+    A zero entry passes every check, so the checks (the field, zero above the
+    diagonal, degree < d_j) run once per nonzero entry, in the order of ``cells``.
+    """
+    d = E.d
+    out = []
+    for i, j, n in cells:
+        if not isinstance(n, UniPoly):
+            n = UniPoly(field, n)
+        if not n:
+            continue
+        if n.field is not field and n.field != field:
+            raise DomainError(
+                f"entry ({i},{j}) over another field {n.field!r} in a matrix over {field!r}")
+        if i < j:
+            raise ValueError(f"entry ({i},{j}) above the diagonal must vanish")
+        if n.degree >= d[j - 1]:
+            raise ValueError(
+                f"entry ({i},{j}) has degree {n.degree}, needs < d_{j} = {d[j - 1]}")
+        out.append(((i, j), n))
+    out.sort(key=lambda e: e[0][::-1])
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class CellMatrix:
     """A point of T0(E): the perturbation N added to M0(E).
 
-    A frozen value: equal matrices have the same staircase, entries and field.
+    Stored by its nonzero entries only: ``nonzeros`` holds ((i, j), n_ij)
+    pairs, 1-indexed, in column-major order, each n_ij a nonzero ``UniPoly``.
+    ``n(i, j)`` reads any entry and ``entries`` is the dense (t+1) x t view.
+    A frozen value: equal matrices have the same staircase, nonzero entries
+    and field.
     """
 
     E: Staircase
-    entries: tuple
+    nonzeros: tuple
     field: object
 
     def __init__(self, E, entries, field=QQ):
         t = E.t
-        d = E.d
         if len(entries) != t + 1 or any(len(row) != t for row in entries):
             raise ValueError(f"cell matrix must be {t + 1} x {t}")
-        rows = []
-        for i in range(1, t + 2):
-            row = []
-            for j in range(1, t + 1):
-                n = entries[i - 1][j - 1]
-                if not isinstance(n, UniPoly):
-                    n = UniPoly(field, n)
-                elif n.field is not field and n.field != field:
-                    raise DomainError(
-                        f"entry ({i},{j}) over another field {n.field!r} in a matrix over {field!r}")
-                if i < j and n:
-                    raise ValueError(f"entry ({i},{j}) above the diagonal must vanish")
-                if n.degree >= d[j - 1]:
-                    raise ValueError(
-                        f"entry ({i},{j}) has degree {n.degree}, needs < d_{j} = {d[j - 1]}")
-                row.append(n)
-            rows.append(tuple(row))
+        cells = ((i, j, n) for i, row in enumerate(entries, 1) for j, n in enumerate(row, 1))
+        self._set(E, _checked_nonzeros(E, cells, field), field)
+
+    def _set(self, E, nonzeros, field):
         object.__setattr__(self, "E", E)
+        object.__setattr__(self, "nonzeros", nonzeros)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", tuple(rows))
 
     @classmethod
-    def _raw(cls, E, rows, field):
-        """Trusted constructor: ``rows`` already meet the shape and degree bounds."""
+    def _raw(cls, E, nonzeros, field):
+        """Trusted constructor: ``nonzeros`` is already a column-major store meeting the bounds."""
         self = object.__new__(cls)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
+        self._set(E, tuple(nonzeros), field)
         return self
 
     @classmethod
     def zero(cls, E, field=QQ):
-        z = UniPoly.zero(field)
-        return cls(E, [[z] * E.t for _ in range(E.t + 1)], field)
+        return cls._raw(E, (), field)
 
     def n(self, i, j):
         """Entry n_ij, 1-indexed."""
-        return self.entries[i - 1][j - 1]
+        t = self.E.t
+        if not (1 <= i <= t + 1 and 1 <= j <= t):
+            raise IndexError(f"no entry ({i},{j}) in a {t + 1} x {t} cell matrix")
+        return dict(self.nonzeros).get((i, j)) or UniPoly.zero(self.field)
+
+    @property
+    def entries(self):
+        """The dense rows of N, zero entries included, built on each call."""
+        t = self.E.t
+        z = UniPoly.zero(self.field)
+        rows = [[z] * t for _ in range(t + 1)]
+        for (i, j), n in self.nonzeros:
+            rows[i - 1][j - 1] = n
+        return tuple(map(tuple, rows))
 
     def __repr__(self):
         return f"CellMatrix(E={self.E}, entries={[list(map(UniPoly.to_str, row)) for row in self.entries]})"
 
     def to_json(self):
-        return {"m": list(self.E.m),
-                "N": [
-                    [list(map(scalar_to_json, e.coeffs)) for e in row]
-                    for row in self.entries]}
+        t = self.E.t
+        rows = [list([] for _ in range(t)) for _ in range(t + 1)]
+        for (i, j), n in self.nonzeros:
+            rows[i - 1][j - 1] = list(map(scalar_to_json, n.coeffs))
+        return {"m": list(self.E.m), "N": rows}
 
     @classmethod
     def from_json(cls, data, field=QQ):
-        E = Staircase(data["m"])
         decode = functools.partial(scalar_from_json, field)
-        entries = [
-            [UniPoly(field, map(decode, cell)) for cell in row]
+        rows = [
+            [list(map(decode, cell)) for cell in row]
             for row in data["N"]]
-        return cls(E, entries, field)
+        return cls(Staircase(data["m"]), rows, field)
 
     def to_latex(self):
         """Bordered display of M0(E) + N with generator/syzygy degrees."""
         E, t = self.E, self.E.t
         a = [E.t - i + E.m[i] for i in range(t + 1)]          # row degrees a_i
         b = [a[i + 1] + 1 for i in range(t)]                   # column degrees b_i
+        # the entries of M0 + N off the diagonal, the subdiagonal and N's nonzeros are 0
         frame = canonical_frame(E, self.field)
+        M = {(i, j): frame.M0[i - 1][j - 1] for j in range(1, t + 1) for i in (j, j + 1)}
+        for key, n in self.nonzeros:
+            M[key] = M[key] + n.to_polynomial(2) if key in M else n.to_polynomial(2)
+        cells = [["0"] * t for _ in range(t + 1)]
+        for (i, j), p in M.items():
+            cells[i - 1][j - 1] = re.sub(r"\^(\d\d+)", r"^{\1}", p.to_str()).replace("*", "")
         lines = [r"\begin{array}{r|" + "c" * t + "}"]
         lines.append(" & " + " & ".join(str(v) for v in b) + r" \\ \hline")
         for i in range(t + 1):
-            cells = []
-            for j in range(t):
-                entry = (frame.M0[i][j] + self.entries[i][j].to_polynomial(2)).to_str()
-                cells.append(re.sub(r"\^(\d\d+)", r"^{\1}", entry).replace("*", ""))
-            lines.append(f"{a[i]} & " + " & ".join(cells) + r" \\")
+            lines.append(f"{a[i]} & " + " & ".join(cells[i]) + r" \\")
         lines.append(r"\end{array}")
         return "\n".join(lines)
 
 
 def validate_cell_matrix(N, kind):
-    """Membership of N in T_kind(E): (ok, report) with the first violation."""
+    """Membership of N in T_kind(E): (ok, report) with the first violation.
+
+    Only a nonzero entry can violate a condition: each walks N's column-major store.
+    """
     E = N.E
-    t = E.t
-    d = E.d
     if kind == CellKind.V0:
         return True, None
     if kind in (CellKind.V1, CellKind.V2):
-        for i in range(1, t + 1):
-            if N.n(i, i):
+        for (i, j), _ in N.nonzeros:
+            if i == j:
                 return False, f"condition (1) fails at ({i},{i}): diagonal entry is nonzero"
         if kind == CellKind.V1:
             return True, None
-        for j in range(1, t + 1):
-            if d[j - 1] <= 0:
-                continue
-            k = _run_end(E, j)
-            for i in range(j + 1, k + 2):
-                if N.n(i, j).constant_term():
-                    return False, (f"condition (2) fails at ({i},{j}): "
-                                   "constant term must vanish")
+        for (i, j), n in N.nonzeros:
+            if i > j and n.coeffs[0] and i <= _run_end(E, j) + 1:
+                return False, f"condition (2) fails at ({i},{j}): constant term must vanish"
         return True, None
     if kind == CellKind.V3:
         U = degree_matrix(E)
         slots = set(slot_set(E))
-        for j in range(1, t + 1):
-            for i in range(j, t + 2):
-                n = N.n(i, j)
-                if (i, j) in slots:
-                    u = U[i - 1][j - 1]
-                    if any(c for k, c in enumerate(n.coeffs) if k != u):
-                        return False, (f"condition (3) fails at ({i},{j}): "
-                                       f"entry must be a scalar multiple of y^{u}")
-                elif n:
-                    return False, (f"condition (3) fails at ({i},{j}): "
-                                   "entry outside S(E) must vanish")
+        for (i, j), n in N.nonzeros:
+            if (i, j) not in slots:
+                return False, f"condition (3) fails at ({i},{j}): entry outside S(E) must vanish"
+            u = U[i - 1][j - 1]
+            if any(c for k, c in enumerate(n.coeffs) if k != u):
+                return False, (f"condition (3) fails at ({i},{j}): "
+                               f"entry must be a scalar multiple of y^{u}")
         return True, None
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # the bijection
-
-_COEFFS = attrgetter("coeffs")
-
 
 def minors_ideal(N):
     """Signed maximal minors f_0..f_t of M0(E) + N.
@@ -272,7 +296,8 @@ def minors_ideal(N):
     - D[i] is a dict {power of x: dense k[y] coefficient list} holding the
       powers that received a term, each product is one ``_convolve`` per
       such power, and the -x entry is one shifted subtraction;
-    - only the nonzero entries below the subdiagonal are visited;
+    - the entries come straight from N's store of nonzeros, so only the
+      nonzero entries below the subdiagonal are visited;
     - a product of diagonal entries is kept as y^s times a list, and a
       zero n_cc only adds d_c to s.  While every diagonal entry so far
       vanishes, P_i is y^(m_i) and f_i = +-P_i D[i] is an exponent shift;
@@ -283,37 +308,40 @@ def minors_ideal(N):
     d = E.d
     zero, one = field.zero, field.one
     unit = [one]
-    cols = [list(map(_COEFFS, col)) for col in zip(*N.entries)]  # cols[c][r]: n_(r+1, c+1)
 
-    # h[c] = y^(d_c) + n_cc as a list, or None for the monomial y^(d_c)
+    # h[c] = y^(d_c) + n_cc as a list, or None for the monomial y^(d_c);
+    # below[c]: the (row, coefficients) of the nonzeros under n_cc, rows rising
     h = [None] * (t + 1)
-    for c in range(1, t + 1):
-        n = cols[c - 1][c - 1]
-        if n:
-            h[c] = list(n) + [zero] * (d[c - 1] - len(n)) + [one]
+    below = {}
+    for (r, c), n in N.nonzeros:
+        if r == c:
+            h[c] = list(n.coeffs) + [zero] * (d[c - 1] - len(n.coeffs)) + [one]
+        else:
+            below.setdefault(c, []).append((r, n.coeffs))
 
     # D[i] = det of rows i+2..t+1, cols i+1..t
     D = [None] * (t + 1)
     D[t] = {0: unit}
     for i in range(t - 1, -1, -1):
-        col = cols[i]
-        below = D[i + 1]
+        col = below.get(i + 1, ())
+        nxt = D[i + 1]
         # a = 1: the entry n_(i+2,i+1) - x times D[i+1]
-        sub = col[i + 1]
-        acc = {k: _convolve(p, sub, zero) for k, p in below.items()} if sub else {}
-        for k, p in below.items():
+        sub = col[0][1] if col and col[0][0] == i + 2 else None
+        acc = {k: _convolve(p, sub, zero) for k, p in nxt.items()} if sub else {}
+        for k, p in nxt.items():
             _add_into(acc.setdefault(k + 1, []), p, True, zero)
         # a >= 2: n_(i+1+a,i+1) h_(i+2)...h_(i+a) D[i+a], alternating in sign;
         # y^s core = h_(i+2)...h_c
         s, core, c = 0, unit, i + 1
-        for r in compress(range(i + 2, t + 1), col[i + 2:]):
+        for row, n in col[1:] if sub else col:
+            r = row - 1
             while c < r:
                 c += 1
                 if h[c] is None:
                     s += d[c - 1]
                 else:
                     core = _convolve(core, h[c], zero)
-            e = [zero] * s + (list(col[r]) if core is unit else _convolve(col[r], core, zero))
+            e = [zero] * s + (list(n) if core is unit else _convolve(n, core, zero))
             for k, p in D[r].items():
                 _add_into(acc.setdefault(k, []), _convolve(p, e, zero), (r - i) % 2 == 0, zero)
         D[i] = acc
@@ -388,8 +416,9 @@ def canonical_matrix(gens):
     division against y^(d_k) + n_kk, folding quotients into f_{k-1}.  Each
     f_i holds its nonzero powers of x only, each a dense k[y] list as in
     ``minors_ideal``, and zero quotients are skipped, so the fold costs
-    what the nonzero entries cost.  The division guarantees the degree
-    bounds, so the matrix is built without re-checking them.
+    what the nonzero entries cost, and so does the matrix, which holds
+    only its nonzero entries.  The division guarantees the degree bounds,
+    so the matrix is built without re-checking them.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -404,8 +433,7 @@ def canonical_matrix(gens):
     # the leads of the reduced basis are the minimal generators x^(t-i) y^(m_i)
     by_lead = {g.lt: _x_columns(g) for g in gb}
     fs = [None] * t + [by_lead[(0, E.m[t])]]
-    z = UniPoly.zero(field)
-    entries = [[z] * t for _ in range(t + 1)]
+    columns = []  # the nonzeros of columns t..1, each column from the diagonal down
     for k in range(t, 0, -1):
         dk = d[k - 1]
         if not dk:
@@ -422,19 +450,20 @@ def canonical_matrix(gens):
         nkk = [-c for c in coefs.pop(k - 1, ())]
         if len(nkk) > dk:
             raise DomainError("column normalization failed: diagonal degree too large")
-        if nkk:
-            entries[k - 1][k - 1] = UniPoly._raw(field, nkk)
+        column = [((k, k), UniPoly._raw(field, nkk))] if nkk else []
         h = nkk + [zero] * (dk - len(nkk)) + [one]
         newf = {a: list(c) for a, c in seed.items()}
+        # coefs holds rows k+1.. in rising order: _y_coefficients works down the powers of x
         for j, qj in coefs.items():
             q, r = _divmod([-c for c in qj], h, field)
             if r:
-                entries[j][k - 1] = UniPoly._raw(field, r)
+                column.append(((j + 1, k), UniPoly._raw(field, r)))
             if q:
                 for a, c in fs[j].items():
                     _add_into(newf.setdefault(a, []), _convolve(q, c, zero), False, zero)
         fs[k - 1] = newf
-    return E, CellMatrix._raw(E, entries, field)
+        columns.append(column)
+    return E, CellMatrix._raw(E, chain.from_iterable(reversed(columns)), field)
 
 
 def _x_power_gcd(gb, field):
@@ -478,12 +507,12 @@ def cell_matrix_from_parameters(E, assignment, field=QQ):
     """The T3 matrix with entry p_ij y^(u_ij) at each slot (i,j) of S(E)."""
     U = degree_matrix(E)
     slots = set(slot_set(E))
-    entries = [[UniPoly.zero(field)] * E.t for _ in range(E.t + 1)]
+    cells = []
     for (i, j), value in assignment.items():
         if (i, j) not in slots:
             raise ValueError(f"({i},{j}) is not a slot of S(E)")
-        entries[i - 1][j - 1] = UniPoly.y_power(field, U[i - 1][j - 1], value)
-    return CellMatrix(E, entries, field)
+        cells.append((i, j, UniPoly.y_power(field, U[i - 1][j - 1], value)))
+    return CellMatrix._raw(E, _checked_nonzeros(E, cells, field), field)
 
 
 def random_cell_matrix(E, kind, seed, field=QQ):
@@ -492,34 +521,25 @@ def random_cell_matrix(E, kind, seed, field=QQ):
     Over a finite field every allowed coefficient slot is uniform; over the
     rationals slots draw small integers.  Slots are visited column-major.
     The entries meet the shape and degree bounds by construction, so the
-    matrix is built by the trusted constructor.
+    matrix is built by the trusted constructor from its nonzero draws.
     """
     rng = random.Random(seed)
     if field.char == 0:
         draw = lambda: field.of(rng.randint(-4, 4))
     else:
         draw = lambda: field.decode(rng.randrange(field.size))
-
-    t = E.t
-    d = E.d
-    U = degree_matrix(E)
-    slots = set(slot_set(E))
-    z = field.zero
-    entries = [[UniPoly.zero(field)] * t for _ in range(t + 1)]
-    for j in range(1, t + 1):
-        dj = d[j - 1]
-        if dj == 0:
-            continue
-        kend = _run_end(E, j)
-        for i in range(j, t + 2):
-            if kind == CellKind.V3:
-                if (i, j) in slots:
-                    entries[i - 1][j - 1] = UniPoly.y_power(field, U[i - 1][j - 1], draw())
+    if kind == CellKind.V3:
+        U = degree_matrix(E)
+        drawn = [((i, j), UniPoly.y_power(field, U[i - 1][j - 1], draw())) for i, j in slot_set(E)]
+    else:
+        drawn = []
+        for j, dj in enumerate(E.d, 1):
+            if not dj:
                 continue
-            if i == j and kind != CellKind.V0:
-                continue
-            coeffs = [draw() for _ in range(dj)]
-            if kind == CellKind.V2 and j < i <= kend + 1:
-                coeffs[0] = z
-            entries[i - 1][j - 1] = UniPoly._raw(field, coeffs)
-    return CellMatrix._raw(E, entries, field)
+            kend = _run_end(E, j)
+            for i in range(j if kind == CellKind.V0 else j + 1, E.t + 2):
+                coeffs = [draw() for _ in range(dj)]
+                if kind == CellKind.V2 and i <= kend + 1:
+                    coeffs[0] = field.zero
+                drawn.append(((i, j), UniPoly._raw(field, coeffs)))
+    return CellMatrix._raw(E, [(key, n) for key, n in drawn if n], field)

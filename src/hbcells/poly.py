@@ -430,9 +430,6 @@ class UniPoly:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero
-
     def __bool__(self):
         return bool(self.coeffs)
 

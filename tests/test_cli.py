@@ -37,6 +37,26 @@ def test_canonicalize_at_large_t(capsys):
     assert out.startswith("m=[0," + "1," * 499 + "1]; N=[[0,")
 
 
+def test_dense_output_over_the_budget_exits_1(capsys):
+    # (x^20000, y) has t = 20,000: its chart is cheap, but printing N is not
+    start = time.perf_counter()
+    code, out, err = run(capsys, "canonicalize", "x^20000, y")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err == ("domain error: a 20001 x 20000 matrix has 400020000 entries to print, "
+                   "over the budget of 1001000 (cli.DENSE_OUTPUT_LIMIT)\n")
+    m = "0," + ",".join(["1"] * 1001)  # t = 1,001, one past the budget
+    for argv in (("frame", "--m", m), ("minors", "--m", m, "--format", "json"),
+                 ("minors", "--m", m, "--format", "latex")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "cli.DENSE_OUTPUT_LIMIT" in err, argv
+    # the text form of minors prints the generators only
+    code, out, _ = run(capsys, "minors", "--m", m, "--kind", "V3")
+    assert code == 0 and len(out.splitlines()) == 1002
+    code, out, _ = run(capsys, "canonicalize", "x^1000, y")  # t = 1,000: at the budget
+    assert code == 0 and out.startswith("m=[0," + "1," * 999 + "1]; N=[[0,")
+
+
 def test_canonicalize_text_writes_zero_entries_as_0(capsys):
     # golden text: the zero entries print as "0" beside the nonzero ones
     code, out, _ = run(capsys, "canonicalize", "x^3 + 2*x*y - y^2, x*y^2, y^3")

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import random
+import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -113,18 +115,39 @@ def test_shape_violations_rejected():
         CellMatrix(E335, entries)
 
 
+# sha256 of repr([[list(e.coeffs) for e in row] for row in N.entries]) over the
+# draws of the test below, in its order: recorded when a cell matrix still
+# stored every entry, so the draws and the dense view are those of that store
+DENSE_ROWS_DIGEST = {
+    "QQ": "e68700520cd2be5e20bcbd147692418ccc105dccc3491b0ec6f50c0460b3057e",
+    "GF(3)": "e2132148d56a955114e984227599eb03e4ec8aad270e300dcccaa7bb8d4061d4",
+}
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
 def test_random_cell_matrix_passes_the_validating_constructor(field):
     # random_cell_matrix builds its result unchecked: every draw must meet the
-    # bounds that CellMatrix.__init__ checks, and lie in the cell it was drawn from
+    # bounds that CellMatrix.__init__ checks, and lie in the cell it was drawn from;
+    # the store holds the nonzero entries of the dense rows, column-major
+    h = hashlib.sha256()
     for d in range(1, 9):
         for E in enumerate_staircases(d):
             for kind in CellKind:
                 for seed in range(3):
                     N = random_cell_matrix(E, kind, seed, field)
-                    checked = CellMatrix(E, N.entries, field)
-                    assert checked == N and checked.entries == N.entries, (E.m, kind, seed)
+                    rows = N.entries
+                    h.update(repr([[list(e.coeffs) for e in row] for row in rows]).encode())
+                    checked = CellMatrix(E, rows, field)
+                    assert checked == N and hash(checked) == hash(N), (E.m, kind, seed)
+                    assert checked.entries == rows
                     assert validate_cell_matrix(N, kind)[0], (E.m, kind, seed)
+                    assert all(n for _, n in N.nonzeros)
+                    keys = [key for key, _ in N.nonzeros]
+                    assert keys == sorted(keys, key=lambda key: key[::-1])
+                    assert [[N.n(i, j) for j in range(1, E.t + 1)]
+                            for i in range(1, E.t + 2)] == list(map(list, rows))
+                    assert CellMatrix.from_json(N.to_json(), field) == N
+    assert h.hexdigest() == DENSE_ROWS_DIGEST[repr(field)]
 
 
 def test_validate_t3_display():
@@ -166,6 +189,94 @@ def test_validate_constant_term_rows():
     entries = [[z] * 3 for _ in range(4)]
     entries[3][0] = UniPoly(QQ, (1,))
     assert validate_cell_matrix(CellMatrix(E335, entries), CellKind.V2)[0]
+
+
+# -- the store of nonzero entries ----------------------------------------------
+
+def test_the_zero_matrix_stores_nothing_and_reads_zero_everywhere():
+    N = CellMatrix.zero(E335, GF(3))
+    assert N.nonzeros == () and N == CellMatrix(E335, [[[]] * 3] * 4, GF(3))
+    assert N.n(4, 1) == UniPoly.zero(GF(3)) and N.entries == ((UniPoly.zero(GF(3)),) * 3,) * 4
+    assert cell_matrix_from_parameters(E335, dict.fromkeys(slot_set(E335), 0)).nonzeros == ()
+    for i, j in ((0, 1), (5, 1), (1, 0), (1, 4)):
+        with pytest.raises(IndexError):
+            N.n(i, j)
+
+
+def test_the_checks_keep_their_messages():
+    z = UniPoly.zero(QQ)
+    above = "entry (1,3) above the diagonal must vanish"
+    degree = "entry (1,1) has degree 3, needs < d_1 = 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(above)}$"):
+        CellMatrix(E335, [[z, z, UniPoly(QQ, (1,))], [z] * 3, [z] * 3, [z] * 3])
+    with pytest.raises(ValueError, match=f"^{re.escape(degree)}$"):
+        CellMatrix(E335, [[UniPoly(QQ, (0, 0, 0, 1)), z, z], [z] * 3, [z] * 3, [z] * 3])
+    # the first violation in row order, as the dense constructor found it
+    with pytest.raises(ValueError, match=f"^{re.escape(above)}$"):
+        CellMatrix(E335, [[z, z, UniPoly(QQ, (1,))], [z, UniPoly(QQ, (1,)), z], [z] * 3, [z] * 3])
+    data = {"m": [0, 3, 3, 5], "N": [[[], [], [1]], [[]] * 3, [[]] * 3, [[]] * 3]}
+    with pytest.raises(ValueError, match=f"^{re.escape(above)}$"):
+        CellMatrix.from_json(data)
+    data["N"][0] = [[0, 0, 0, 1], [], []]
+    with pytest.raises(ValueError, match=f"^{re.escape(degree)}$"):
+        CellMatrix.from_json(data)
+    with pytest.raises(ValueError, match=r"^cell matrix must be 4 x 3$"):
+        CellMatrix.from_json({"m": [0, 3, 3, 5], "N": [[[]] * 3] * 3})
+    with pytest.raises(DomainError, match=r"^entry \(2,1\) over another field GF\(3\) in a matrix over QQ$"):
+        CellMatrix(E335, [[z] * 3, [UniPoly(GF(3), (1,)), z, z], [z] * 3, [z] * 3])
+
+
+def _dense_report(N, kind):
+    """validate_cell_matrix as a dense column-major scan of every entry through n(i, j)."""
+    E, t, d = N.E, N.E.t, N.E.d
+    if kind == CellKind.V0:
+        return True, None
+    if kind in (CellKind.V1, CellKind.V2):
+        for i in range(1, t + 1):
+            if N.n(i, i):
+                return False, f"condition (1) fails at ({i},{i}): diagonal entry is nonzero"
+        if kind == CellKind.V1:
+            return True, None
+        for j in range(1, t + 1):
+            if d[j - 1] > 0:
+                for i in range(j + 1, hilbert_burch._run_end(E, j) + 2):
+                    if any(N.n(i, j).coeffs[:1]):  # a nonzero constant term
+                        return False, f"condition (2) fails at ({i},{j}): constant term must vanish"
+        return True, None
+    U, slots = hilbert_burch.degree_matrix(E), set(slot_set(E))
+    for j in range(1, t + 1):
+        for i in range(j, t + 2):
+            n = N.n(i, j)
+            if (i, j) in slots:
+                u = U[i - 1][j - 1]
+                if any(c for k, c in enumerate(n.coeffs) if k != u):
+                    return False, (f"condition (3) fails at ({i},{j}): "
+                                   f"entry must be a scalar multiple of y^{u}")
+            elif n:
+                return False, f"condition (3) fails at ({i},{j}): entry outside S(E) must vanish"
+    return True, None
+
+
+def test_validation_reports_the_first_violation_of_a_dense_scan():
+    z = UniPoly.zero(QQ)
+    one, yy = UniPoly(QQ, (1,)), UniPoly(QQ, (0, 0, 1))
+    # two violations of each condition (d = (3, 0, 2)): the first in column-major order is reported
+    cases = {
+        CellKind.V1: ([[one, z, z], [z] * 3, [z, z, one], [z] * 3], "(1,1)"),
+        CellKind.V2: ([[z] * 3, [z] * 3, [one, z, z], [one, z, one]], "(3,1)"),  # n41 may hold one
+        CellKind.V3: ([[z] * 3, [yy, z, z], [z] * 3, [one, z, z]], "(2,1)"),
+    }
+    for kind, (entries, first) in cases.items():
+        N = CellMatrix(E335, entries)
+        ok, report = validate_cell_matrix(N, kind)
+        assert not ok and first in report and (ok, report) == _dense_report(N, kind), kind
+    for d in range(1, 7):
+        for E in enumerate_staircases(d):
+            for seed in range(2):
+                for drawn in CellKind:
+                    N = random_cell_matrix(E, drawn, seed)
+                    for kind in CellKind:
+                        assert validate_cell_matrix(N, kind) == _dense_report(N, kind), (E.m, seed)
 
 
 # -- minors --------------------------------------------------------------------
@@ -343,6 +454,22 @@ def test_round_trip_at_large_t_on_a_power_of_x(n):
     fs = minors_ideal(zero)
     assert fs[0] == P(f"x^{n}") and fs[-1] == P("y")
     assert canonical_matrix(fs) == (E, zero)
+
+
+def test_the_chart_of_a_power_of_x_takes_memory_linear_in_t():
+    # (x^n, y) has t = n and the zero matrix: a dense (t+1) x t store of
+    # n = 20,000 would hold 400 million entries, and n = 2,000 alone took 65 MB
+    peaks = {}
+    for n in (2000, 20000):
+        gens = parse_ideal(f"x^{n}, y", ("x", "y"))
+        tracemalloc.start()
+        try:
+            E, N = canonical_matrix(gens)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E.t == n and N.nonzeros == ()
+    assert peaks[20000] < 50e6 and peaks[20000] < 20 * peaks[2000], peaks
 
 
 def test_round_trip_at_large_t_on_sparse_cells():

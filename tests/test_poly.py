@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -195,6 +196,34 @@ def test_finite_field_elements_are_immutable(q):
     assert GF(q).one == 1 and GF(q).one.field is GF(q)
     # a copy of an immutable value is the value itself, as for an int
     assert copy.copy(one) is one and copy.deepcopy([one])[0] is one
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(4), GF(5), GF(2147483647), PrimeField(5)], ids=repr)
+def test_a_copy_of_a_field_is_the_field(field):
+    assert copy.copy(field) is field and copy.deepcopy(field) is field
+    f = poly_of("x+1", field)
+    assert f + copy.deepcopy(f) == f + f and copy.deepcopy([f, f.field])[1] is field
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 251, 257, 2147483647])
+def test_gf_and_its_elements_unpickle_to_themselves(q):
+    F = GF(q)
+    assert pickle.loads(pickle.dumps(F)) is F
+    for e in (F.zero, F.one, F.decode(3)):
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and back.field is F
+        if q <= field_mod.TABLE_LIMIT:
+            assert back is e  # the interned element
+    f = poly_of("x+1", F)
+    assert f + pickle.loads(pickle.dumps(f)) == f + f
+    assert pickle.loads(pickle.dumps(QQ)) is QQ
+
+
+def test_a_field_built_apart_refuses_pickling():
+    apart = PrimeField(5)
+    for value in (apart, apart.one, poly_of("x+1", apart)):
+        with pytest.raises(TypeError, match=r"built apart from GF\(5\) cannot be pickled"):
+            pickle.dumps(value)
 
 
 def test_mixing_finite_field_elements_raises_domain_error():
