@@ -10,6 +10,8 @@ When nothing survives, the cell is an affine space whose dimension is the
 number of surviving parameters.  Both stages hold the equations as one
 ``ParameterEquations``, integer polynomials on packed parameter monomials;
 a Polynomial is built only when an equation is read or the report written.
+Both run under ``poly._widening``, the one rule for packed field widths, and
+the S-pair reductions pack their x-monomials at the same width.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 
 from .errors import DomainError
 from .field import QQ
+from . import poly
 from .groebner import MonomialIdeal
-from .poly import (Polynomial, _Packing, exact_quotient, mono_degree, mono_div, mono_divides,
-                   mono_lcm, mono_mul, monomials_of_degree)
+from .poly import (Polynomial, _Overflow, _Packing, _widening, exact_quotient, mono_lcm,
+                   monomials_of_degree)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -73,7 +76,7 @@ def generic_family(gens, nvars, graded):
     """
     E = gens if isinstance(gens, MonomialIdeal) else MonomialIdeal(nvars, gens)
     if graded:
-        degrees = sorted({mono_degree(g) for g in E.gens})
+        degrees = sorted({sum(g) for g in E.gens})
         standard = [m for deg in degrees for m in monomials_of_degree(E.nvars, deg)
                     if not E.contains(m)]
     else:
@@ -90,7 +93,7 @@ def generic_family(gens, nvars, graded):
     for lead in sorted(E.gens, reverse=True):
         support = []
         for m in standard:
-            if m < lead and (not graded or mono_degree(m) == mono_degree(lead)):
+            if m < lead and (not graded or sum(m) == sum(lead)):
                 support.append((m, len(pairs)))
                 pairs.append((lead, m))
         members.append((lead, tuple(support)))
@@ -110,13 +113,6 @@ def prune_multiples(eqs):
             if not any(j != i and other.total_degree() < eq.total_degree()
                        and exact_quotient(eq, other) is not None
                        for j, other in enumerate(eqs))]
-
-
-# Initial field width for ``buchberger_equations``, and so for ``eliminate_linear``
-# on its output: exponents up to 127 fit, the floor that ``poly._start_width``
-# gives the division kernel.  At 4 bits, 6 of the 266 families of the tests'
-# ``_generic_elim_families()`` overflow in the elimination and redo all of it wider.
-_BUCHBERGER_WIDTH = 8
 
 
 def _primitive(acc):
@@ -147,7 +143,7 @@ class ParameterEquations(Sequence):
         if (bad := next((eq.nvars for eq in eqs if eq.nvars != nparams), None)) is not None:
             raise DomainError(f"an equation in {bad} variables, expected {nparams} parameters")
         top = max((max(mono, default=0) for eq in eqs for mono, _ in eq.terms), default=0)
-        P = _Packing(nparams, top.bit_length() + 2)
+        P = _Packing(nparams, poly._start_width(top))
         rows = {}  # an ordered set
         for eq in eqs:
             if eq.terms:
@@ -165,50 +161,46 @@ class ParameterEquations(Sequence):
         terms = self.rows[i]
         return self.packing.polynomial(terms, terms[0][1])
 
-    def widened(self):
-        """The rows on fields twice as wide, term order kept: int order is lex order."""
-        P = self.packing
-        W = _Packing(P.nvars, 2 * P.width)
-        rows = [tuple((W.pack(P.unpack(key)), v) for key, v in terms) for terms in self.rows]
-        return ParameterEquations(W, tuple(rows))
 
-
-def _buchberger_packed(family, width):
-    """One run of the S-pair reductions with parameter coefficients on ``width``-bit packed keys.
+def _buchberger_packed(family, P):
+    """One run of the S-pair reductions, parameter monomials packed on P and x-monomials
+    on ``_Packing(nvars, P.width)``.
 
     A coefficient is an integer polynomial in the parameters, a {key: int} dict.
     Every member's tail coefficient is -a_k, one key, so reducing the coefficient
     c at x-monomial m by a member adds c shifted by a_k's key into the coefficient
     at u*tm for each tail term.  A pair whose leads are coprime is skipped: its
     S-pair reduces to 0 at every point (Buchberger's product criterion).  Returns
-    the distinct equations in primitive form, or None as soon as a coefficient
-    taken from the work dict has a guard bit set.
+    the distinct equations in primitive form; raises ``_Overflow`` as soon as an
+    x-monomial taken from the work dict, or its coefficient, has a guard bit set.
     """
-    P = _Packing(family.nparams, width)
-    guard = P.guard
-    members = [(lead,
-                [(mono, 1 << P.shifts[k]) for mono, k in support])
+    X = _Packing(family.nvars, P.width)
+    xguard, guard = X.guard, P.guard
+    members = [(X.pack(lead),
+                [(X.pack(mono), 1 << P.shifts[k]) for mono, k in support])
                for lead, support in family.members]
+    leads = [lead for lead, _ in family.members]
     rows = {}  # an ordered set
-    for (la, ta), (lb, tb) in itertools.combinations(members, 2):
-        L = mono_lcm(la, lb)
-        if L == mono_mul(la, lb):
+    for (xa, (la, ta)), (xb, (lb, tb)) in itertools.combinations(zip(leads, members), 2):
+        L = X.pack(mono_lcm(xa, xb))
+        if L == la + lb:
             continue  # coprime leads: the S-pair reduces to 0 (product criterion)
-        ua, ub = mono_div(L, la), mono_div(L, lb)
+        ua, ub = L - la, L - lb
         # u_a*tail_a - u_b*tail_b; two members share no parameter, so nothing cancels
-        work = {mono_mul(ua, m): {a: -1} for m, a in ta}
+        work = {ua + m: {a: -1} for m, a in ta}
         for m, a in tb:
-            work.setdefault(mono_mul(ub, m), {})[a] = 1
+            work.setdefault(ub + m, {})[a] = 1
         while work:
             m = max(work)
             c = work.pop(m)
-            if reduce(or_, c) & guard:
-                return None
+            if m & xguard or reduce(or_, c) & guard:
+                raise _Overflow
+            mg = m | xguard
             for lead, tail in members:
-                if mono_divides(lead, m):
-                    u = mono_div(m, lead)
+                if (mg - lead) & xguard == xguard:
+                    u = m - lead
                     for tm, a in tail:
-                        key = mono_mul(u, tm)
+                        key = u + tm
                         d = work.get(key)
                         if d is None:
                             work[key] = {ck + a: cv for ck, cv in c.items()}
@@ -243,14 +235,14 @@ def buchberger_equations(family):
     Each coefficient of the final remainder is one equation; zeros and repeats
     up to a scalar are dropped, order kept.
 
-    The coefficients are integer polynomials on packed keys
-    (``_buchberger_packed``), returned as ``ParameterEquations``; the run
-    restarts with wider exponent fields when an exponent outgrows them.
+    The x-monomials and the coefficients, integer polynomials in the parameters,
+    are on packed keys of one width (``_buchberger_packed``) that
+    ``poly._widening`` picks from the family's largest exponent and widens when
+    an exponent outgrows it; the result is ``ParameterEquations``.
     """
-    width = _BUCHBERGER_WIDTH
-    while (eqs := _buchberger_packed(family, width)) is None:
-        width *= 2
-    return eqs
+    top = max((max(m) for lead, support in family.members
+               for m in (lead, *(mono for mono, _ in support))), default=0)
+    return _widening(partial(_buchberger_packed, family), family.nparams, top)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -295,14 +287,18 @@ class EliminationReport:
         return data
 
 
-def _eliminate_packed(eqs):
-    """One run of the elimination on the rows of ``ParameterEquations``.
+def _eliminate_packed(eqs, P):
+    """One run of the elimination on the rows of ``ParameterEquations``, repacked on P
+    when its width is not theirs (int order is lex order at every width).
 
-    The run returns None as soon as a product sets a guard bit.  Otherwise it
-    returns the eliminated (k, expression) pairs and the monic equations
+    The run raises ``_Overflow`` as soon as a product sets a guard bit.  Otherwise
+    it returns the eliminated (k, expression) pairs and the monic equations
     left, as Polynomials.
     """
-    P = eqs.packing
+    rows = eqs.rows
+    if P.width != eqs.packing.width:
+        unpack = eqs.packing.unpack
+        rows = [tuple((P.pack(unpack(key)), v) for key, v in terms) for terms in rows]
     nparams, width, up = P.nvars, P.width, P.width - 1
     lows, guard, fmask = P.lows, P.guard, P.fmask
     fill = guard - lows  # 2^(width-1) - 1 in every field
@@ -324,7 +320,7 @@ def _eliminate_packed(eqs):
                 return terms, supp, key
         return terms, supp, 0
 
-    rows = list(map(row, eqs.rows))
+    rows = list(map(row, rows))
     steps = []
     while True:
         pick = next((r for r in rows if r[2]), None)
@@ -353,7 +349,7 @@ def _eliminate_packed(eqs):
                             prod[k3] = prod.get(k3, 0) + v1 * v2
                     prod = {key: v for key, v in prod.items() if v}
                     if reduce(or_, prod, 0) & guard:
-                        return None
+                        raise _Overflow
                     powers.append(prod)
                 while len(cpow) <= deg:
                     cpow.append(cpow[-1] * c)
@@ -374,7 +370,7 @@ def _eliminate_packed(eqs):
                 # the summands had clear guards, so an overflow sets a guard bit
                 # and cannot carry into the next field
                 if reduce(or_, acc) & guard:
-                    return None
+                    raise _Overflow
                 r = row(_primitive(acc))
                 terms = r[0]
             if terms not in seen:
@@ -397,10 +393,11 @@ def eliminate_linear(eqs, nparams, names=None):
     keys (``_eliminate_packed``): eliminating a_k from c*a_k + rest multiplies
     each equation by c^deg and substitutes -rest, so no coefficient is divided.
     Equal up to a scalar means equal primitive forms, so the choices are those
-    of monic equations.  The run restarts with wider exponent fields when an
-    exponent outgrows them.  ``eqs`` is used as it is when packed, else packed
-    by ``ParameterEquations.from_polynomials``; equations not over QQ or not in
-    ``nparams`` variables, or names not ``nparams`` long, raise DomainError.
+    of monic equations.  ``poly._widening`` runs it from the width of ``eqs``, and
+    again wider when an exponent outgrows it.  ``eqs`` is used as it is when
+    packed, else packed by ``ParameterEquations.from_polynomials``; equations not
+    over QQ or not in ``nparams`` variables, or names not ``nparams`` long, raise
+    DomainError.
     """
     names = tuple(f"a{k + 1}" for k in range(nparams)) if names is None else tuple(names)
     if len(names) != nparams:
@@ -409,9 +406,7 @@ def eliminate_linear(eqs, nparams, names=None):
         eqs = ParameterEquations.from_polynomials(eqs, nparams)
     elif eqs.packing.nvars != nparams:
         raise DomainError(f"equations in {eqs.packing.nvars} parameters, expected {nparams}")
-    while (done := _eliminate_packed(eqs)) is None:
-        eqs = eqs.widened()
-    eliminated, residual = done
+    eliminated, residual = _widening(partial(_eliminate_packed, eqs), nparams, eqs.packing.fmask)
     gone = {k for k, _ in eliminated}
     survivors = tuple(k for k in range(nparams) if k not in gone)
     return EliminationReport(names, tuple(eliminated), survivors, tuple(prune_multiples(residual)))

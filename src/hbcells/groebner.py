@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import echelon_insert
-from .poly import (_division, _integral, _normal_form_dict, _Overflow, _reducers, _s_pair, _top,
-                   _widening, mono_divides, mono_lcm, mono_mul)
+from .poly import (_division, _integral, _normal_form_dict, _Overflow, _Packing, _reducers,
+                   _s_pair, _start_width, _top, _widening, mono_divides, mono_lcm, mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +333,11 @@ def graded_beta0_profile(gens, up_to=None):
     largest generator degree (or ``up_to``), maintaining an echelon basis
     of each graded piece.  Purely linear algebra: no Groebner machinery.
 
-    The rows are keyed by packed monomials: each exponent is a field of
-    ``top.bit_length()`` bits, x_1 in the most significant one.  No
-    exponent exceeds ``top``, so no field overflows; within one degree,
-    int order is lex order, and multiplying by a variable adds a constant.
+    The rows are keyed by packed monomials (``poly._Packing``) with fields
+    of ``poly._start_width(top)`` bits.  No exponent exceeds ``top``, so no
+    field overflows and the sweep needs no ``poly._widening``; within one
+    degree, int order is lex order, and multiplying by a variable adds a
+    constant.
     """
     by_degree = {}
     for g in gens:
@@ -351,9 +352,8 @@ def graded_beta0_profile(gens, up_to=None):
     top = max(by_degree)
     if up_to is not None:
         top = max(top, up_to)
-    width = max(top.bit_length(), 1)
-    shifts = [width * (nvars - 1 - i) for i in range(nvars)]
-    variables = [1 << s for s in shifts]
+    P = _Packing(nvars, _start_width(top))
+    variables = [1 << s for s in P.shifts]
     profile = {}
     basis = []  # echelon rows of the current graded piece, as dicts
     for j in range(min(by_degree), top + 1):
@@ -363,8 +363,7 @@ def graded_beta0_profile(gens, up_to=None):
                 echelon_insert(echelon, {m + v: c for m, c in row.items()})
         before = len(echelon)
         for g in by_degree.get(j, ()):
-            echelon_insert(echelon, {sum([e << s for e, s in zip(m, shifts)]): c
-                                     for m, c in g.terms})
+            echelon_insert(echelon, {P.pack(m): c for m, c in g.terms})
         beta = len(echelon) - before
         if beta:
             profile[j] = beta

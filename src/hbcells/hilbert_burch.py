@@ -232,9 +232,14 @@ class CellMatrix:
         E, t = self.E, self.E.t
         a = [E.t - i + E.m[i] for i in range(t + 1)]          # row degrees a_i
         b = [a[i + 1] + 1 for i in range(t)]                   # column degrees b_i
-        # the entries of M0 + N off the diagonal, the subdiagonal and N's nonzeros are 0
-        frame = canonical_frame(E, self.field)
-        M = {(i, j): frame.M0[i - 1][j - 1] for j in range(1, t + 1) for i in (j, j + 1)}
+        # the entries of M0 + N off the diagonal, the subdiagonal and N's nonzeros are 0;
+        # M0 has y^(d_j) on the diagonal and -x below it
+        field = self.field
+        minus_x = Polynomial.monomial(field, 2, (1, 0), -field.one)
+        M = {}
+        for j in range(1, t + 1):
+            M[j, j] = Polynomial.monomial(field, 2, (0, E.d[j - 1]))
+            M[j + 1, j] = minus_x
         for key, n in self.nonzeros:
             M[key] = M[key] + n.to_polynomial(2) if key in M else n.to_polynomial(2)
         cells = [["0"] * t for _ in range(t + 1)]

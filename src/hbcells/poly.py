@@ -19,11 +19,13 @@ Multivariate division over a field happens in one kernel,
 (no coefficient is inverted in its loop); Groebner reduction and exact
 quotients go through it, and S-polynomials through :func:`_s_pair`.  Both
 run on packed monomials, so a product is ``+``, a quotient ``-`` and a
-divisibility test one subtraction; :func:`_widening` picks the field width
-from the largest input exponent and runs a computation again with wider
-fields when an exponent outgrows them.  The generic-cell equations, whose
-coefficients are parameter polynomials, have their own packed reduction in
-``generic_cells``.
+divisibility test one subtraction.  :func:`_widening` is the one rule for
+the width of every packed computation: it starts at :func:`_start_width` of
+the largest input exponent and runs the computation again with fields twice
+as wide when it raises :class:`_Overflow`.  Besides the kernel, the census
+walk and the generic-cell equations and their elimination (whose
+coefficients are parameter polynomials, with their own packed reduction in
+``generic_cells``) run under it.
 Dense k[y] coefficient lists have three kernels of their own:
 :func:`_convolve` (product), :func:`_divmod` (division with remainder) and
 :func:`_add_into` (accumulate).  ``UniPoly`` arithmetic and both directions
@@ -71,10 +73,6 @@ def mono_div(a, b):
 
 def mono_lcm(a, b):
     return tuple(map(max, a, b))
-
-
-def mono_degree(a):
-    return sum(a)
 
 
 def monomials_of_degree(nvars, deg):

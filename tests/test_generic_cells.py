@@ -11,7 +11,7 @@ import pytest
 
 from fractions import Fraction
 
-from hbcells import generic_cells
+from hbcells import generic_cells, poly
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.generic_cells import (ParameterEquations, affine_space_check,
@@ -272,24 +272,25 @@ def test_elimination_widens_exponent_fields_when_they_overflow(monkeypatch):
     widths = []
     packed = generic_cells._eliminate_packed
 
-    def spy(eqs):
-        widths.append(eqs.packing.width)
-        return packed(eqs)
+    def spy(eqs, P):
+        widths.append(P.width)
+        return packed(eqs, P)
 
     monkeypatch.setattr(generic_cells, "_eliminate_packed", spy)
+    # every packed path starts at the narrowest fields that fit its input
+    monkeypatch.setattr(poly, "_start_width", lambda top: top.bit_length() + 1)
     P = lambda terms: Polynomial(QQ, 3, terms)
     # a1 -> a2^3 turns a1^3 + a3 into a2^9 + a3, past the 3-bit fields that fit a2^3
     eqs = [P({(1, 0, 0): 1, (0, 3, 0): -1}), P({(3, 0, 0): 2, (0, 0, 1): 1})]
     rep = _assert_matches_reference(eqs, 3)
-    assert len(widths) == 2 and widths[0] < widths[1]
+    assert len(widths) == 2 and widths[0] == 3 and widths[0] < widths[1]
     assert rep.to_json(with_log=True)["substitutions"] == [
         {"param": "a1", "expr": "a2^3"}, {"param": "a3", "expr": "-2*a2^9"}]
     assert rep.survivors == (1,) and not rep.residual
-    # packed input widens too: with 2-bit fields to start from, the equations
-    # of (x^2, xy, y^5) leave buchberger_equations at 4 bits and need 8 here
+    # packed input widens too, from its own width: the equations of
+    # (x^3, x^2 y, y^4) leave buchberger_equations at 4 bits and need 8 here
     widths.clear()
-    monkeypatch.setattr(generic_cells, "_BUCHBERGER_WIDTH", 2)
-    fam = generic_family([(2, 0), (1, 1), (0, 5)], 2, graded=False)
+    fam = generic_family([(3, 0), (2, 1), (0, 4)], 2, graded=False)
     eqs = buchberger_equations(fam)
     assert isinstance(eqs, ParameterEquations)
     _assert_matches_reference(eqs, fam.nparams)
@@ -407,23 +408,28 @@ def test_buchberger_equations_hold_no_integral_fraction():
 
 
 def test_buchberger_equations_widen_exponent_fields_when_they_overflow(monkeypatch):
-    fam = generic_family(EX21, 3, graded=True)
-    expected = _reference_equations(fam)
-    assert max(max(mono) for eq in expected for mono, _ in eq.terms) >= 2
     widths = []
     packed = generic_cells._buchberger_packed
 
-    def spy(family, width):
-        widths.append(width)
-        return packed(family, width)
+    def spy(family, P):
+        widths.append(P.width)
+        return packed(family, P)
 
     monkeypatch.setattr(generic_cells, "_buchberger_packed", spy)
-    # 2-bit fields hold only exponents 0 and 1, so a run must restart wider
-    monkeypatch.setattr(generic_cells, "_BUCHBERGER_WIDTH", 2)
-    eqs = buchberger_equations(fam)
-    assert len(widths) >= 2 and widths[0] == 2 and widths == sorted(set(widths))
-    assert list(eqs) == expected
-    assert [eq.to_str(fam.names) for eq in eqs] == [eq.to_str(fam.names) for eq in expected]
+    monkeypatch.setattr(poly, "_start_width", lambda top: top.bit_length() + 1)
+    # each run starts from 3-bit fields, the narrowest that fit the family's
+    # exponents; the x-monomials of an S-pair outgrow them in the first family,
+    # and a parameter exponent outgrows them before any x-exponent in the second
+    for gens, nvars in (([(2, 1, 0), (1, 1, 1)], 3),
+                        ([(1, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 0, 1, 0, 1)], 5)):
+        fam = generic_family(gens, nvars, graded=True)
+        expected = _reference_equations(fam)
+        assert max(max(mono) for eq in expected for mono, _ in eq.terms) >= 2
+        widths.clear()
+        eqs = buchberger_equations(fam)
+        assert len(widths) >= 2 and widths[0] == 3 and widths == sorted(set(widths))
+        assert list(eqs) == expected
+        assert [eq.to_str(fam.names) for eq in eqs] == [eq.to_str(fam.names) for eq in expected]
 
 
 def test_equations_read_as_an_immutable_sequence_of_monic_polynomials():
@@ -441,6 +447,22 @@ def test_equations_read_as_an_immutable_sequence_of_monic_polynomials():
     assert eqs != reference  # compared by identity, as the records are
 
 
+def test_reports_from_the_narrowest_fields_equal_the_default_ones(monkeypatch):
+    # one seam sets the start width of every packed stage: from the narrowest
+    # fields that fit each family the equations restart wider, and no report moves
+    families = _generic_elim_families()
+    expected = [cell_report(fam.E, fam.nvars, fam.graded)[1].to_json(with_log=True)
+                for fam in families]
+    runs = []
+    packed = generic_cells._buchberger_packed
+    monkeypatch.setattr(generic_cells, "_buchberger_packed",
+                        lambda family, P: runs.append(P.width) or packed(family, P))
+    monkeypatch.setattr(poly, "_start_width", lambda top: top.bit_length() + 1)
+    for fam, report in zip(families, expected):
+        assert cell_report(fam.E, fam.nvars, fam.graded)[1].to_json(with_log=True) == report
+    assert len(runs) - len(families) == 162
+
+
 def test_packed_and_polynomial_entry_points_agree():
     for fam in _generic_elim_families():
         eqs = buchberger_equations(fam)
@@ -452,8 +474,11 @@ def test_packed_and_polynomial_entry_points_agree():
 def test_cell_report_packs_no_parameter_monomial(monkeypatch):
     packed, built = [], []
     pack, polynomial = generic_cells._Packing.pack, generic_cells._Packing.polynomial
+    fam = generic_family(EX22, 4, graded=True)
+    # x-monomials are packed too; a parameter monomial has nparams entries
     monkeypatch.setattr(generic_cells._Packing, "pack",
-                        lambda P, mono: packed.append(mono) or pack(P, mono))
+                        lambda P, mono: (len(mono) == fam.nparams and packed.append(mono))
+                        or pack(P, mono))
     monkeypatch.setattr(generic_cells._Packing, "polynomial",
                         lambda P, terms, den: built.append(terms) or polynomial(P, terms, den))
     _, rep = cell_report(EX22, 4, graded=True)

@@ -747,3 +747,17 @@ def test_latex_emission_mentions_degrees():
     # degree borders: syzygy degrees 6,5,6 on top, generator degrees on the left
     assert " & 6 & 5 & 6" in tex
     assert "\n3 & y^3" in tex
+
+
+def test_latex_builds_no_dense_frame(monkeypatch):
+    # to_latex reads 2t entries of M0(E) and builds only those: neither the
+    # (t+1) x t frame nor U(E) is made, and the text is the same
+    matrices = [random_cell_matrix(E335, kind, 5) for kind in CellKind]
+    expected = [N.to_latex() for N in matrices]
+
+    def refuse(*args):
+        raise AssertionError("to_latex built a dense frame")
+
+    monkeypatch.setattr(hilbert_burch, "canonical_frame", refuse)
+    monkeypatch.setattr(hilbert_burch, "degree_matrix", refuse)
+    assert [N.to_latex() for N in matrices] == expected
