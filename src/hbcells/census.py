@@ -7,9 +7,11 @@ over F_q and keeps those passing Buchberger's criterion verbatim: each
 ideal has a unique reduced Groebner basis, so each is counted exactly
 once and no dimension formula enters the oracle side.
 
-The points are enumerated member by member: each family member with n
-parameters has a table of its q^n monic (lead, tail) forms, built once per
-staircase on packed monomials, and a point is one choice from every table.
+The family is read off the staircase, with no monomial-ideal scan
+(``_members``).  The points are enumerated member by member: each member
+with n parameters has a table of its q^n monic (lead, tail) forms, built
+once per staircase on packed monomials, and a point is one choice from
+every table.
 The criterion of ``groebner.is_groebner_basis`` runs through the same helper
 and the same kernel, on the staircase's adjacent pairs, which the
 Gebauer-Moeller update keeps for its leads: each pair once per choice of the
@@ -21,6 +23,7 @@ are in no check, so their points are counted, and their tables never built.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .field import GF
 from .groebner import _criterion_holds, _pairs_of
-from .generic_cells import generic_family
 from .hilbert_burch import CellKind, cell_dimension
 from .poly import _widening
 from .staircase import enumerate_staircases
@@ -111,6 +113,19 @@ def cell_census(d):
 BRUTE_FORCE_POINT_LIMIT = 500_000
 
 
+def _members(E):
+    """``generic_family(E.generators(minimal=True), 2, graded=False).members``: the
+    support of a lead x^a y^b, a minimal generator, is every standard monomial of
+    x-degree < a and x^a y^b' for b' < b, a suffix of them in decreasing lex order."""
+    standard = E.standard_monomials()  # increasing lex order
+    members, k = [], 0
+    for lead in E.generators(minimal=True):  # decreasing lex order
+        n = bisect.bisect(standard, lead)
+        members.append((lead, tuple(zip(reversed(standard[:n]), range(k, k + n)))))
+        k += n
+    return tuple(members)
+
+
 def _tables(members, negs, P):
     """The option tables of family ``members``, on the keys of the packing ``P``.
 
@@ -131,8 +146,8 @@ def _tables(members, negs, P):
     return tables
 
 
-def _accepted(family, pairs, negs, P):
-    """The number of points of ``family`` whose S-pairs ``pairs`` (L, i, j), i < j, reduce to 0.
+def _accepted(members, pairs, negs, P):
+    """The number of points of ``members`` whose S-pairs ``pairs`` (L, i, j), i < j, reduce to 0.
 
     Member f_i has lead x^(t-i) y^(m_i), and no term of the S-pair of (i, j)
     or of its reduction has x-degree above t - i: only f_i, ..., f_t divide
@@ -143,7 +158,6 @@ def _accepted(family, pairs, negs, P):
     completion is accepted: those members' q^(their parameter count) points
     are counted, and their tables are not built.
     """
-    members = family.members
     low = min([i for _, i, _ in pairs], default=len(members))
     free = len(negs) ** sum([len(support) for _, support in members[:low]])
     tables = _tables(members[low:], negs, P)
@@ -169,14 +183,14 @@ def brute_force_ideal_count(d, q):
     """Count every ideal of colength d in F_q[x,y] by exhaustive Buchberger.
 
     Kept to d <= 3: the parameter spaces grow as q^N with N up to 8 already
-    at colength 3.  The points of all staircases together, the sum of
-    q^nparams, are bounded by ``BRUTE_FORCE_POINT_LIMIT``: a larger count
-    raises DomainError before any option table is built.  The points of a
-    staircase come from its members' option tables (``_tables``), built on
-    packed monomials at the width that ``poly._widening`` chooses for the
-    instantiated family, and ``_accepted`` counts those passing the criterion
-    of ``is_groebner_basis`` on the pairs of ``groebner._pairs_of``, found
-    once per staircase.
+    at colength 3.  The points of all staircases together, the sum of q^N
+    over the families read off them (``_members``), are bounded by
+    ``BRUTE_FORCE_POINT_LIMIT``: a larger count raises DomainError before
+    any option table is built.  The points of a staircase come from its
+    members' option tables (``_tables``), built on packed monomials at the
+    width that ``poly._widening`` chooses for the instantiated family, and
+    ``_accepted`` counts those passing the criterion of ``is_groebner_basis``
+    on the pairs of ``groebner._pairs_of``, found once per staircase.
     """
     if d < 1:
         raise ValueError("colength must be at least 1")
@@ -185,18 +199,17 @@ def brute_force_ideal_count(d, q):
             f"brute-force counting is limited to colength <= 3 (got {d}): "
             "the enumeration grows like q^N with N the full parameter count")
     field = GF(q)
-    families = [generic_family(E.generators(minimal=True), 2, graded=False)
-                for E in enumerate_staircases(d)]
-    points = sum(q ** family.nparams for family in families)
+    families = [_members(E) for E in enumerate_staircases(d)]
+    points = sum(q ** sum([len(support) for _, support in members]) for members in families)
     if points > BRUTE_FORCE_POINT_LIMIT:
         raise DomainError(
             f"brute-force counting at colength {d} over F_{q} has {points} points, over the "
             f"budget of {BRUTE_FORCE_POINT_LIMIT} (census.BRUTE_FORCE_POINT_LIMIT)")
     negs = [-v for v in field.elements()]
     count = 0
-    for family in families:
-        leads = [lead for lead, _ in family.members]
+    for members in families:
+        leads = [lead for lead, _ in members]
         # the width of _reducers(instantiate(...)): no tail exponent is above the leads'
-        count += _widening(functools.partial(_accepted, family, _pairs_of(leads), negs),
+        count += _widening(functools.partial(_accepted, members, _pairs_of(leads), negs),
                            2, max(map(max, leads)))
     return count

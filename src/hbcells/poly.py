@@ -39,7 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, lshift, sub
+from operator import add, le, lshift
 
 from .errors import DomainError, ParseError
 from .field import QQ
@@ -64,11 +64,6 @@ def mono_mul(a, b):
 def mono_divides(a, b):
     """True when a divides b."""
     return all(map(le, a, b))
-
-
-def mono_div(a, b):
-    """Exponent-wise a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from hbcells import census, poly
+from hbcells import census, generic_cells, groebner, poly
 from hbcells.census import (BRUTE_FORCE_POINT_LIMIT, CENSUS_STAIRCASE_LIMIT,
                             brute_force_ideal_count, cell_census)
 from hbcells.errors import DomainError
@@ -122,6 +122,20 @@ def test_brute_force_matches_the_literal_criterion_per_staircase(d, q, monkeypat
             is_groebner_basis(instantiate(family, v, field)) for v in values), E
         assert built == [P.width]
         monkeypatch.undo()
+
+
+def test_brute_force_builds_no_generic_family_and_scans_no_monomial_ideal(monkeypatch):
+    # the census members are read off the staircase, so neither the generic
+    # family nor a monomial ideal's standard monomials are reached
+    expected = {(d, q): cell_census(d).evaluate(q) for d in (1, 2, 3) for q in (2, 3)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(groebner.MonomialIdeal, "standard_monomials", refuse)
+    monkeypatch.setattr(generic_cells, "generic_family", refuse)
+    for (d, q), count in expected.items():
+        assert brute_force_ideal_count(d, q) == count, (d, q)
 
 
 @pytest.mark.parametrize("q", [2, 3])

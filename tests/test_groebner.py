@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from hbcells import groebner, poly
+from hbcells import census, groebner, poly
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.generic_cells import generic_family
@@ -20,11 +20,12 @@ from hbcells.hilbert_burch import (CellKind, canonical_matrix, cell_kinds_of_ide
                                    cell_matrix_from_parameters, minors_ideal,
                                    random_cell_matrix, slot_set, validate_cell_matrix)
 from hbcells.linalg import echelon_insert
-from hbcells.poly import (Polynomial, exact_quotient, mono_div, mono_divides, mono_lcm,
-                          mono_mul, monomials_of_degree, parse_polynomial)
+from hbcells.poly import (Polynomial, exact_quotient, mono_divides, mono_lcm, mono_mul,
+                          monomials_of_degree, parse_polynomial)
 from hbcells.staircase import Staircase, enumerate_staircases, staircase_from_monomial_ideal
 
 import tuple_kernel
+from tuple_kernel import mono_div
 
 
 def P(text, field=QQ):
@@ -304,11 +305,13 @@ def test_is_groebner_basis_agrees_with_the_all_pairs_criterion(field, nvars):
 
 def test_pairs_of_staircase_leads_are_the_adjacent_pairs():
     # the syzygies of x^(t-i) y^(m_i) are the columns of M0(E): consecutive
-    # minimal generators, and none for the coprime (x^a, y^b)
+    # minimal generators, and none for the coprime (x^a, y^b); the census
+    # reads the same family members off the staircase
     for d in range(1, 13):
         for E in enumerate_staircases(d):
             leads = E.generators(minimal=True)
             family = generic_family(leads, 2, graded=False)
+            assert census._members(E) == family.members, E
             assert [lead for lead, _ in family.members] == leads
             pairs = [(i, j) for _, i, j in groebner._pairs_of(leads)]
             if len(leads) == 2:

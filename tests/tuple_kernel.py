@@ -7,8 +7,15 @@ with it, and use it where they divide with coefficients that are not field
 elements (parameter polynomials).
 """
 
+from operator import sub
+
 from hbcells.groebner import _gm_update, _pairs_of
-from hbcells.poly import Polynomial, _integral, mono_div, mono_divides, mono_lcm, mono_mul
+from hbcells.poly import Polynomial, _integral, mono_divides, mono_lcm, mono_mul
+
+
+def mono_div(a, b):
+    """Exponent-wise a / b; caller guarantees divisibility."""
+    return tuple(map(sub, a, b))
 
 
 def normal_form_dict(work, reducers, quots=None):
