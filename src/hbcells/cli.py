@@ -246,7 +246,7 @@ def cmd_generic(args):
     family, report = generic_cells.cell_report(gens, args.n, args.graded)
 
     def text():
-        lines = [f"initial={report.initial_count} eliminated={len(report.eliminated)} "
+        lines = [f"initial={report.initial_count} eliminated={len(report.steps)} "
                  f"surviving={len(report.survivors)} residual={len(report.residual)}",
                  "survivors: " + (" ".join(report.survivor_names) or "(none)")]
         for eq in report.residual_strings():
@@ -345,14 +345,23 @@ def build_parser():
     p.add_argument("--h", dest="hseries", type=_int_list, required=True, metavar="H0,H1,...")
     p.set_defaults(fn=cmd_gdim)
 
-    p = sub.add_parser("generic", help="generic cell equations and linear elimination")
+    p = sub.add_parser("generic", help="generic cell equations and linear elimination",
+                       description="Generic cell equations and linear elimination. A family "
+                       "whose scan (every monomial of each generator degree, or the exponent "
+                       "box when ungraded) or parameter count is over generic_cells.FAMILY_LIMIT "
+                       "exits 1.")
     common(p)
     p.add_argument("--gens", required=True, help="comma-separated monomial generators")
     p.add_argument("--n", type=int, required=True, help="number of variables")
     grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--graded", dest="graded", action="store_true", default=True)
-    grp.add_argument("--ungraded", dest="graded", action="store_false")
-    p.add_argument("--log", action="store_true", help="include the substitution log in JSON")
+    grp.add_argument("--graded", dest="graded", action="store_true", default=True,
+                     help="a member's tail has the standard monomials below its lead "
+                          "of the same degree (default)")
+    grp.add_argument("--ungraded", dest="graded", action="store_false",
+                     help="a member's tail has every standard monomial below its lead; "
+                          "needs finite colength")
+    p.add_argument("--log", action="store_true",
+                   help="include the substitution log, param = expression, in JSON")
     p.set_defaults(fn=cmd_generic)
 
     p = sub.add_parser("census", help="cell dimensions and point counts at a colength")

@@ -9,7 +9,8 @@ coefficient and nowhere else in their equation can be eliminated greedily.
 When nothing survives, the cell is an affine space whose dimension is the
 number of surviving parameters.  Both stages hold the equations as one
 ``ParameterEquations``, integer polynomials on packed parameter monomials;
-a Polynomial is built only when an equation is read or the report written.
+a Polynomial is built only for the residual equations, and when an equation
+or the substitution log is read.
 Both run under ``poly._widening``, the one rule for packed field widths, and
 the S-pair reductions pack their x-monomials at the same width.
 """
@@ -52,16 +53,17 @@ class GenericFamily:
         return len(self.pairs)
 
 
-# Budget of the ungraded generic family: the most monomials in the exponent
-# box its standard monomials are scanned from, and the most parameters.
+# Budget of the generic family: the most monomials its standard monomials are
+# scanned from (the exponent box under the pure powers when ungraded, every
+# monomial of each generator degree when graded), and the most parameters.
 # (x1^13, x2^13, x3^13) has a box of 2,197 monomials and 2,379 parameters,
 # and its Groebner-basis check runs in about 4 s on one core.
-UNGRADED_FAMILY_LIMIT = 2500
+FAMILY_LIMIT = 2500
 
 
-def _over_budget(what):
-    return DomainError(f"the ungraded family has {what}, over the budget of "
-                       f"{UNGRADED_FAMILY_LIMIT} (generic_cells.UNGRADED_FAMILY_LIMIT)")
+def _over_budget(graded, what):
+    return DomainError(f"the {'graded' if graded else 'ungraded'} family has {what}, over the "
+                       f"budget of {FAMILY_LIMIT} (generic_cells.FAMILY_LIMIT)")
 
 
 def generic_family(gens, nvars, graded):
@@ -69,14 +71,17 @@ def generic_family(gens, nvars, graded):
 
     In graded mode the support of f_m is every standard monomial of the
     same degree below m; ungraded mode takes every standard monomial below
-    m under lex, which requires finite colength.  An ungraded family whose
-    exponent box or parameter count exceeds ``UNGRADED_FAMILY_LIMIT`` raises
-    DomainError before its standard monomials are enumerated or its parameters
-    are all built.
+    m under lex, which requires finite colength.  A family whose scan (the
+    monomials of every generator degree, or the exponent box) or parameter
+    count exceeds ``FAMILY_LIMIT`` raises DomainError before its standard
+    monomials are enumerated or its parameters are all built.
     """
     E = gens if isinstance(gens, MonomialIdeal) else MonomialIdeal(nvars, gens)
     if graded:
         degrees = sorted({sum(g) for g in E.gens})
+        scan = sum(math.comb(deg + E.nvars - 1, E.nvars - 1) for deg in degrees)
+        if scan > FAMILY_LIMIT:
+            raise _over_budget(graded, f"a degree scan of {scan} monomials")
         standard = [m for deg in degrees for m in monomials_of_degree(E.nvars, deg)
                     if not E.contains(m)]
     else:
@@ -84,8 +89,8 @@ def generic_family(gens, nvars, graded):
         if None in bounds:
             raise DomainError("the ungraded family needs finite colength")
         box = math.prod(bounds)
-        if box > UNGRADED_FAMILY_LIMIT:
-            raise _over_budget(f"an exponent box of {box} monomials")
+        if box > FAMILY_LIMIT:
+            raise _over_budget(graded, f"an exponent box of {box} monomials")
         standard = E.standard_monomials()
     standard.sort(reverse=True)
 
@@ -97,8 +102,8 @@ def generic_family(gens, nvars, graded):
                 support.append((m, len(pairs)))
                 pairs.append((lead, m))
         members.append((lead, tuple(support)))
-        if not graded and len(pairs) > UNGRADED_FAMILY_LIMIT:
-            raise _over_budget(f"{len(pairs)} parameters or more")
+        if len(pairs) > FAMILY_LIMIT:
+            raise _over_budget(graded, f"{len(pairs)} parameters or more")
     return GenericFamily(E, E.nvars, graded, tuple(members), tuple(pairs),
                          tuple(f"a{k + 1}" for k in range(len(pairs))))
 
@@ -247,11 +252,17 @@ def buchberger_equations(family):
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class EliminationReport:
-    """Outcome of the greedy linear elimination."""
+    """Outcome of the greedy linear elimination.
+
+    ``steps`` is the substitution log as it was made, one (k, c, rest) per
+    eliminated parameter: a_k = rest / (-c), with rest an int term tuple on the
+    keys of ``packing``.  ``eliminated`` builds it as (k, Polynomial) pairs on
+    read; the JSON writes it off the keys.
+    """
 
     names: tuple
-    eliminated: tuple
-    survivors: tuple
+    packing: _Packing
+    steps: tuple
     residual: tuple
 
     @property
@@ -259,8 +270,18 @@ class EliminationReport:
         return len(self.names)
 
     @property
+    def eliminated(self):
+        P = self.packing
+        return tuple((k, P.polynomial(rest, -c)) for k, c, rest in self.steps)
+
+    @property
+    def survivors(self):
+        gone = {k for k, _, _ in self.steps}
+        return tuple(k for k in range(len(self.names)) if k not in gone)
+
+    @property
     def eliminated_names(self):
-        return tuple(self.names[k] for k, _ in self.eliminated)
+        return tuple(self.names[k] for k, _, _ in self.steps)
 
     @property
     def survivor_names(self):
@@ -281,9 +302,9 @@ class EliminationReport:
             "residual_degrees": list(self.residual_degrees()),
         }
         if with_log:
-            data["substitutions"] = [
-                {"param": self.names[k], "expr": expr.to_str(self.names)}
-                for k, expr in self.eliminated]
+            names, to_str = self.names, self.packing.to_str
+            data["substitutions"] = [{"param": names[k], "expr": to_str(rest, -c, names)}
+                                     for k, c, rest in self.steps]
         return data
 
 
@@ -292,8 +313,8 @@ def _eliminate_packed(eqs, P):
     when its width is not theirs (int order is lex order at every width).
 
     The run raises ``_Overflow`` as soon as a product sets a guard bit.  Otherwise
-    it returns the eliminated (k, expression) pairs and the monic equations
-    left, as Polynomials.
+    it returns P, the substitution log as packed (k, c, rest) steps, and the
+    monic equations left, as Polynomials.
     """
     rows = eqs.rows
     if P.width != eqs.packing.width:
@@ -325,8 +346,7 @@ def _eliminate_packed(eqs, P):
     while True:
         pick = next((r for r in rows if r[2]), None)
         if pick is None:
-            return ([(k, P.polynomial(rest, -c)) for k, c, rest in steps],
-                    [P.polynomial(terms, terms[0][1]) for terms, _, _ in rows])
+            return P, tuple(steps), [P.polynomial(terms, terms[0][1]) for terms, _, _ in rows]
         terms, _, key_k = pick
         shift = key_k.bit_length() - 1
         c = next(v for key, v in terms if key == key_k)
@@ -335,8 +355,10 @@ def _eliminate_packed(eqs, P):
         mine = key_k << up
         powers = [None, {key: -v for key, v in rest}]  # powers[e] is (-rest)^e
         cpow = [1]
-        out, seen = [], set()
+        out = {}  # terms: row, in order; the first of equal rows is kept
         for r in rows:
+            if r is pick:
+                continue  # c*a_k + rest at a_k = -rest/c is 0
             terms = r[0]
             if r[1] & mine:
                 exps = [(key >> shift) & fmask for key, _ in terms]
@@ -373,10 +395,8 @@ def _eliminate_packed(eqs, P):
                     raise _Overflow
                 r = row(_primitive(acc))
                 terms = r[0]
-            if terms not in seen:
-                seen.add(terms)
-                out.append(r)
-        rows = out
+            out.setdefault(terms, r)
+        rows = list(out.values())
 
 
 def eliminate_linear(eqs, nparams, names=None):
@@ -391,7 +411,9 @@ def eliminate_linear(eqs, nparams, names=None):
 
     Equations are held as primitive integer polynomials on packed exponent
     keys (``_eliminate_packed``): eliminating a_k from c*a_k + rest multiplies
-    each equation by c^deg and substitutes -rest, so no coefficient is divided.
+    each other equation by c^deg and substitutes -rest, so no coefficient is
+    divided, and the picked one, which would become 0, is dropped.  The log
+    stays packed in the report.
     Equal up to a scalar means equal primitive forms, so the choices are those
     of monic equations.  ``poly._widening`` runs it from the width of ``eqs``, and
     again wider when an exponent outgrows it.  ``eqs`` is used as it is when
@@ -406,10 +428,8 @@ def eliminate_linear(eqs, nparams, names=None):
         eqs = ParameterEquations.from_polynomials(eqs, nparams)
     elif eqs.packing.nvars != nparams:
         raise DomainError(f"equations in {eqs.packing.nvars} parameters, expected {nparams}")
-    eliminated, residual = _widening(partial(_eliminate_packed, eqs), nparams, eqs.packing.fmask)
-    gone = {k for k, _ in eliminated}
-    survivors = tuple(k for k in range(nparams) if k not in gone)
-    return EliminationReport(names, tuple(eliminated), survivors, tuple(prune_multiples(residual)))
+    P, steps, residual = _widening(partial(_eliminate_packed, eqs), nparams, eqs.packing.fmask)
+    return EliminationReport(names, P, steps, tuple(prune_multiples(residual)))
 
 
 def affine_space_check(report):

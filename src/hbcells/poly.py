@@ -88,9 +88,10 @@ def default_names(nvars):
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-def mono_to_str(mono, names):
+def _factors_to_str(factors):
+    """A monomial's text from its (exponent, name) pairs, zero exponents skipped."""
     parts = []
-    for e, name in zip(mono, names):
+    for e, name in factors:
         if e == 1:
             parts.append(name)
         elif e > 1:
@@ -98,8 +99,17 @@ def mono_to_str(mono, names):
     return "*".join(parts)
 
 
+def mono_to_str(mono, names):
+    return _factors_to_str(zip(mono, names))
+
+
 # ---------------------------------------------------------------------------
 # multivariate polynomials
+
+def _over(v, den):
+    """The int ``v / den`` when ``den`` divides ``v``, else the Fraction."""
+    return v // den if v % den == 0 else Fraction(v, den)
+
 
 def _integral(c):
     """A rational ``c`` as an int when it is integral; any other scalar unchanged."""
@@ -349,15 +359,24 @@ class Polynomial:
 
 def polynomial_to_str(p, names=None):
     """Canonical text form: terms in decreasing lex order, a/b coefficients."""
-    if p.is_zero:
-        return "0"
     names = default_names(p.nvars) if names is None else names
+    return terms_to_str(p.terms, names, zip)
+
+
+def terms_to_str(terms, names, factors):
+    """The text of (monomial, coefficient) terms in decreasing order, "0" for none.
+
+    ``factors(mono, names)`` reads a monomial's (exponent, name) pairs: ``zip``
+    off an exponent tuple in ``polynomial_to_str``, ``_Packing.factors`` off a
+    packed key.  The rest of the text is written here and in
+    ``_factors_to_str`` only.
+    """
     out = []
-    for mono, c in p.terms:
+    for mono, c in terms:
         cs = str(c)
         sign = "-" if cs.startswith("-") else "+"
         mag = cs[1:] if cs.startswith("-") else cs
-        ms = mono_to_str(mono, names)
+        ms = _factors_to_str(factors(mono, names))
         if not ms:
             body = mag
         elif mag == "1":
@@ -368,7 +387,7 @@ def polynomial_to_str(p, names=None):
             out.append(body if sign == "+" else f"-{body}")
         else:
             out.append(f" {sign} {body}")
-    return "".join(out)
+    return "".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -565,22 +584,33 @@ class _Packing:
         pack = self.pack
         return [(pack(m), c) for m, c in terms]
 
-    def unpack(self, key):
-        """The exponent tuple of a key, visiting only its nonzero fields."""
+    def factors(self, key, names):
+        """The (exponent, names[k]) pairs of x_k in a key, over its nonzero fields, x1 first."""
         n, width = self.nvars, self.width
-        mono = [0] * n
+        out = []
         while key:
             field = (key.bit_length() - 1) // width
             shift = field * width
-            mono[n - 1 - field] = key >> shift
+            out.append((key >> shift, names[n - 1 - field]))
             key &= (1 << shift) - 1
+        return out
+
+    def unpack(self, key):
+        """The exponent tuple of a key."""
+        mono = [0] * self.nvars
+        for e, k in self.factors(key, range(self.nvars)):
+            mono[k] = e
         return tuple(mono)
 
     def polynomial(self, terms, den):
         """The QQ Polynomial of an int term tuple in decreasing key order, over ``den``."""
         unpack = self.unpack
         return Polynomial._raw(QQ, self.nvars, tuple(
-            (unpack(key), v // den if v % den == 0 else Fraction(v, den)) for key, v in terms))
+            (unpack(key), _over(v, den)) for key, v in terms))
+
+    def to_str(self, terms, den, names):
+        """``polynomial(terms, den).to_str(names)``, written off the keys."""
+        return terms_to_str([(key, _over(v, den)) for key, v in terms], names, self.factors)
 
     def to_polynomial(self, field, d):
         """The Polynomial over ``field`` of a {key: coefficient} dict with nonzero coefficients.

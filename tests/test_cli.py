@@ -1,7 +1,12 @@
 """Command line front end: outputs, exit codes, JSON round trips."""
 
+import contextlib
+import io
 import json
 import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbcells.cli import main
 from hbcells.hilbert_burch import CellMatrix
@@ -188,6 +193,17 @@ def test_generic_subcommand_refuses_an_ungraded_family_over_budget(capsys):
     assert "Traceback" not in err
 
 
+def test_generic_subcommand_refuses_a_graded_family_over_budget(capsys):
+    # the graded family would scan every monomial of degree 99999999999: the
+    # budget counts them first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generic", "--gens", "x^99999999999, y", "--n", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("domain error: the graded family has a degree scan of 100000000002 monomials, "
+                   "over the budget of 2500 (generic_cells.FAMILY_LIMIT)\n")
+
+
 def test_a_pure_power_over_the_staircase_budget_exits_1(capsys):
     # the staircase of (x^t, y) holds t + 1 exponents: refused before it is built
     for command in ("kinds", "canonicalize"):
@@ -352,3 +368,108 @@ def test_non_integer_staircase_in_cell_is_usage_error(capsys):
     code, _, err = run(capsys, "minors", "--m", "0,1", "--cell",
                        '{"m":[0,"1"],"N":[[[0]],[[1]]]}')
     assert code == 2 and "usage error" in err
+
+
+# -- boundary fuzzing: every input exits 0, 1 or 2 without a traceback ----------
+
+_JUNK = st.text(alphabet="xy123^*+-,/= {}[]:mNp", max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(-2, 2, allow_nan=False), st.sampled_from(("1/2", "-1/3", "1/0", "x", "")))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(("m", "N", "x")), inner, max_size=3),
+                     max_leaves=10)
+_STAIRCASES = ((0, 1), (0, 2), (0, 1, 1), (0, 1, 3))
+
+
+@st.composite
+def _cells(draw):
+    """A cell matrix object: often the right shape for one of ``_STAIRCASES``,
+    with small coefficients, and otherwise any small JSON value."""
+    m = draw(st.sampled_from(_STAIRCASES))
+    valid = st.one_of(st.integers(-3, 3), st.sampled_from(("1/2", "-2/3")))
+    coefficient = st.integers(0, 9).flatmap(lambda roll: _SCALARS if roll == 0 else valid)
+    entry = st.lists(coefficient, max_size=3)
+    rows = st.lists(st.lists(entry, min_size=len(m) - 1, max_size=len(m) - 1),
+                    min_size=len(m), max_size=len(m))
+    if draw(st.integers(0, 3)):
+        return {"m": list(m), "N": draw(rows)}
+    return draw(st.one_of(
+        st.fixed_dictionaries({"m": st.lists(st.one_of(st.integers(-1, 3), _SCALARS), max_size=4),
+                               "N": st.one_of(rows, _JSON)}),
+        _JSON))
+
+
+_CELLS = _cells()
+
+
+def _exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+# each subcommand's required options (one of a "|" pair) and its optional ones
+_OPTIONS = {
+    "frame": (["--m|--d"], ["--format"]), "dims": (["--m|--d"], ["--format"]),
+    "minors": (["--m|--d"], ["--format", "--field", "--cell", "--kind", "--seed"]),
+    "canonicalize": (["IDEAL"], ["--format", "--field"]),
+    "kinds": (["IDEAL"], ["--format", "--field"]),
+    "betti": (["--m|--d"], ["--format", "--p"]),
+    "stratum": (["--m|--d", "--j", "--u"], ["--format"]),
+    "gdim": (["--h"], ["--format"]),
+    "generic": (["--gens", "--n"], ["--graded", "--ungraded", "--log", "--format"]),
+    "census": (["--d"], ["--q", "--brute-force", "--format"]),
+}
+# small values: the valid ones, then some that are not
+_VALUES = {
+    "IDEAL": (("x^2, y", "x - 1, y^2", "x*y, x^2, y^3", "x^3 - y, y^2 - x", "x, y"),
+              ("x^2", "x +", "1", "0", "z")),
+    "--m": (("0,1", "0,2,2", "0,1,3,4", "0,3,3,5"), ("1,0", "0,-1", "", "0,x")),
+    "--d": (("3,0,2", "1", "2", "3"), ("0", "-1,2", "", "101")),
+    "--format": (("text", "json", "latex"), ("xml",)),
+    "--field": (("q", "p:2", "p:3", "p:4"), ("p:6", "p:", "p:1")),
+    "--kind": (("V0", "V1", "V2", "V3"), ("V4",)),
+    "--seed": (("0", "1", "7"), ("-1", "x")),
+    "--p": (("zero", "generic", "p1=1", "p2=-1/2,p1=3"), ("p1=1/0", "p9=1", "p1", "p1=x")),
+    "--j": (("0", "2", "3", "4"), ("-1", "x")), "--u": (("0", "1", "2"), ("-1",)),
+    "--h": (("1,2,1", "1,2,3,1", "1,2,2,1"), ("1,5", "0", "1,-1", "")),
+    "--gens": (("x^2, y", "x*y, x^2, y^3", "x1^2, x2, x3^2", "x1*x2, x2^2, x3, x1^2", "y"),
+               ("x + y", "1", "0", "", "x^-1")),
+    "--n": (("1", "2", "3"), ("0", "-1", "x")),
+    "--q": (("2", "3", "4", "5"), ("6", "0")),
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_exits_0_1_or_2(data):
+    draw = data.draw
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional = _OPTIONS[command]
+    options = [draw(st.sampled_from(option.split("|"))) for option in required]
+    options += draw(st.lists(st.sampled_from(optional), max_size=3))
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        if option != "IDEAL":
+            argv.append(option)
+        if option == "--cell":
+            argv.append(json.dumps(draw(_CELLS)))
+        elif option in _VALUES:
+            valid, invalid = _VALUES[option]
+            argv.append(draw(st.sampled_from(invalid if draw(st.integers(0, 4)) == 0 else valid)))
+    if draw(st.integers(0, 4)) == 0:  # a stray token anywhere
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CELLS, st.sampled_from(("q", "p:2", "p:5")), st.sampled_from(("text", "json")))
+def test_fuzzed_cell_matrix_json_exits_0_1_or_2(cell, field, fmt):
+    # --m is the cell's own staircase when that is one, so most cells get past the check
+    m = cell.get("m") if isinstance(cell, dict) else None
+    m = ",".join(map(str, m)) if m in map(list, _STAIRCASES) else "0,1"
+    _exits_cleanly(["minors", "--m", m, "--field", field, "--format", fmt,
+                    "--cell", json.dumps(cell)])

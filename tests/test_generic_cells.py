@@ -21,7 +21,7 @@ from hbcells.generic_cells import (ParameterEquations, affine_space_check,
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced,
                               is_groebner_basis, leading_term_ideal)
 from hbcells.hilbert_burch import CellKind, cell_dimension
-from hbcells.poly import Polynomial, monomials_of_degree
+from hbcells.poly import Polynomial, _Packing, monomials_of_degree, polynomial_to_str
 from hbcells.staircase import Staircase, enumerate_staircases
 from tuple_kernel import normal_form_dict, s_pair
 
@@ -69,15 +69,31 @@ def test_ungraded_family_budget_counts_box_monomials_and_parameters(monkeypatch)
     # (x1^9, x2^9, x3^9): a box of 729 monomials and 819 parameters
     gens = [(9, 0, 0), (0, 9, 0), (0, 0, 9)]
     assert generic_family(gens, 3, graded=False).nparams == 819
-    monkeypatch.setattr(generic_cells, "UNGRADED_FAMILY_LIMIT", 728)
-    with pytest.raises(DomainError, match="exponent box of 729 monomials"):
+    monkeypatch.setattr(generic_cells, "FAMILY_LIMIT", 728)
+    with pytest.raises(DomainError, match="ungraded family has an exponent box of 729 monomials"):
         generic_family(gens, 3, graded=False)
-    monkeypatch.setattr(generic_cells, "UNGRADED_FAMILY_LIMIT", 800)
-    with pytest.raises(DomainError, match="810 parameters or more"):
+    monkeypatch.setattr(generic_cells, "FAMILY_LIMIT", 800)
+    with pytest.raises(DomainError, match="ungraded family has 810 parameters or more"):
         generic_family(gens, 3, graded=False)  # 729 + 81 after the second member
-    # the graded family has no such budget
-    monkeypatch.setattr(generic_cells, "UNGRADED_FAMILY_LIMIT", 1)
-    assert generic_family(gens, 3, graded=True).nparams > 1
+    # the graded family scans the 55 monomials of degree 9, not the box, and
+    # has 52 + 8 parameters
+    assert generic_family(gens, 3, graded=True).nparams == 60
+    monkeypatch.setattr(generic_cells, "FAMILY_LIMIT", 54)
+    with pytest.raises(DomainError, match="graded family has a degree scan of 55 monomials"):
+        generic_family(gens, 3, graded=True)
+    monkeypatch.setattr(generic_cells, "FAMILY_LIMIT", 55)
+    with pytest.raises(DomainError, match="graded family has 60 parameters or more"):
+        generic_family(gens, 3, graded=True)
+
+
+def test_graded_family_budget_refuses_a_huge_degree_before_scanning(monkeypatch):
+    # (x^99999999999, y): the monomials of both degrees are counted, not listed
+    monkeypatch.setattr(generic_cells, "monomials_of_degree", None)
+    with pytest.raises(DomainError, match="graded family has a degree scan of 100000000002 "
+                                          r"monomials, over the budget of 2500 \(generic_cells"):
+        generic_family([(99999999999, 0), (0, 1)], 2, graded=True)
+    with pytest.raises(DomainError, match="degree scan of 3000003 monomials"):
+        generic_family([(3000000, 0), (0, 1)], 2, graded=True)
 
 
 def test_monomial_family_has_no_equations():
@@ -208,15 +224,26 @@ def _reference_elimination(eqs, nparams):
                           for e in eqs])
 
 
-def _assert_matches_reference(eqs, nparams):
-    rep = eliminate_linear(eqs, nparams)
+def _reference_json(names, eliminated, residual):
+    """``EliminationReport.to_json(with_log=True)`` written from the reference Polynomials."""
+    gone = dict(eliminated)
+    return {"initial": len(names),
+            "eliminated": [names[k] for k, _ in eliminated],
+            "surviving": [name for k, name in enumerate(names) if k not in gone],
+            "residual": [polynomial_to_str(eq, names) for eq in residual],
+            "residual_degrees": [eq.total_degree() for eq in residual],
+            "substitutions": [{"param": names[k], "expr": polynomial_to_str(expr, names)}
+                              for k, expr in eliminated]}
+
+
+def _assert_matches_reference(eqs, nparams, names=None):
+    rep = eliminate_linear(eqs, nparams, names)
     eliminated, residual = _reference_elimination(eqs, nparams)
     assert rep.eliminated == tuple(eliminated)
     assert rep.residual == tuple(residual)
-    names = tuple(f"a{k + 1}" for k in range(nparams))
-    reference = generic_cells.EliminationReport(
-        names, eliminated, [k for k in range(nparams) if k not in dict(eliminated)], residual)
-    assert rep.to_json(with_log=True) == reference.to_json(with_log=True)
+    assert rep.survivors == tuple(k for k in range(nparams) if k not in dict(eliminated))
+    names = tuple(f"a{k + 1}" for k in range(nparams)) if names is None else names
+    assert rep.to_json(with_log=True) == _reference_json(names, eliminated, residual)
     return rep
 
 
@@ -472,8 +499,9 @@ def test_packed_and_polynomial_entry_points_agree():
 
 
 def test_cell_report_packs_no_parameter_monomial(monkeypatch):
-    packed, built = [], []
+    packed, built, unpacked = [], [], []
     pack, polynomial = generic_cells._Packing.pack, generic_cells._Packing.polynomial
+    unpack = generic_cells._Packing.unpack
     fam = generic_family(EX22, 4, graded=True)
     # x-monomials are packed too; a parameter monomial has nparams entries
     monkeypatch.setattr(generic_cells._Packing, "pack",
@@ -481,10 +509,115 @@ def test_cell_report_packs_no_parameter_monomial(monkeypatch):
                         or pack(P, mono))
     monkeypatch.setattr(generic_cells._Packing, "polynomial",
                         lambda P, terms, den: built.append(terms) or polynomial(P, terms, den))
+    monkeypatch.setattr(generic_cells._Packing, "unpack",
+                        lambda P, key: unpacked.append(key) or unpack(P, key))
     _, rep = cell_report(EX22, 4, graded=True)
     assert packed == []
-    # Polynomials are built for the report only: 3 substitutions, 2 residual equations
-    assert len(built) == len(rep.eliminated) + len(rep.residual) == 5
+    # Polynomials are built for the 2 residual equations only
+    assert len(built) == len(rep.residual) == 2
+    # the log stays packed: its JSON and names unpack no key and build nothing
+    built.clear(), unpacked.clear()
+    data = rep.to_json(with_log=True)
+    assert len(data["substitutions"]) == len(rep.eliminated_names) == len(rep.steps) == 3
+    assert built == [] and unpacked == []
+    # reading the log builds its 3 expressions, equal to the text written off the keys
+    eliminated = rep.eliminated
+    assert len(built) == len(eliminated) == 3
+    assert [expr.to_str(rep.names) for _, expr in eliminated] == [
+        entry["expr"] for entry in data["substitutions"]]
+
+
+def test_packed_log_text_equals_the_built_polynomials():
+    # the substitution log is written off its packed keys; the text must be
+    # polynomial_to_str of the Polynomials that report.eliminated builds
+    rng = random.Random(2027)
+    seen = {"fraction": 0, "negative c": 0, "empty rest": 0, "a10": 0, "custom names": 0}
+    for _ in range(300):
+        nparams = rng.randint(1, 14)
+        P = _Packing(nparams, rng.choice((3, 8, 16)))
+        steps = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(nparams)
+            keys = {P.pack(tuple(rng.choice((0, 0, 0, 1, 2, 3)) * (v != k) for v in range(nparams)))
+                    for _ in range(rng.choice((0, 1, 2, 4)))}
+            rest = tuple((key, rng.choice((1, -1, 2, -3, 6, -10, 21)))
+                         for key in sorted(keys, reverse=True))
+            steps.append((k, rng.choice((1, -1, 2, -3, 4, -6, 7)), rest))
+        custom = rng.random() < 0.3
+        names = (tuple(f"{rng.choice(('p', 'q_', 'lam'))}{k}" for k in range(nparams)) if custom
+                 else tuple(f"a{k + 1}" for k in range(nparams)))
+        rep = generic_cells.EliminationReport(names, P, tuple(steps), ())
+        written = [entry["expr"] for entry in rep.to_json(with_log=True)["substitutions"]]
+        assert written == [polynomial_to_str(expr, names) for _, expr in rep.eliminated]
+        assert [entry["param"] for entry in rep.to_json(with_log=True)["substitutions"]] == [
+            names[k] for k, _, _ in steps] == list(rep.eliminated_names)
+        seen["fraction"] += any(isinstance(c, Fraction) for _, e in rep.eliminated for _, c in e.terms)
+        seen["negative c"] += any(c < 0 for _, c, _ in steps)
+        seen["empty rest"] += "0" in written
+        seen["a10"] += any("a10" in text for text in written) and not custom
+        seen["custom names"] += custom and any(text != "0" for text in written)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_elimination_with_ten_or_more_parameters_and_custom_names():
+    rng = random.Random(1012)
+    seen = {"a10 logged": 0, "fraction": 0}
+    for _ in range(60):
+        nparams = rng.randint(10, 13)
+        eqs = []
+        for _ in range(rng.randint(2, 6)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.5:
+                    k = rng.randrange(nparams)
+                    mono = tuple(int(v == k) for v in range(nparams))
+                else:
+                    mono = tuple(rng.choice((0,) * 8 + (1, 2)) for _ in range(nparams))
+                terms[mono] = QQ.of(rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))))
+            eqs.append(Polynomial(QQ, nparams, terms))
+        names = tuple(f"b_{k}" for k in range(nparams)) if rng.random() < 0.5 else None
+        rep = _assert_matches_reference(eqs, nparams, names)
+        log = rep.to_json(with_log=True)["substitutions"]
+        seen["a10 logged"] += names is None and any("a10" in e["expr"] or e["param"] == "a10"
+                                                    for e in log)
+        seen["fraction"] += any("/" in e["expr"] for e in log)
+    assert min(seen.values()) >= 5, seen
+
+
+class _Tagged(int):
+    """An int coefficient that notes its row in ``log`` when it is multiplied.
+
+    Substituting into a row multiplies each of its coefficients by a power of c,
+    with the coefficient on the left, so the log names every row rewritten.
+    """
+
+    def __new__(cls, value, row, log):
+        self = super().__new__(cls, value)
+        self.row, self.log = row, log
+        return self
+
+    def __mul__(self, other):
+        self.log.add(self.row)
+        return int(self) * other
+
+
+def test_the_picked_equation_is_never_substituted():
+    # r0 = a1 + a2 gives a1 = -a2, rewritten into r1 = a1*a3 + 1 only; then
+    # r2 = a2^2 + a3 gives a3 = -a2^2, rewritten into the new r1 only
+    P = _Packing(3, 8)
+    rewritten = set()
+    rows = {"r0": [((1, 0, 0), 1), ((0, 1, 0), 1)],
+            "r1": [((1, 0, 1), 1), ((0, 0, 0), 1)],
+            "r2": [((0, 2, 0), 1), ((0, 0, 1), 1)]}
+    eqs = ParameterEquations(P, tuple(
+        tuple((P.pack(mono), _Tagged(c, name, rewritten)) for mono, c in terms)
+        for name, terms in rows.items()))
+    rep = eliminate_linear(eqs, 3)
+    assert rep.to_json(with_log=True) == {
+        "initial": 3, "eliminated": ["a1", "a3"], "surviving": ["a2"],
+        "residual": ["a2^3 + 1"], "residual_degrees": [3],
+        "substitutions": [{"param": "a1", "expr": "-a2"}, {"param": "a3", "expr": "-a2^2"}]}
+    assert rewritten == {"r1"}
 
 
 def test_elimination_rejects_equations_in_another_number_of_variables():
