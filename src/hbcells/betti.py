@@ -20,7 +20,7 @@ from .field import QQ
 from .linalg import echelon_insert
 from .poly import Polynomial
 from .staircase import HSeries, Staircase, lex_segment_from_hseries
-from .hilbert_burch import FRAME_CACHE_SIZE, slot_set
+from .hilbert_burch import FRAME_CACHE_SIZE, _border_degrees, slot_set
 
 
 def _by_degree(degrees):
@@ -56,9 +56,7 @@ class ResolutionDegrees:
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def resolution_degrees(E):
     """The degrees a_i = t+1-i+m_(i-1) and b_i = a_(i+1)+1 of the resolution of E."""
-    t = E.t
-    a = tuple(t + 1 - i + E.m[i - 1] for i in range(1, t + 2))
-    b = tuple(a[i] + 1 for i in range(1, t + 1))
+    a, b = map(tuple, _border_degrees(E))
     return ResolutionDegrees(E, a, b, _by_degree(a), _by_degree(b))
 
 

@@ -53,27 +53,37 @@ class CellKind(enum.Enum):
         return self.value
 
 
-# The frame functions below and in betti.py depend on the staircase alone
-# (and a degree), and their values are immutable, so they are memoized: the
-# callers visit many points of the cell of one staircase.  Bounded, so a
-# long enumeration of staircases does not grow the memo without end.
+# slot_set and the frame functions in betti.py depend on the staircase alone (and
+# a degree) and are immutable, so they are memoized: callers visit many points of
+# one cell.  Bounded in count, and each entry holds O(t + |S(E)|), never U(E).
 FRAME_CACHE_SIZE = 1024
 
 
-@functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
+def _border_degrees(E):
+    """Generator degrees a_i = t+1-i+m_(i-1) and syzygy degrees b_j = a_(j+1)+1, 0-indexed lists."""
+    a = [E.t - i + E.m[i] for i in range(E.t + 1)]
+    return a, [v + 1 for v in a[1:]]
+
+
 def degree_matrix(E):
-    """U(E): u_ij = m_j - m_{i-1} + i - j, for i = 1..t+1, j = 1..t."""
-    m, t = E.m, E.t
-    return tuple(tuple([m[j] - m[i - 1] + i - j for j in range(1, t + 1)])
-                 for i in range(1, t + 2))
+    """U(E), dense: u_ij = b_j - a_i, built on each call (for display only)."""
+    a, b = _border_degrees(E)
+    return tuple(tuple([bj - ai for bj in b]) for ai in a)
+
+
+def _slot_degree(E, i, j):
+    """u_ij = m_j - m_(i-1) + i - j if (i, j) is a slot of S(E), else None."""
+    if 1 <= j < i <= E.t + 1 and 0 <= (u := E.m[j] - E.m[i - 1] + i - j) < E.d[j - 1]:
+        return u
+    return None
 
 
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def slot_set(E):
-    """S(E): pairs (i,j), j < i, with 0 <= u_ij < d_j, in column-major order."""
-    U, d, t = degree_matrix(E), E.d, E.t
-    return tuple([(i, j) for j in range(1, t + 1) for i in range(j + 1, t + 2)
-                  if 0 <= U[i - 1][j - 1] < d[j - 1]])
+    """S(E) in column-major order; only a column with d_j > 0 holds a slot."""
+    rows = range(1, E.t + 2)
+    return tuple([(i, j) for j, dj in enumerate(E.d, 1) if dj
+                  for i in rows[j:] if _slot_degree(E, i, j) is not None])
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -90,20 +100,11 @@ class CanonicalFrame:
 def canonical_frame(E, field=QQ):
     """The frame of E: M0(E) over ``field``, U(E) and S(E)."""
     t = E.t
-    d = E.d
-    zero = Polynomial.zero(field, 2)
-    rows = []
-    for i in range(1, t + 2):
-        row = []
-        for j in range(1, t + 1):
-            if i == j:
-                row.append(Polynomial.monomial(field, 2, (0, d[j - 1])))
-            elif i == j + 1:
-                row.append(Polynomial.monomial(field, 2, (1, 0), -field.one))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return CanonicalFrame(E, tuple(rows), degree_matrix(E), slot_set(E), field)
+    rows = [[Polynomial.zero(field, 2)] * t for _ in range(t + 1)]
+    minus_x = Polynomial.monomial(field, 2, (1, 0), -field.one)
+    for j in range(t):
+        rows[j][j], rows[j + 1][j] = Polynomial.monomial(field, 2, (0, E.d[j])), minus_x
+    return CanonicalFrame(E, tuple(map(tuple, rows)), degree_matrix(E), slot_set(E), field)
 
 
 def cell_dimension(E, kind):
@@ -230,8 +231,7 @@ class CellMatrix:
     def to_latex(self):
         """Bordered display of M0(E) + N with generator/syzygy degrees."""
         E, t = self.E, self.E.t
-        a = [E.t - i + E.m[i] for i in range(t + 1)]          # row degrees a_i
-        b = [a[i + 1] + 1 for i in range(t)]                   # column degrees b_i
+        a, b = _border_degrees(E)
         # the entries of M0 + N off the diagonal, the subdiagonal and N's nonzeros are 0;
         # M0 has y^(d_j) on the diagonal and -x below it
         field = self.field
@@ -272,12 +272,9 @@ def validate_cell_matrix(N, kind):
                 return False, f"condition (2) fails at ({i},{j}): constant term must vanish"
         return True, None
     if kind == CellKind.V3:
-        U = degree_matrix(E)
-        slots = set(slot_set(E))
         for (i, j), n in N.nonzeros:
-            if (i, j) not in slots:
+            if (u := _slot_degree(E, i, j)) is None:
                 return False, f"condition (3) fails at ({i},{j}): entry outside S(E) must vanish"
-            u = U[i - 1][j - 1]
             if any(c for k, c in enumerate(n.coeffs) if k != u):
                 return False, (f"condition (3) fails at ({i},{j}): "
                                f"entry must be a scalar multiple of y^{u}")
@@ -510,13 +507,11 @@ def cell_kinds_of_ideal(gens):
 
 def cell_matrix_from_parameters(E, assignment, field=QQ):
     """The T3 matrix with entry p_ij y^(u_ij) at each slot (i,j) of S(E)."""
-    U = degree_matrix(E)
-    slots = set(slot_set(E))
     cells = []
     for (i, j), value in assignment.items():
-        if (i, j) not in slots:
+        if (u := _slot_degree(E, i, j)) is None:
             raise ValueError(f"({i},{j}) is not a slot of S(E)")
-        cells.append((i, j, UniPoly.y_power(field, U[i - 1][j - 1], value)))
+        cells.append((i, j, UniPoly.y_power(field, u, value)))
     return CellMatrix._raw(E, _checked_nonzeros(E, cells, field), field)
 
 
@@ -534,8 +529,7 @@ def random_cell_matrix(E, kind, seed, field=QQ):
     else:
         draw = lambda: field.decode(rng.randrange(field.size))
     if kind == CellKind.V3:
-        U = degree_matrix(E)
-        drawn = [((i, j), UniPoly.y_power(field, U[i - 1][j - 1], draw())) for i, j in slot_set(E)]
+        drawn = [((i, j), UniPoly.y_power(field, _slot_degree(E, i, j), draw())) for i, j in slot_set(E)]
     else:
         drawn = []
         for j, dj in enumerate(E.d, 1):

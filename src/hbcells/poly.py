@@ -360,6 +360,8 @@ class Polynomial:
 def polynomial_to_str(p, names=None):
     """Canonical text form: terms in decreasing lex order, a/b coefficients."""
     names = default_names(p.nvars) if names is None else names
+    if len(names) < p.nvars:
+        raise ValueError(f"{len(names)} names for {p.nvars} variables")
     return terms_to_str(p.terms, names, zip)
 
 

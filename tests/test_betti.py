@@ -80,16 +80,17 @@ def _fields(record):
 
 
 def test_memoized_frame_functions_equal_a_fresh_computation():
-    # slot_set, degree_matrix, resolution_degrees and graded_matrix depend on
-    # the staircase (and j) alone and are memoized per staircase value
-    frames = (slot_set, degree_matrix, resolution_degrees, graded_matrix)
+    # slot_set, resolution_degrees and graded_matrix depend on the staircase
+    # (and j) alone and are memoized per staircase value; the dense U(E) is
+    # built on each call and never kept
+    frames = (slot_set, resolution_degrees, graded_matrix)
     assert all(0 < fn.cache_info().maxsize < 10 ** 5 for fn in frames)
+    assert not hasattr(degree_matrix, "cache_info")
     for d in range(1, 10):
         for E in enumerate_staircases(d):
             again = Staircase(E.m)  # an equal staircase, another object
-            for fn in (slot_set, degree_matrix):
-                assert fn(E) == fn.__wrapped__(E)
-                assert fn(again) is fn(E)
+            assert slot_set(E) == slot_set.__wrapped__(E)
+            assert slot_set(again) is slot_set(E)
             rd = resolution_degrees(E)
             assert _fields(rd) == _fields(resolution_degrees.__wrapped__(E))
             assert resolution_degrees(again) is rd

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hbcells import hilbert_burch
+from hbcells.betti import betti_numbers
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
 from hbcells.groebner import buchberger_reduced, leading_term_ideal, normal_form
@@ -470,6 +471,27 @@ def test_the_chart_of_a_power_of_x_takes_memory_linear_in_t():
             tracemalloc.stop()
         assert E.t == n and N.nonzeros == ()
     assert peaks[20000] < 50e6 and peaks[20000] < 20 * peaks[2000], peaks
+
+
+def test_frame_calls_at_large_t_keep_no_dense_degree_matrix():
+    # S(E) and u_ij come from the closed formula, so the frame memos keep
+    # O(t + |S(E)|) per staircase; a memo of the dense U(E) kept about 31 MB
+    # for each of these
+    stairs = [Staircase((0,) + (1,) * n) for n in range(1000, 1008)]
+    stairs.append(Staircase.from_d([2, 1, 2] + [0] * 500 + [1] + [0] * 496))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for E in stairs:
+            p = dict.fromkeys(slot_set(E), 1)
+            assert validate_cell_matrix(cell_matrix_from_parameters(E, p), CellKind.V3) == (True, None)
+            assert validate_cell_matrix(random_cell_matrix(E, CellKind.V3, 3), CellKind.V3)[0]
+            betti_numbers(E, p)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(slot_set(E)) for E in stairs] == [0] * 8 + [6]
+    assert kept < 10e6, kept
 
 
 def test_round_trip_at_large_t_on_sparse_cells():

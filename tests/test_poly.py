@@ -619,6 +619,17 @@ def test_canonical_printing():
     assert poly_of("-x + 2").to_str() == "-x + 2"
 
 
+def test_printing_refuses_fewer_names_than_variables():
+    # zipping exponents with a short names tuple would print x3 here as the constant 1
+    p = Polynomial(QQ, 3, {(0, 0, 1): 1, (1, 0, 0): 2})
+    with pytest.raises(ValueError, match="2 names for 3 variables"):
+        p.to_str(("a", "b"))
+    with pytest.raises(ValueError):
+        polynomial_to_str(p, ())
+    assert p.to_str(("a", "b", "c")) == "2*a + c"
+    assert p.to_str(("a", "b", "c", "d")) == "2*a + c"
+
+
 @pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
 def test_print_parse_round_trip(field):
     rng = random.Random(99)
