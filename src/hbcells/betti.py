@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -20,60 +21,58 @@ from .field import QQ
 from .linalg import echelon_insert
 from .poly import Polynomial
 from .staircase import HSeries, Staircase, lex_segment_from_hseries
-from .hilbert_burch import FRAME_CACHE_SIZE, _border_degrees, slot_set
-
-
-def _by_degree(degrees):
-    """Degree -> tuple of the 1-based indices carrying it, in increasing order."""
-    out = {}
-    for i, j in enumerate(degrees, 1):
-        out[j] = out.get(j, ()) + (i,)
-    return out
+from .hilbert_burch import FRAME_CACHE_SIZE, _border_degrees, _slot_degree, slot_set
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ResolutionDegrees:
-    """Generator degrees a (length t+1) and syzygy degrees b (length t), grouped by degree."""
+    """Generator degrees a (length t+1), syzygy degrees b (length t) and the M(p)_j they carry."""
 
     E: Staircase
     a: tuple
     b: tuple
-    _w: dict
-    _v: dict
+    _pieces: dict  # degree j -> GradedPieceMatrix, in increasing j
 
     def w(self, j):
         """Row indices (1-based) of generators of degree j."""
-        return self._w.get(j, ())
+        return self._pieces[j].rows if j in self._pieces else ()
 
     def v(self, j):
         """Column indices (1-based) of syzygies of degree j."""
-        return self._v.get(j, ())
+        return self._pieces[j].cols if j in self._pieces else ()
 
     def degrees(self):
-        return sorted(self._w.keys() | self._v.keys())
+        return list(self._pieces)
 
 
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def resolution_degrees(E):
-    """The degrees a_i = t+1-i+m_(i-1) and b_i = a_(i+1)+1 of the resolution of E."""
+    """The degrees a_i = t+1-i+m_(i-1) and b_i = a_(i+1)+1 of the resolution of E,
+    with M(p)_j of each degree j they carry (``graded_matrix`` reads it here)."""
     a, b = map(tuple, _border_degrees(E))
-    return ResolutionDegrees(E, a, b, _by_degree(a), _by_degree(b))
+    rows, cols = {}, {}
+    for degrees, out in ((a, rows), (b, cols)):
+        for i, j in enumerate(degrees, 1):
+            out.setdefault(j, []).append(i)
+    return ResolutionDegrees(E, a, b, {
+        j: _piece(E, j, tuple(rows.get(j, ())), tuple(cols.get(j, ())))
+        for j in sorted(rows.keys() | cols.keys())})
 
 
-def _entry_tag(d, i1, i2):
-    """The entry of M(p)_j in row i1, column i2 of the staircase with steps d."""
+def _entry_tag(E, i1, i2):
+    """The entry of M(p)_j in row i1, column i2: u = 0 there, so a slot of S(E) is a parameter."""
     if i1 == i2:
         return ("one",)
-    if i1 > i2 and d[i2 - 1] > 0:
+    if _slot_degree(E, i1, i2) is not None:
         return ("p", i1, i2)
     return ("zero",)
 
 
-def _strand(d, rows, cols):
+def _strand(E, rows, cols):
     """The tags of M(p)_j on ``rows`` x ``cols``, one tuple per row."""
     out = []
     for i1 in rows:
-        out.append(tuple([_entry_tag(d, i1, i2) for i2 in cols]))
+        out.append(tuple([_entry_tag(E, i1, i2) for i2 in cols]))
     return tuple(out)
 
 
@@ -162,18 +161,19 @@ class GradedPieceMatrix:
         return "\n".join(lines)
 
 
-@functools.lru_cache(maxsize=4 * FRAME_CACHE_SIZE)
-def graded_matrix(E, j):
-    """M(p)_j of E and its star reduction."""
-    rd = resolution_degrees(E)
-    d = E.d
-    rows = rd.w(j)
-    cols = rd.v(j)
-    shared = set(rows) & set(cols)
+def _piece(E, j, rows, cols):
+    """M(p)_j on the rows w_j and columns v_j, and its star reduction."""
+    shared = set(rows).intersection(cols)
     srows = tuple(i for i in rows if i not in shared)
     scols = tuple(i for i in cols if i not in shared)
-    return GradedPieceMatrix(E, j, rows, cols, _strand(d, rows, cols),
-                             srows, scols, _strand(d, srows, scols))
+    return GradedPieceMatrix(E, j, rows, cols, _strand(E, rows, cols),
+                             srows, scols, _strand(E, srows, scols))
+
+
+def graded_matrix(E, j):
+    """M(p)_j of E and its star reduction, read off ``resolution_degrees(E)``."""
+    piece = resolution_degrees(E)._pieces.get(j)
+    return piece if piece is not None else GradedPieceMatrix(E, j, (), (), (), (), (), ())
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -219,8 +219,7 @@ def betti_numbers(E, assignment, field=QQ):
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
     assignment = {s: field.of(v) for s, v in assignment.items()}
     data = {}
-    for j in resolution_degrees(E).degrees():
-        gm = graded_matrix(E, j)
+    for j, gm in resolution_degrees(E)._pieces.items():
         echelon = {}
         r = sum(echelon_insert(echelon, row) is not None
                 for row in _numeric(gm.entries, assignment, field.one))
@@ -277,8 +276,19 @@ class StratumDescriptor:
         return data
 
 
+# The most Laplace terms stratum_descriptor expands, C(r, s) C(c, s) s! for the
+# s x s minors of an r x c star matrix.  At 15-22 us a term (2 CPUs, Python 3.11.7),
+# the 4-minors of an 8 x 8 star (117,600 terms) take 1.9 s and those of a 9 x 9 star
+# (381,024) 8.4 s.  The tests and the benchmark expand a dozen terms at most.
+STRATUM_TERM_LIMIT = 150_000
+
+
 def stratum_descriptor(E, j, u):
-    """The stratum of at least u minimal generators of degree j over the cell of E."""
+    """The stratum of at least u minimal generators of degree j over the cell of E.
+
+    A stratum whose minors take more than ``STRATUM_TERM_LIMIT`` Laplace terms
+    raises DomainError before any minor is expanded.
+    """
     if u < 0:
         raise ValueError("stratum level u must be nonnegative")
     gm = graded_matrix(E, j)
@@ -293,6 +303,11 @@ def stratum_descriptor(E, j, u):
         conditions = [Polynomial.constant(QQ, len(slots), 1)]
     elif bound < min(nr, nc):
         size = bound + 1
+        terms = math.comb(nr, size) * math.comb(nc, size) * math.factorial(size)
+        if terms > STRATUM_TERM_LIMIT:
+            raise DomainError(
+                f"the stratum of j = {j}, u = {u} on a {nr} x {nc} star matrix takes {terms} "
+                f"Laplace terms, over the budget of {STRATUM_TERM_LIMIT} (betti.STRATUM_TERM_LIMIT)")
         for rsel in itertools.combinations(range(nr), size):
             for csel in itertools.combinations(range(nc), size):
                 minor = _det([list(map(sym[r].__getitem__, csel)) for r in rsel])

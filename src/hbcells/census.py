@@ -7,11 +7,12 @@ over F_q and keeps those passing Buchberger's criterion verbatim: each
 ideal has a unique reduced Groebner basis, so each is counted exactly
 once and no dimension formula enters the oracle side.
 
-The family is read off the staircase, with no monomial-ideal scan
-(``_members``).  The points are enumerated member by member: each member
-with n parameters has a table of its q^n monic (lead, tail) forms, built
-once per staircase on packed monomials, and a point is one choice from
-every table.
+The family is read off the staircase's minimal generators and standard
+monomials, with no monomial-ideal scan, by the support rule of
+``generic_family`` (``generic_cells._support``).  The points are
+enumerated member by member: each member with n parameters has a table of
+its q^n monic (lead, tail) forms, built once per staircase on packed
+monomials, and a point is one choice from every table.
 The criterion of ``groebner.is_groebner_basis`` runs through the same helper
 and the same kernel, on the staircase's adjacent pairs, which the
 Gebauer-Moeller update keeps for its leads: each pair once per choice of the
@@ -23,13 +24,13 @@ are in no check, so their points are counted, and their tables never built.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .field import GF
+from .generic_cells import _support
 from .groebner import _criterion_holds, _pairs_of
 from .hilbert_burch import CellKind, cell_dimension
 from .poly import _widening
@@ -113,33 +114,21 @@ def cell_census(d):
 BRUTE_FORCE_POINT_LIMIT = 500_000
 
 
-def _members(E):
-    """``generic_family(E.generators(minimal=True), 2, graded=False).members``: the
-    support of a lead x^a y^b, a minimal generator, is every standard monomial of
-    x-degree < a and x^a y^b' for b' < b, a suffix of them in decreasing lex order."""
-    standard = E.standard_monomials()  # increasing lex order
-    members, k = [], 0
-    for lead in E.generators(minimal=True):  # decreasing lex order
-        n = bisect.bisect(standard, lead)
-        members.append((lead, tuple(zip(reversed(standard[:n]), range(k, k + n)))))
-        k += n
-    return tuple(members)
-
-
 def _tables(members, negs, P):
     """The option tables of family ``members``, on the keys of the packing ``P``.
 
-    Each member with n parameters gets a table of its q^n forms: a tail is
-    ((m, -v), ...) in support order with the zero values dropped, as
-    ``_reducers(P, instantiate(...))`` builds it; ``negs`` lists -v for the
-    field elements v in the order of ``field.elements()``.  Parameters are
-    numbered member by member, so the product of the tables runs through the
-    points in the order of ``itertools.product(elems, repeat=...)``.
+    Each member (lead, support) with n support monomials, so n parameters,
+    gets a table of its q^n forms: a tail is ((m, -v), ...) in support order
+    with the zero values dropped, as ``_reducers(P, instantiate(...))`` builds
+    it; ``negs`` lists -v for the field elements v in the order of
+    ``field.elements()``.  Parameters are numbered member by member, so the
+    product of the tables runs through the points in the order of
+    ``itertools.product(elems, repeat=...)``.
     """
     pack = P.pack
     tables = []
     for lead, support in members:
-        lead, monos = pack(lead), [pack(m) for m, _ in support]
+        lead, monos = pack(lead), [pack(m) for m in support]
         tables.append([
             (lead, tuple([(m, v) for m, v in zip(monos, values) if v]))
             for values in itertools.product(negs, repeat=len(monos))])
@@ -184,7 +173,7 @@ def brute_force_ideal_count(d, q):
 
     Kept to d <= 3: the parameter spaces grow as q^N with N up to 8 already
     at colength 3.  The points of all staircases together, the sum of q^N
-    over the families read off them (``_members``), are bounded by
+    over the families read off them (``generic_cells._support``), are bounded by
     ``BRUTE_FORCE_POINT_LIMIT``: a larger count raises DomainError before
     any option table is built.  The points of a staircase come from its
     members' option tables (``_tables``), built on packed monomials at the
@@ -199,7 +188,10 @@ def brute_force_ideal_count(d, q):
             f"brute-force counting is limited to colength <= 3 (got {d}): "
             "the enumeration grows like q^N with N the full parameter count")
     field = GF(q)
-    families = [_members(E) for E in enumerate_staircases(d)]
+    families = []
+    for E in enumerate_staircases(d):
+        standard = E.standard_monomials()
+        families.append([(lead, _support(lead, standard)) for lead in E.generators(minimal=True)])
     points = sum(q ** sum([len(support) for _, support in members]) for members in families)
     if points > BRUTE_FORCE_POINT_LIMIT:
         raise DomainError(

@@ -17,6 +17,7 @@ the S-pair reductions pack their x-monomials at the same width.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Sequence
@@ -66,6 +67,13 @@ def _over_budget(graded, what):
                        f"budget of {FAMILY_LIMIT} (generic_cells.FAMILY_LIMIT)")
 
 
+def _support(lead, standard):
+    """The support of ``lead`` in the generic family: the monomials of ``standard`` (in
+    increasing lex order, the standard monomials, or those of the lead's degree when
+    graded) below the lead, in decreasing lex order."""
+    return standard[:bisect.bisect(standard, lead)][::-1]
+
+
 def generic_family(gens, nvars, graded):
     """Build the generic family over the minimal generators of (gens).
 
@@ -82,8 +90,8 @@ def generic_family(gens, nvars, graded):
         scan = sum(math.comb(deg + E.nvars - 1, E.nvars - 1) for deg in degrees)
         if scan > FAMILY_LIMIT:
             raise _over_budget(graded, f"a degree scan of {scan} monomials")
-        standard = [m for deg in degrees for m in monomials_of_degree(E.nvars, deg)
-                    if not E.contains(m)]
+        by_degree = {deg: [m for m in reversed(monomials_of_degree(E.nvars, deg))
+                           if not E.contains(m)] for deg in degrees}
     else:
         bounds = [E.pure_power_exponent(i) for i in range(E.nvars)]
         if None in bounds:
@@ -92,16 +100,13 @@ def generic_family(gens, nvars, graded):
         if box > FAMILY_LIMIT:
             raise _over_budget(graded, f"an exponent box of {box} monomials")
         standard = E.standard_monomials()
-    standard.sort(reverse=True)
 
     members, pairs = [], []
     for lead in sorted(E.gens, reverse=True):
-        support = []
-        for m in standard:
-            if m < lead and (not graded or sum(m) == sum(lead)):
-                support.append((m, len(pairs)))
-                pairs.append((lead, m))
-        members.append((lead, tuple(support)))
+        support = _support(lead, by_degree[sum(lead)] if graded else standard)
+        k = len(pairs)
+        members.append((lead, tuple(zip(support, range(k, k + len(support))))))
+        pairs += [(lead, m) for m in support]
         if len(pairs) > FAMILY_LIMIT:
             raise _over_budget(graded, f"{len(pairs)} parameters or more")
     return GenericFamily(E, E.nvars, graded, tuple(members), tuple(pairs),

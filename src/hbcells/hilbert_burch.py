@@ -53,8 +53,8 @@ class CellKind(enum.Enum):
         return self.value
 
 
-# slot_set and the frame functions in betti.py depend on the staircase alone (and
-# a degree) and are immutable, so they are memoized: callers visit many points of
+# slot_set and betti.resolution_degrees, with its strands, depend on the staircase
+# alone and are immutable, so they are memoized: callers visit many points of
 # one cell.  Bounded in count, and each entry holds O(t + |S(E)|), never U(E).
 FRAME_CACHE_SIZE = 1024
 

@@ -1,13 +1,14 @@
 """Resolution degrees, graded piece matrices, Betti numbers and strata."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
+from hbcells import betti
 from hbcells.betti import (betti_numbers, g_dim, graded_matrix, lex_codim,
                            resolution_degrees, stratum_descriptor, strata_descriptors)
 from hbcells.errors import DomainError
@@ -75,29 +76,59 @@ def test_slot_set_matches_degree_matrix_definition():
     assert count == 2713
 
 
-def _fields(record):
-    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+def _reference_strand(E, rows, cols):
+    """M(p)_j on ``rows`` x ``cols`` by the entry rule of the paper, written out:
+    1 on the diagonal, p_(i1 i2) below it in a column with d > 0, else 0."""
+    def tag(i1, i2):
+        if i1 == i2:
+            return ("one",)
+        if i1 > i2 and E.d[i2 - 1] > 0:
+            return ("p", i1, i2)
+        return ("zero",)
+    return tuple(tuple(tag(i1, i2) for i2 in cols) for i1 in rows)
 
 
 def test_memoized_frame_functions_equal_a_fresh_computation():
-    # slot_set, resolution_degrees and graded_matrix depend on the staircase
-    # (and j) alone and are memoized per staircase value; the dense U(E) is
-    # built on each call and never kept
-    frames = (slot_set, resolution_degrees, graded_matrix)
+    # slot_set and resolution_degrees depend on the staircase alone and are
+    # memoized per staircase value; graded_matrix reads its piece off the
+    # resolution_degrees record, and the dense U(E) is built on each call
+    frames = (slot_set, resolution_degrees)
     assert all(0 < fn.cache_info().maxsize < 10 ** 5 for fn in frames)
     assert not hasattr(degree_matrix, "cache_info")
+    assert not hasattr(graded_matrix, "cache_info")
     for d in range(1, 10):
         for E in enumerate_staircases(d):
             again = Staircase(E.m)  # an equal staircase, another object
             assert slot_set(E) == slot_set.__wrapped__(E)
             assert slot_set(again) is slot_set(E)
             rd = resolution_degrees(E)
-            assert _fields(rd) == _fields(resolution_degrees.__wrapped__(E))
+            fresh = resolution_degrees.__wrapped__(E)
+            assert (rd.a, rd.b, rd.degrees()) == (fresh.a, fresh.b, fresh.degrees())
             assert resolution_degrees(again) is rd
+            for j in rd.degrees():
+                assert graded_matrix(E, j) is graded_matrix(again, j)
             for j in range(min(rd.a) - 1, max(rd.b) + 2):
                 gm = graded_matrix(E, j)
-                assert _fields(gm) == _fields(graded_matrix.__wrapped__(E, j))
-                assert graded_matrix(again, j) is gm
+                assert (gm.E, gm.j, gm.rows, gm.cols) == (E, j, rd.w(j), rd.v(j))
+                shared = set(gm.rows) & set(gm.cols)
+                srows = tuple(i for i in gm.rows if i not in shared)
+                scols = tuple(i for i in gm.cols if i not in shared)
+                assert (gm.star_rows, gm.star_cols) == (srows, scols)
+                assert gm.entries == _reference_strand(E, gm.rows, gm.cols)
+                assert gm.star_entries == _reference_strand(E, srows, scols)
+
+
+def test_resolution_degrees_and_every_strand_take_linear_time():
+    # (x, y)^t: its t + 1 generators share degree t and its t syzygies degree
+    # t + 1; grouping them by tuple concatenation took 4.4-5.2 s (2 CPUs)
+    t = 40_000
+    start = time.perf_counter()
+    E = Staircase(range(t + 1))
+    rd = resolution_degrees(E)
+    pieces = [graded_matrix(E, j) for j in rd.degrees()]
+    assert time.perf_counter() - start < 1
+    assert rd.degrees() == [t, t + 1]
+    assert [gm.shape for gm in pieces] == [(t + 1, 0), (0, t)]
 
 
 # -- graded piece matrices --------------------------------------------------------
@@ -260,6 +291,26 @@ def test_stratum_trivial_and_empty_levels():
     assert stratum_descriptor(E4, 7, 0).conditions == ()
     over = stratum_descriptor(E4, 7, 3)
     assert over.rank_bound < 0 and over.condition_strings() == ["1"]
+
+
+def test_stratum_minors_over_the_budget_are_refused_before_any_is_expanded(monkeypatch):
+    # the 2-minor of the 2 x 2 star of E4 in degree 7 takes 2 Laplace terms
+    monkeypatch.setattr(betti, "STRATUM_TERM_LIMIT", 2)
+    assert stratum_descriptor(E4, 7, 1).condition_strings() == ["p1*p7"]
+    monkeypatch.setattr(betti, "STRATUM_TERM_LIMIT", 1)
+    with pytest.raises(DomainError, match="STRATUM_TERM_LIMIT"):
+        stratum_descriptor(E4, 7, 1)
+    assert stratum_descriptor(E4, 7, 0).conditions == ()  # no minor to expand
+    monkeypatch.undo()
+    # a 10 x 10 star whose 5-minors take 7,620,480 terms; the 5-minors of the
+    # 9 x 9 star of k = 9 took 36 s
+    k = 10
+    E = Staircase.from_d([1, 0] + [1] * k + [2] + [1] * (k - 2))
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"7620480 Laplace terms.*STRATUM_TERM_LIMIT"):
+        stratum_descriptor(E, 21, 6)
+    assert time.perf_counter() - start < 1
+    assert graded_matrix(E, 21).star_shape == (10, 10)
 
 
 def test_strata_vector_has_disjoint_parameters():

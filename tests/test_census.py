@@ -111,7 +111,8 @@ def test_brute_force_matches_the_literal_criterion_per_staircase(d, q, monkeypat
                   for v in values}
         assert len(widths) == 1, E
         P = _Packing(2, widths.pop())
-        assert list(itertools.product(*census._tables(family.members, negs, P))) == [
+        members = [(lead, [m for m, _ in support]) for lead, support in family.members]
+        assert list(itertools.product(*census._tables(members, negs, P))) == [
             tuple(_reducers(P, instantiate(family, v, field))) for v in values]
         built = []
         tables_of = census._tables

@@ -293,6 +293,16 @@ def test_census_staircase_budget(capsys):
                    "over the budget of 10000 (census.CENSUS_STAIRCASE_LIMIT)\n")
 
 
+def test_stratum_minor_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "stratum", "--d", "1,0,1,1,1,1,1,1,1,1,1,1,2,1,1,1,1,1,1,1,1",
+                         "--j", "21", "--u", "6")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == ("domain error: the stratum of j = 21, u = 6 on a 10 x 10 star matrix takes "
+                   "7620480 Laplace terms, over the budget of 150000 (betti.STRATUM_TERM_LIMIT)\n")
+
+
 def test_latex_output(capsys):
     code, out, _ = run(capsys, "frame", "--m", "0,3,3,5", "--format", "latex")
     assert code == 0 and out.startswith(r"\begin{array}")
