@@ -126,13 +126,17 @@ def prune_multiples(eqs):
 
 
 def _primitive(acc):
-    """The primitive form of a nonzero {key: int} dict: a term tuple in decreasing
-    key order with integer content 1 and a positive leading coefficient."""
-    terms = sorted(acc.items(), reverse=True)
+    """The primitive form of a {key: int} dict, zero values dropped: a term tuple in
+    decreasing key order with integer content 1 and a positive leading coefficient,
+    () when every value is 0."""
+    terms = [t for t in acc.items() if t[1]]
+    if not terms:
+        return ()
+    terms.sort(reverse=True)
     g = math.gcd(*acc.values())
     if terms[0][1] < 0:
         g = -g
-    return tuple(terms) if g == 1 else tuple((key, c // g) for key, c in terms)
+    return tuple(terms) if g == 1 else tuple([(key, c // g) for key, c in terms])
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -317,6 +321,13 @@ def _eliminate_packed(eqs, P):
     """One run of the elimination on the rows of ``ParameterEquations``, repacked on P
     when its width is not theirs (int order is lex order at every width).
 
+    A step rewrites each row that holds a_k in one pass over its terms: the
+    a_k-free terms go straight into the accumulator, each a_k^e term takes the
+    e-th power of -rest/sign(c), kept per step as a term list, and a term is
+    scaled by a power of |c| only when |c| is not 1.  ``_primitive`` drops the
+    zeros, sorts and divides out the content on one list, and ``row`` reads the
+    new keys once.  The dedupe runs only on a step that rewrote a row.
+
     The run raises ``_Overflow`` as soon as a product sets a guard bit.  Otherwise
     it returns P, the substitution log as packed (k, c, rest) steps, and the
     monic equations left, as Polynomials.
@@ -331,16 +342,22 @@ def _eliminate_packed(eqs, P):
 
     def row(terms):
         """(terms, support, pick): support has the guard bit of every parameter
-        in the equation, pick is the key a_k of its eligible parameter or 0."""
-        supp = blocked = 0
+        in the equation, pick is the key a_k of its eligible parameter or 0.
+        Raises ``_Overflow`` when a key has a guard bit set: the summands of a
+        rewritten key had clear guards, so an overflow cannot carry into the
+        next field."""
+        blocked = 0
         linear = []
         for key, _ in terms:
-            bits = (key + fill) & guard
-            supp |= bits
             if key & (key - 1) == 0 and key & lows:
                 linear.append(key)
             else:
-                blocked |= bits
+                blocked |= key
+        supp = blocked | sum(linear)
+        if supp & guard:
+            raise _Overflow
+        supp = (supp + fill) & guard
+        blocked = (blocked + fill) & guard
         for key in linear:
             if not (key << up) & blocked:
                 return terms, supp, key
@@ -349,59 +366,61 @@ def _eliminate_packed(eqs, P):
     rows = list(map(row, rows))
     steps = []
     while True:
-        pick = next((r for r in rows if r[2]), None)
-        if pick is None:
+        for pick in rows:
+            if pick[2]:
+                break
+        else:
             return P, tuple(steps), [P.polynomial(terms, terms[0][1]) for terms, _, _ in rows]
         terms, _, key_k = pick
         shift = key_k.bit_length() - 1
-        c = next(v for key, v in terms if key == key_k)
-        rest = tuple((key, v) for key, v in terms if key != key_k)
+        i = [key for key, _ in terms].index(key_k)
+        c, rest = terms[i][1], terms[:i] + terms[i + 1:]
         steps.append((nparams - 1 - shift // width, c, rest))
         mine = key_k << up
-        powers = [None, {key: -v for key, v in rest}]  # powers[e] is (-rest)^e
-        cpow = [1]
-        out = {}  # terms: row, in order; the first of equal rows is kept
+        # c^deg * row(a_k = -rest/c) for a row of a_k-degree deg is sign(c)^deg times
+        # the sum of v * |c|^(deg-e) * q^e * u over its terms v*a_k^e*u, q = -rest/sign(c),
+        # so both have one primitive form.  powers[e] is q^e as a term list.
+        m = abs(c)
+        powers = [None, [(key, -v) for key, v in rest] if c > 0 else list(rest)]
+        out, rewrote = [], False
         for r in rows:
             if r is pick:
                 continue  # c*a_k + rest at a_k = -rest/c is 0
-            terms = r[0]
             if r[1] & mine:
-                exps = [(key >> shift) & fmask for key, _ in terms]
-                deg = max(exps)
+                acc, subs, deg = {}, [], 1
+                for key, v in r[0]:
+                    e = (key >> shift) & fmask
+                    if not e:
+                        acc[key] = v
+                        continue
+                    subs.append((key - (e << shift), v, e))
+                    if e > deg:
+                        deg = e
+                if m != 1:
+                    md = m**deg
+                    acc = {key: v * md for key, v in acc.items()}
+                    subs = [(base, v * m**(deg - e), e) for base, v, e in subs]
                 while len(powers) <= deg:
                     prod = {}
-                    for k1, v1 in powers[-1].items():
-                        for k2, v2 in powers[1].items():
+                    for k1, v1 in powers[-1]:
+                        for k2, v2 in powers[1]:
                             k3 = k1 + k2
                             prod[k3] = prod.get(k3, 0) + v1 * v2
-                    prod = {key: v for key, v in prod.items() if v}
-                    if reduce(or_, prod, 0) & guard:
+                    prod = [t for t in prod.items() if t[1]]
+                    if reduce(or_, [key for key, _ in prod], 0) & guard:
                         raise _Overflow
                     powers.append(prod)
-                while len(cpow) <= deg:
-                    cpow.append(cpow[-1] * c)
-                # c^deg * eq(a_k = -rest/c): a term with a_k^e takes (-rest)^e * c^(deg-e)
-                acc = {}
-                for (key, v), e in zip(terms, exps):
-                    v *= cpow[deg - e]
-                    if e:
-                        base = key - (e << shift)
-                        for pk, pv in powers[e].items():
-                            pk += base
-                            acc[pk] = acc.get(pk, 0) + v * pv
-                    else:
-                        acc[key] = acc.get(key, 0) + v
-                acc = {key: v for key, v in acc.items() if v}
-                if not acc:
+                for base, v, e in subs:
+                    for key, pv in powers[e]:
+                        key += base
+                        acc[key] = acc.get(key, 0) + v * pv
+                terms = _primitive(acc)
+                if not terms:
                     continue
-                # the summands had clear guards, so an overflow sets a guard bit
-                # and cannot carry into the next field
-                if reduce(or_, acc) & guard:
-                    raise _Overflow
-                r = row(_primitive(acc))
-                terms = r[0]
-            out.setdefault(terms, r)
-        rows = list(out.values())
+                r, rewrote = row(terms), True
+            out.append(r)
+        # the first of equal rows is kept; only a rewritten row can equal another
+        rows = list({r[0]: r for r in out}.values()) if rewrote else out
 
 
 def eliminate_linear(eqs, nparams, names=None):
@@ -415,10 +434,11 @@ def eliminate_linear(eqs, nparams, names=None):
     first of two equal equations is kept.
 
     Equations are held as primitive integer polynomials on packed exponent
-    keys (``_eliminate_packed``): eliminating a_k from c*a_k + rest multiplies
-    each other equation by c^deg and substitutes -rest, so no coefficient is
-    divided, and the picked one, which would become 0, is dropped.  The log
-    stays packed in the report.
+    keys (``_eliminate_packed``): eliminating a_k from c*a_k + rest rewrites
+    each other equation of a_k-degree deg, in one pass over its terms, into the
+    primitive form of c^deg times its value at a_k = -rest/c, so no coefficient
+    is divided, and the picked one, which would become 0, is dropped.  The log
+    stays packed in the report, and its text is written off the keys.
     Equal up to a scalar means equal primitive forms, so the choices are those
     of monic equations.  ``poly._widening`` runs it from the width of ``eqs``, and
     again wider when an exponent outgrows it.  ``eqs`` is used as it is when

@@ -14,9 +14,9 @@ def echelon_insert(echelon, row):
 
     Returns the new pivot label, or None when the row reduces to zero.
     ``echelon`` maps each pivot label to a row whose largest label is the
-    pivot.  Rows are dicts label -> coefficient.
+    pivot.  Rows are dicts label -> coefficient.  ``row`` is consumed: it
+    may become the new pivot row as it is, so pass a dict nobody else holds.
     """
-    row = dict(row)
     while row:
         lead = max(row)
         pivot = echelon.get(lead)

@@ -88,19 +88,9 @@ def default_names(nvars):
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
-def _factors_to_str(factors):
-    """A monomial's text from its (exponent, name) pairs, zero exponents skipped."""
-    parts = []
-    for e, name in factors:
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
 def mono_to_str(mono, names):
-    return _factors_to_str(zip(mono, names))
+    """A monomial's text from its exponent tuple, zero exponents skipped."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for e, name in zip(mono, names) if e > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +352,24 @@ def polynomial_to_str(p, names=None):
     names = default_names(p.nvars) if names is None else names
     if len(names) < p.nvars:
         raise ValueError(f"{len(names)} names for {p.nvars} variables")
-    return terms_to_str(p.terms, names, zip)
+    return terms_to_str(p.terms, names, mono_to_str)
 
 
-def terms_to_str(terms, names, factors):
+def terms_to_str(terms, names, mono_str):
     """The text of (monomial, coefficient) terms in decreasing order, "0" for none.
 
-    ``factors(mono, names)`` reads a monomial's (exponent, name) pairs: ``zip``
-    off an exponent tuple in ``polynomial_to_str``, ``_Packing.factors`` off a
-    packed key.  The rest of the text is written here and in
-    ``_factors_to_str`` only.
+    ``mono_str(mono, names)`` writes a monomial's text: ``mono_to_str`` off an
+    exponent tuple in ``polynomial_to_str``, ``_Packing.mono_str`` straight off a
+    packed key.  The sign, the coefficient and the layout of each term are
+    written here only.
     """
     out = []
     for mono, c in terms:
-        cs = str(c)
-        sign = "-" if cs.startswith("-") else "+"
-        mag = cs[1:] if cs.startswith("-") else cs
-        ms = _factors_to_str(factors(mono, names))
+        mag = str(c)
+        sign = "-" if mag[0] == "-" else "+"
+        if sign == "-":
+            mag = mag[1:]
+        ms = mono_str(mono, names)
         if not ms:
             body = mag
         elif mag == "1":
@@ -586,23 +577,23 @@ class _Packing:
         pack = self.pack
         return [(pack(m), c) for m, c in terms]
 
-    def factors(self, key, names):
-        """The (exponent, names[k]) pairs of x_k in a key, over its nonzero fields, x1 first."""
+    def mono_str(self, key, names):
+        """``mono_to_str`` of a key's exponent tuple, written off its nonzero fields, x1 first."""
         n, width = self.nvars, self.width
-        out = []
+        text = ""
         while key:
             field = (key.bit_length() - 1) // width
             shift = field * width
-            out.append((key >> shift, names[n - 1 - field]))
-            key &= (1 << shift) - 1
-        return out
+            e = key >> shift
+            key -= e << shift
+            part = names[n - 1 - field] if e == 1 else f"{names[n - 1 - field]}^{e}"
+            text = f"{text}*{part}" if text else part
+        return text
 
     def unpack(self, key):
         """The exponent tuple of a key."""
-        mono = [0] * self.nvars
-        for e, k in self.factors(key, range(self.nvars)):
-            mono[k] = e
-        return tuple(mono)
+        mask = (1 << self.width) - 1
+        return tuple([(key >> shift) & mask for shift in self.shifts])
 
     def polynomial(self, terms, den):
         """The QQ Polynomial of an int term tuple in decreasing key order, over ``den``."""
@@ -611,8 +602,9 @@ class _Packing:
             (unpack(key), _over(v, den)) for key, v in terms))
 
     def to_str(self, terms, den, names):
-        """``polynomial(terms, den).to_str(names)``, written off the keys."""
-        return terms_to_str([(key, _over(v, den)) for key, v in terms], names, self.factors)
+        """``polynomial(terms, den).to_str(names)``, with no Polynomial built: ``mono_str``
+        writes each monomial straight off its key, ``terms_to_str`` the rest."""
+        return terms_to_str([(key, _over(v, den)) for key, v in terms], names, self.mono_str)
 
     def to_polynomial(self, field, d):
         """The Polynomial over ``field`` of a {key: coefficient} dict with nonzero coefficients.

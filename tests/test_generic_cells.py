@@ -191,13 +191,16 @@ def _normalize(eqs):
     return out
 
 
-def _reference_elimination(eqs, nparams):
+def _reference_elimination(eqs, nparams, trace=None):
     """The elimination written the direct way: monic equations, ``substitute``.
 
     At every step it rescans the equations in order for the first one with a
     parameter that occurs only as a bare linear term, takes the smallest such
     parameter, substitutes minus the rest of the equation over its coefficient
     into every equation holding it, and renormalizes the whole list.
+    ``trace``, a list when given, gets one entry per step: the a_k-degrees of
+    the other equations holding a_k, how many of those vanish, and whether two
+    equations are equal up to a scalar after the substitution.
     """
     def eligible(eq):
         linear, blocked = [], set()
@@ -220,8 +223,14 @@ def _reference_elimination(eqs, nparams):
         c = eq.coefficient(lam)
         expr = (eq - Polynomial.monomial(QQ, nparams, lam, c)).scale(QQ.div(-1, c))
         eliminated.append((k, expr))
-        eqs = _normalize([e.substitute(k, expr) if any(m[k] for m, _ in e.terms) else e
-                          for e in eqs])
+        rewritten = [e.substitute(k, expr) if any(m[k] for m, _ in e.terms) else e for e in eqs]
+        if trace is not None:
+            held = [(max(m[k] for m, _ in e.terms), new) for e, new in zip(eqs, rewritten)
+                    if e is not eq and any(m[k] for m, _ in e.terms)]
+            nonzero = [new for new in rewritten if not new.is_zero]
+            trace.append(([deg for deg, _ in held], sum(new.is_zero for _, new in held),
+                          len(_normalize(nonzero)) < len(nonzero)))
+        eqs = _normalize(rewritten)
 
 
 def _reference_json(names, eliminated, residual):
@@ -236,9 +245,9 @@ def _reference_json(names, eliminated, residual):
                               for k, expr in eliminated]}
 
 
-def _assert_matches_reference(eqs, nparams, names=None):
+def _assert_matches_reference(eqs, nparams, names=None, trace=None):
     rep = eliminate_linear(eqs, nparams, names)
-    eliminated, residual = _reference_elimination(eqs, nparams)
+    eliminated, residual = _reference_elimination(eqs, nparams, trace)
     assert rep.eliminated == tuple(eliminated)
     assert rep.residual == tuple(residual)
     assert rep.survivors == tuple(k for k in range(nparams) if k not in dict(eliminated))
@@ -285,6 +294,69 @@ def test_elimination_matches_the_direct_algorithm_on_random_systems():
         seen["non-monic"] += any(eq and eq.lc != 1 for eq in eqs)
         seen["zero"] += any(eq.is_zero for eq in eqs)
         seen["scaled"] += len(_normalize(eqs)) < len([eq for eq in eqs if eq])
+    assert min(seen.values()) >= 20, seen
+
+
+def _many_parameter_system(rng):
+    """7-12 parameters: equations with a bare linear term and pivots off +-1, multiples
+    of them, which vanish when their pivot is substituted, and sums q + p*u, which
+    become q up to a scalar when p's pivot is."""
+    nparams = rng.randint(7, 12)
+
+    def coefficient():
+        return QQ.of(rng.choice([1, -1, 2, -2, 3, -5, 7, Fraction(1, 2), Fraction(-3, 4)]))
+
+    def monomial(avoid=None):
+        mono = [0] * nparams
+        for k in rng.sample([k for k in range(nparams) if k != avoid], rng.randint(1, 2)):
+            mono[k] = rng.choice((1, 1, 2))
+        return tuple(mono)
+
+    eqs = []
+    for _ in range(rng.randint(2, 5)):
+        k = rng.randrange(nparams)
+        terms = {tuple(int(v == k) for v in range(nparams)): coefficient()}
+        for _ in range(rng.randint(0, 3)):
+            terms[monomial(avoid=k)] = coefficient()
+        if rng.random() < 0.5:
+            terms[(0,) * nparams] = coefficient()
+        eqs.append(Polynomial(QQ, nparams, terms))
+    for _ in range(rng.randint(1, 4)):
+        p, q = rng.choice(eqs), rng.choice(eqs)
+        u = Polynomial.monomial(QQ, nparams, monomial(), coefficient())
+        eqs.append(p * u if rng.random() < 0.4 else q + p * u)
+    rng.shuffle(eqs)
+    return eqs, nparams
+
+
+def test_elimination_rewrites_match_the_direct_algorithm_with_many_parameters(monkeypatch):
+    # every pivot of the benchmark families is c = +-1, so the c^deg scaling and
+    # the restarts are met here: half the systems start at the narrowest fields
+    # that fit their input, so a product in a step outgrows them
+    rng = random.Random(3030)
+    narrow, runs = [False], []
+    start, packed = poly._start_width, generic_cells._eliminate_packed
+    monkeypatch.setattr(poly, "_start_width",
+                        lambda top: top.bit_length() + 1 if narrow[0] else start(top))
+    monkeypatch.setattr(generic_cells, "_eliminate_packed",
+                        lambda eqs, P: runs.append(P.width) or packed(eqs, P))
+    seen = dict.fromkeys(("c not +-1", "c = -1", "a_k-degree >= 2", "a_k-degree >= 2, c not +-1",
+                          "rewritten to 0", "made equal", "restart"), 0)
+    for _ in range(400):
+        eqs, nparams = _many_parameter_system(rng)
+        narrow[0], trace = rng.random() < 0.5, []
+        runs.clear()
+        rep = _assert_matches_reference(eqs, nparams, trace=trace)
+        assert len(trace) == len(rep.steps)
+        for (_, c, _), (degrees, zeros, equal) in zip(rep.steps, trace):
+            seen["c not +-1"] += abs(c) != 1 and bool(degrees)
+            seen["c = -1"] += c == -1 and bool(degrees)
+            seen["a_k-degree >= 2"] += sum(deg >= 2 for deg in degrees)
+            seen["a_k-degree >= 2, c not +-1"] += abs(c) != 1 and any(deg >= 2 for deg in degrees)
+            seen["rewritten to 0"] += zeros
+            seen["made equal"] += equal
+        # the input fits the first width, so a restart is raised by a product in a step
+        seen["restart"] += len(runs) - 1
     assert min(seen.values()) >= 20, seen
 
 
@@ -556,6 +628,42 @@ def test_packed_log_text_equals_the_built_polynomials():
         seen["empty rest"] += "0" in written
         seen["a10"] += any("a10" in text for text in written) and not custom
         seen["custom names"] += custom and any(text != "0" for text in written)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_packed_log_text_with_wide_exponents_and_long_coefficients():
+    # the log's monomials are written straight off their keys: exponents of several
+    # digits up to the field maximum (127 at width 8), coefficients over 10^6 and
+    # fractions whose denominator does not divide the numerator, on 10-16 parameters
+    rng = random.Random(3031)
+    seen = dict.fromkeys(("field maximum", "exponent >= 10", "coefficient > 10^6", "fraction",
+                          "a10 or later"), 0)
+    for _ in range(200):
+        nparams = rng.randint(10, 16)
+        P = _Packing(nparams, rng.choice((8, 16)))
+        steps = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(nparams)
+            keys = set()
+            for _ in range(rng.randint(0, 5)):
+                mono = [0] * nparams
+                for j in rng.sample([j for j in range(nparams) if j != k], rng.randint(1, 3)):
+                    mono[j] = rng.choice((1, 2, rng.randint(10, P.fmask), P.fmask))
+                keys.add(P.pack(mono))
+            sizes = (1, 6, 10**6 + 3, rng.randint(10**6, 10**12))
+            rest = tuple((key, rng.choice((1, -1)) * rng.choice(sizes))
+                         for key in sorted(keys, reverse=True))
+            steps.append((k, rng.choice((1, -1, 3, -4, 10**6 + 1, -(10**7 + 9))), rest))
+        names = tuple(f"a{k + 1}" for k in range(nparams))
+        rep = generic_cells.EliminationReport(names, P, tuple(steps), ())
+        written = [entry["expr"] for entry in rep.to_json(with_log=True)["substitutions"]]
+        assert written == [polynomial_to_str(expr, names) for _, expr in rep.eliminated]
+        terms = [term for _, expr in rep.eliminated for term in expr.terms]
+        seen["field maximum"] += any(P.fmask in mono for mono, _ in terms)
+        seen["exponent >= 10"] += any(max(mono) >= 10 for mono, _ in terms)
+        seen["coefficient > 10^6"] += any(abs(c) > 10**6 for _, c in terms)
+        seen["fraction"] += any(isinstance(c, Fraction) for _, c in terms)
+        seen["a10 or later"] += any(e and k >= 9 for mono, _ in terms for k, e in enumerate(mono))
     assert min(seen.values()) >= 20, seen
 
 
