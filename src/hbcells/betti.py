@@ -124,21 +124,6 @@ class GradedPieceMatrix:
         """The S(E) slots appearing in this graded piece."""
         return [tag[1:] for row in self.entries for tag in row if tag[0] == "p"]
 
-    def symbolic_star(self, param_index):
-        """Star entries as polynomials in the S(E) parameter space."""
-        n = len(param_index)
-        rows = []
-        for row in self.star_entries:
-            cells = []
-            for tag in row:
-                if tag[0] == "p":
-                    mono = tuple(1 if k == param_index[tag[1:]] else 0 for k in range(n))
-                    cells.append(Polynomial.monomial(QQ, n, mono))
-                else:
-                    cells.append(Polynomial.zero(QQ, n))
-            rows.append(cells)
-        return rows
-
     def to_json(self):
         index = {s: k + 1 for k, s in enumerate(slot_set(self.E))}
 
@@ -229,23 +214,36 @@ def betti_numbers(E, assignment, field=QQ):
     return BettiTable(data)
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty determinant")
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for k in range(n):
-        cell = rows[0][k]
-        if cell.is_zero:
-            continue
-        sub = [row[:k] + row[k + 1:] for row in rows[1:]]
-        term = cell * _det(sub)
-        if k % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total if total is not None else rows[0][0]  # zero polynomial
+def _minors(star, index, size):
+    """The nonzero size x size minors of the star tags, over the slots ``index`` numbers.
+
+    Each entry is 0 or its own parameter, so a minor has one signed squarefree monomial
+    per nonzero transversal, and none cancel.  The walk picks a column per row from the
+    row's support and signs by the inversions of the picks.  Minors come out in
+    ``itertools.combinations`` order over the rows, then the columns.
+    """
+    n = len(index)
+    supports = []
+    for row in star:
+        supports.append([(k, index[tag[1:]]) for k, tag in enumerate(row) if tag[0] == "p"])
+
+    def walk(depth, cols, params, inv):
+        if depth < size:
+            for c, p in rows[depth]:
+                if c not in cols:
+                    walk(depth + 1, cols + (c,), params + (p,), inv + sum(b > c for b in cols))
+        else:
+            mono = [0] * n
+            for p in params:
+                mono[p] = 1
+            minors.setdefault(tuple(sorted(cols)), {})[tuple(mono)] = -1 if inv & 1 else 1
+
+    out = []
+    for rows in itertools.combinations(supports, size):
+        minors = {}
+        walk(0, (), (), 0)
+        out.extend(Polynomial.from_dict(QQ, n, minors[cols]) for cols in sorted(minors))
+    return out
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -276,43 +274,35 @@ class StratumDescriptor:
         return data
 
 
-# The most Laplace terms stratum_descriptor expands, C(r, s) C(c, s) s! for the
-# s x s minors of an r x c star matrix.  At 15-22 us a term (2 CPUs, Python 3.11.7),
-# the 4-minors of an 8 x 8 star (117,600 terms) take 1.9 s and those of a 9 x 9 star
-# (381,024) 8.4 s.  The tests and the benchmark expand a dozen terms at most.
+# The most Laplace terms C(r, s) C(c, s) s! that the s x s minors of an r x c star
+# matrix may take.  At 3-4 us a nonzero transversal (2 CPUs, Python 3.11.7), the 4-minors
+# of an 8 x 8 star (117,600 terms, 58,800 nonzero) take 0.2 s and the 6-minors of a 9 x 9
+# star (381,024 terms, 211,680 nonzero) 0.9 s.  Tests and benchmark write a dozen at most.
 STRATUM_TERM_LIMIT = 150_000
 
 
 def stratum_descriptor(E, j, u):
     """The stratum of at least u minimal generators of degree j over the cell of E.
 
-    A stratum whose minors take more than ``STRATUM_TERM_LIMIT`` Laplace terms
-    raises DomainError before any minor is expanded.
+    Its conditions are the nonzero (beta_{0,j}(E) - u + 1)-minors of the star matrix, each
+    written from its transversals.  A stratum whose minors take more than
+    ``STRATUM_TERM_LIMIT`` Laplace terms raises DomainError before any minor is written.
     """
     if u < 0:
         raise ValueError("stratum level u must be nonnegative")
     gm = graded_matrix(E, j)
     slots = slot_set(E)
-    index = {s: k for k, s in enumerate(slots)}
-    beta0_E = len(gm.star_rows)
-    bound = beta0_E - u
-    sym = gm.symbolic_star(index)
     nr, nc = gm.star_shape
-    conditions = []
-    if bound < 0:
-        conditions = [Polynomial.constant(QQ, len(slots), 1)]
-    elif bound < min(nr, nc):
+    bound = nr - u
+    conditions = [Polynomial.constant(QQ, len(slots), 1)] if bound < 0 else []
+    if 0 <= bound < min(nr, nc):
         size = bound + 1
         terms = math.comb(nr, size) * math.comb(nc, size) * math.factorial(size)
         if terms > STRATUM_TERM_LIMIT:
             raise DomainError(
                 f"the stratum of j = {j}, u = {u} on a {nr} x {nc} star matrix takes {terms} "
                 f"Laplace terms, over the budget of {STRATUM_TERM_LIMIT} (betti.STRATUM_TERM_LIMIT)")
-        for rsel in itertools.combinations(range(nr), size):
-            for csel in itertools.combinations(range(nc), size):
-                minor = _det([list(map(sym[r].__getitem__, csel)) for r in rsel])
-                if not minor.is_zero:
-                    conditions.append(minor)
+        conditions = _minors(gm.star_entries, {s: k for k, s in enumerate(slots)}, size)
     return StratumDescriptor(E, j, u, gm, bound, tuple(conditions),
                              tuple(f"p{k + 1}" for k in range(len(slots))))
 
@@ -328,6 +318,8 @@ def lex_codim(E, j, u):
     Valid for beta_0 - beta_1 <= u <= beta_0 (of the lex segment itself);
     equals (beta_1 - beta_0 + u) * u, the generic determinantal value.
     """
+    if u < 0:
+        raise ValueError("stratum level u must be nonnegative")
     if not E.is_lex_segment:
         raise DomainError(f"{E} is not a lex segment")
     beta0, beta1 = graded_matrix(E, j).star_shape

@@ -2,7 +2,8 @@
 
 Every invocation is deterministic given its arguments.  Exit codes:
 0 success, 1 domain error (infinite colength, inadmissible Hilbert
-function, ...), 2 usage error (bad flags, malformed input).
+function, ...), 2 usage error (bad flags, malformed input), 141 the
+reader closed stdout before the output was written (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import betti as betti_mod
@@ -389,6 +391,9 @@ def main(argv=None):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # 141 = 128 + SIGPIPE; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

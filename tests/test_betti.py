@@ -16,6 +16,7 @@ from hbcells.field import GF, QQ
 from hbcells.groebner import graded_beta0_profile
 from hbcells.hilbert_burch import (cell_matrix_from_parameters, degree_matrix,
                                    minors_ideal, slot_set)
+from hbcells.poly import Polynomial
 from hbcells.staircase import HSeries, Staircase, enumerate_staircases
 
 E4 = Staircase((0, 1, 3, 4, 4, 5, 7))  # d = (1,2,1,0,1,2)
@@ -313,6 +314,63 @@ def test_stratum_minors_over_the_budget_are_refused_before_any_is_expanded(monke
     assert graded_matrix(E, 21).star_shape == (10, 10)
 
 
+def _laplace_det(rows):
+    """The determinant of a square matrix of polynomials, by Laplace along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Polynomial.zero(rows[0][0].field, rows[0][0].nvars)
+    for k, cell in enumerate(rows[0]):
+        if cell:
+            term = cell * _laplace_det([row[:k] + row[k + 1:] for row in rows[1:]])
+            total = total - term if k % 2 else total + term
+    return total
+
+
+def _laplace_conditions(E, j, u):
+    """The conditions of the stratum, each minor of dense polynomial cells expanded by Laplace."""
+    gm = graded_matrix(E, j)
+    slots = slot_set(E)
+    n = len(slots)
+    cells = []
+    for row in gm.star_entries:
+        cells.append([Polynomial.variable(QQ, n, slots.index(tag[1:])) if tag[0] == "p"
+                      else Polynomial.zero(QQ, n) for tag in row])
+    nr, nc = gm.star_shape
+    size = nr - u + 1
+    if size <= 0:
+        return (Polynomial.constant(QQ, n, 1),)
+    minors = []
+    for rsel in itertools.combinations(cells, size):
+        for csel in itertools.combinations(range(nc), size):
+            minor = _laplace_det([list(map(row.__getitem__, csel)) for row in rsel])
+            if minor:
+                minors.append(minor)
+    return tuple(minors)
+
+
+def test_stratum_minors_equal_their_laplace_expansion():
+    # every stratum up to colength 14: each minor's terms, signs and place
+    calls = count = 0
+    for d in range(1, 15):
+        for E in enumerate_staircases(d):
+            for j in resolution_degrees(E).degrees():
+                for u in range(len(graded_matrix(E, j).star_rows) + 2):
+                    conditions = stratum_descriptor(E, j, u).conditions
+                    assert conditions == _laplace_conditions(E, j, u), (E.m, j, u)
+                    calls, count = calls + 1, count + len(conditions)
+    assert (calls, count) == (7134, 2823)
+    # those sweeps hold one minor of two terms; the stars near the budget hold
+    # thousands with signs: the 3-minors of an 8 x 8 star (18,816 Laplace
+    # terms), the 2-minors and the entries of a 9 x 9 star
+    for k, j, u, count, terms in ((8, 17, 6, 1960, 11760), (9, 19, 8, 1008, 2016),
+                                  (9, 19, 9, 72, 72)):
+        E = Staircase.from_d([1, 0] + [1] * k + [2] + [1] * (k - 2))
+        assert graded_matrix(E, j).star_shape == (k, k)
+        conditions = stratum_descriptor(E, j, u).conditions
+        assert (len(conditions), sum(len(c.terms) for c in conditions)) == (count, terms)
+        assert conditions == _laplace_conditions(E, j, u), (k, j, u)
+
+
 def test_strata_vector_has_disjoint_parameters():
     L = Staircase((0, 1, 2, 4, 5, 6, 7, 9, 10))
     descs = strata_descriptors(L, {9: 3, 10: 1})
@@ -429,6 +487,11 @@ def test_lex_codim_extremes():
         lex_codim(L, 9, beta0 + 1)
     with pytest.raises(DomainError):
         lex_codim(Staircase((0, 1, 1)), 2, 0)  # not a lex segment
+    # beta_0 - beta_1 = -2 here, and a negative u is no stratum level
+    assert graded_matrix(Staircase((0, 1, 2)), 3).star_shape == (0, 2)
+    for u in (-1, -2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lex_codim(Staircase((0, 1, 2)), 3, u)
 
 
 def test_lex_codim_equals_generic_determinantal_codim():

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbcells
 from hbcells.cli import main
 from hbcells.hilbert_burch import CellMatrix
 
@@ -369,6 +374,20 @@ def test_usage_error_exit_codes(capsys):
     assert code == 2 and "not a field element" in err and out == ""
     code, out, err = run(capsys, "betti", "--m", "0,2,2", "--p", "p1=\u0663")
     assert code == 2 and "not a field element" in err and out == ""
+
+
+def test_a_reader_that_closes_stdout_early_exits_141_quietly():
+    # the frame of t = 300 is over 100 KB, past any pipe buffer, so the writer
+    # meets the closed pipe (as under `hb-cells frame ... | head -c 10`)
+    src = str(pathlib.Path(hbcells.__file__).parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "hbcells.cli", "frame", "--d", "1" + ",0" * 300],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.read(10) == b"m=[0,1,1,1"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_non_integer_staircase_in_cell_is_usage_error(capsys):
