@@ -16,7 +16,9 @@ monomials, and a point is one choice from every table.
 The criterion of ``groebner.is_groebner_basis`` runs through the same helper
 and the same kernel, on the staircase's adjacent pairs, which the
 Gebauer-Moeller update keeps for its leads: each pair once per choice of the
-suffix it reduces by (``_accepted``).  The members below the lowest pair
+suffix it reduces by (``_accepted``).  The half of its S-pair that the suffix
+fixes (``poly._s_half``) is built once per suffix, and each reduction stops at
+the first term that no lead divides.  The members below the lowest pair
 are in no check, so their points are counted, and their tables never built.
 ``BRUTE_FORCE_POINT_LIMIT`` bounds the number of points, and
 ``CENSUS_STAIRCASE_LIMIT`` the number of staircases of a census.
@@ -33,7 +35,7 @@ from .field import GF
 from .generic_cells import _support
 from .groebner import _criterion_holds, _pairs_of
 from .hilbert_burch import CellKind, cell_dimension
-from .poly import _widening
+from .poly import _s_half, _widening
 from .staircase import enumerate_staircases
 
 
@@ -143,7 +145,8 @@ def _accepted(members, pairs, negs, P):
     its terms, so it reduces as by all members.  The walk chooses f_t down
     to the lowest member in a pair, checks the pairs of f_k on the suffix
     (f_k, ..., f_t) as soon as f_k is chosen, and prunes the subtree when one
-    fails.  Below the lowest pair, as for (x^a, y^b) with none, every
+    fails; the half of each S-pair that the suffix fixes is built once for
+    all q^n forms of f_k.  Below the lowest pair, as for (x^a, y^b) with none, every
     completion is accepted: those members' q^(their parameter count) points
     are counted, and their tables are not built.
     """
@@ -152,16 +155,17 @@ def _accepted(members, pairs, negs, P):
     tables = _tables(members[low:], negs, P)
     checks = [[] for _ in tables]
     for L, i, j in pairs:
-        checks[i - low].append((P.pack(L), 0, j - i))
+        checks[i - low].append((P.pack(L), j - i - 1))
     guard = P.guard
 
     def walk(k, suffix):
         if k < 0:
             return free
+        halves = [(L, 0, _s_half(suffix[j], L)) for L, j in checks[k]]
         count = 0
         for f in tables[k]:
             s = (f, *suffix)
-            if _criterion_holds(s, checks[k], guard):
+            if _criterion_holds(s, halves, guard):
                 count += walk(k - 1, s)
         return count
 

@@ -24,12 +24,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .linalg import echelon_insert
 from .poly import (_division, _integral, _normal_form_dict, _Overflow, _Packing, _reducers,
-                   _s_pair, _start_width, _top, _widening, mono_divides, mono_lcm, mono_mul)
+                   _s_half, _s_pair, _start_width, _top, _widening, mono_divides, mono_lcm,
+                   mono_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +45,20 @@ class MonomialIdeal:
     gens: tuple
 
     def __init__(self, nvars, gens):
-        gens = sorted(set(tuple(g) for g in gens), reverse=True)
-        minimal = [g for g in gens if not any(h != g and mono_divides(h, g) for h in gens)]
+        """Exponents are read with ``operator.index``; each generator needs ``nvars`` of them,
+        none negative (DomainError)."""
+        gens = sorted({tuple(map(operator.index, g)) for g in gens})
+        if bad := [g for g in gens if len(g) != nvars or min(g, default=0) < 0]:
+            raise DomainError(f"a generator needs {nvars} nonnegative exponents, got {bad[0]}")
+        minimal = []  # in ascending lex order a proper divisor comes first
+        for g in gens:
+            for h in minimal:
+                if mono_divides(h, g):
+                    break
+            else:
+                minimal.append(g)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", tuple(minimal))
+        object.__setattr__(self, "gens", tuple(reversed(minimal)))
 
     def contains(self, mono):
         return any(mono_divides(g, mono) for g in self.gens)
@@ -130,7 +142,9 @@ def s_polynomial(f, g):
     L = mono_lcm(f.lt, g.lt)
 
     def run(P):
-        work = _s_pair(*_reducers(P, [f, g]), P.pack(L))
+        a, b = _reducers(P, [f, g])
+        key = P.pack(L)
+        work = _s_pair(a, _s_half(b, key), key)
         if any([key & P.guard for key in work]):
             raise _Overflow
         return P.to_polynomial(f.field, work)
@@ -271,7 +285,8 @@ def _reduced_basis(start):
         while pairs:
             L, i, j = pair = min(pairs)
             pairs.remove(pair)
-            rem = _normal_form_dict(_s_pair(reducers[i], reducers[j], pack(L)), reducers, guard)
+            L = pack(L)
+            rem = _normal_form_dict(_s_pair(reducers[i], _s_half(reducers[j], L), L), reducers, guard)
             if rem:
                 (lead, c), *tail = sorted(rem.items(), reverse=True)
                 inv = field.div(field.one, c)
@@ -299,17 +314,20 @@ def is_groebner_basis(fs):
     pairs = _pairs_of([f.lt for f in fs])
 
     def run(P):
-        pack = P.pack
-        return _criterion_holds(_reducers(P, fs), [(pack(L), i, j) for L, i, j in pairs], P.guard)
+        reducers = _reducers(P, fs)
+        halves = [(L := P.pack(M), i, _s_half(reducers[j], L)) for M, i, j in pairs]
+        return _criterion_holds(reducers, halves, P.guard)
 
     return _widening(run, fs[0].nvars if fs else 0, _top(fs))
 
 
 def _criterion_holds(reducers, pairs, guard):
-    """Whether the S-pair of every pair (L, i, j) of packed monic (lead, tail) reducers
-    reduces to 0, the lcm L packed too."""
-    for L, i, j in pairs:
-        if _normal_form_dict(_s_pair(reducers[i], reducers[j], L), reducers, guard):
+    """Whether the S-pair of every pair (L, i, half) of packed monic (lead, tail) reducers
+    reduces to 0: the S-pair of reducers[i] and a reducer b with ``half = _s_half(b, L)``,
+    the lcm L packed too.  Each half is copied, so it may serve many calls, and each
+    reduction stops at the first term that no lead divides (``zero_test``)."""
+    for L, i, half in pairs:
+        if _normal_form_dict(_s_pair(reducers[i], half.copy(), L), reducers, guard, zero_test=True):
             return False
     return True
 

@@ -106,6 +106,12 @@ def _integral(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+def _same_field(a, b):
+    """Raise DomainError unless ``a`` and ``b`` live over the same field."""
+    if b.field is not a.field and b.field != a.field:
+        raise DomainError(f"polynomials over {a.field!r} and over another field {b.field!r} do not mix")
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial:
     """Immutable exact multivariate polynomial with lex term order."""
@@ -219,10 +225,11 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _same_field(self, other):
-        """Raise DomainError unless ``other`` lives over the same field."""
-        if other.field is not self.field and other.field != self.field:
-            raise DomainError(f"polynomials over {self.field!r} and over another field "
-                              f"{other.field!r} do not mix")
+        """Raise DomainError unless ``other`` lives over the same field, in as many variables."""
+        if other.field is not self.field or other.nvars != self.nvars:
+            _same_field(self, other)
+            if other.nvars != self.nvars:
+                raise DomainError(f"polynomials in {self.nvars} and in {other.nvars} variables do not mix")
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -438,7 +445,7 @@ class UniPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    _same_field = Polynomial._same_field
+    _same_field = _same_field
 
     def __add__(self, other):
         self._same_field(other)
@@ -646,7 +653,7 @@ def _widening(run, nvars, top):
             width *= 2
 
 
-def _normal_form_dict(work, reducers, guard, quots=None):
+def _normal_form_dict(work, reducers, guard, quots=None, zero_test=False):
     """Divide the term dict ``work`` (consumed) by monic polynomials, on packed monomials.
 
     ``reducers`` lists the (lead, tail) pairs of monic polynomials on the keys
@@ -656,12 +663,15 @@ def _normal_form_dict(work, reducers, guard, quots=None):
     the list fixes the preference.  Returns the remainder dict.  When
     ``quots`` (one dict per reducer) is given, the quotient terms are
     recorded as ``quots[k][u] = c``; for a fixed reducer ``u`` strictly
-    decreases, so no term is written twice.
+    decreases, so no term is written twice.  With ``zero_test`` it returns
+    the first term that no lead divides, alone: every key written after it
+    is below it, so it is never cancelled, and the remainder is nonzero.
 
     A key made here or by ``_s_pair`` is a sum of two keys with clear guards,
     so it is exact even when a guard is set (no field carries into the next).
     Every key is checked when it is taken, before it is divided or kept, and
-    a set guard raises ``_Overflow``; a key that cancels first is never used.
+    a set guard raises ``_Overflow``; a key that cancels first, or that lies
+    below a term that ``zero_test`` returns, is never used.
     """
     rem = {}
     while work:
@@ -687,6 +697,8 @@ def _normal_form_dict(work, reducers, guard, quots=None):
                         del work[key]
                 break
         else:
+            if zero_test:
+                return {m: c}
             rem[m] = c
     return rem
 
@@ -710,26 +722,33 @@ def _reducers(P, basis, f=None):
     return out
 
 
-def _s_pair(a, b, L):
-    """The S-polynomial of monic (lead, tail) pairs whose leads have the lcm ``L``, all packed,
-    as a new term dict: the one S-pair kernel.
+def _s_half(b, L):
+    """-u_b*tail_b with u_b = L - lead_b, as a new term dict: the half of an S-pair that the
+    monic (lead, tail) pair ``b`` fixes, so one half serves ``b`` against many ``a``."""
+    lb, tb = b
+    ub = L - lb
+    return {ub + m: -c for m, c in tb}
+
+
+def _s_pair(a, half, L):
+    """The S-polynomial of monic (lead, tail) pairs a and b whose leads have the lcm ``L``, all
+    packed, from ``half = _s_half(b, L)``, which it consumes and returns: the one S-pair kernel.
 
     It is u_a*tail_a - u_b*tail_b with u = L - lead; the leads cancel, nothing is
     divided.  A key may have a guard set; the kernel checks each key it takes.
     """
-    (la, ta), (lb, tb) = a, b
-    ua, ub = L - la, L - lb
-    work = {ua + m: c for m, c in ta}
-    for m, c in tb:
-        key = ub + m
-        v = work.get(key)
+    la, ta = a
+    ua = L - la
+    for m, c in ta:
+        key = ua + m
+        v = half.get(key)
         if v is None:
-            work[key] = -c
-        elif v := v - c:
-            work[key] = v
+            half[key] = c
+        elif v := v + c:
+            half[key] = v
         else:
-            del work[key]
-    return work
+            del half[key]
+    return half
 
 
 def _division(f, basis, quotients=False):

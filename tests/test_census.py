@@ -91,6 +91,23 @@ def test_brute_force_matches_census_gf4():
     assert brute_force_ideal_count(2, 4) == cell_census(2).evaluate(4) == 320
 
 
+@pytest.mark.parametrize("d,q", [(4, 2), (4, 3), (5, 2)])
+def test_the_walk_counts_the_census_past_the_refusal(d, q):
+    # _accepted, summed over the staircases as brute_force_ideal_count sums it,
+    # called directly where that refuses d > 3
+    negs = [-v for v in GF(q).elements()]
+    count = 0
+    for E in enumerate_staircases(d):
+        standard = E.standard_monomials()
+        members = [(lead, generic_cells._support(lead, standard))
+                   for lead in E.generators(minimal=True)]
+        leads = [lead for lead, _ in members]
+        pairs = _pairs_of(leads)
+        count += _widening(lambda P: census._accepted(members, pairs, negs, P),
+                           2, max(map(max, leads)))
+    assert count == cell_census(d).evaluate(q)
+
+
 def test_brute_force_refuses_large_colength():
     with pytest.raises(DomainError, match="colength"):
         brute_force_ideal_count(4, 2)

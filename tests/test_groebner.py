@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from hbcells import census, groebner, poly
 from hbcells.errors import DomainError
 from hbcells.field import GF, QQ
-from hbcells.generic_cells import generic_family
+from hbcells.generic_cells import generic_family, instantiate
 from hbcells.groebner import (MonomialIdeal, buchberger_reduced, colength,
                               graded_beta0_profile, graded_minimal_generators, is_groebner_basis,
                               leading_term_ideal, normal_form, reduce,
@@ -89,6 +90,15 @@ def test_spoly_matches_the_division_formula(field):
     assert min(seen.values()) >= 20, seen
 
 
+def test_monomial_ideal_rejects_malformed_generators():
+    for gens in ([(1, 2, 3)], [(1, 0), (1, 0, 1)], [(1,)], [(-1, 2), (3, 0)]):
+        with pytest.raises(DomainError, match="needs 2 nonnegative exponents"):
+            MonomialIdeal(2, gens)
+    with pytest.raises(TypeError):
+        MonomialIdeal(2, [(1.5, 2)])
+    assert MonomialIdeal(2, [[2, 0], range(2)]) == MonomialIdeal(2, [(2, 0), (0, 1)])
+
+
 def test_s_pairs_reject_mixed_fields():
     f, g = P("x + 1"), P("x + 2", GF(5))
     for op in (s_polynomial, lambda a, b: is_groebner_basis([a, b]),
@@ -106,6 +116,18 @@ def test_reduction_rejects_a_dividend_over_another_field():
                 op(a, b)
     assert normal_form(P("x + 1", GF(5)), [g]) == P("4", GF(5))
     assert normal_form(f, []) == f
+
+
+def test_polynomials_in_different_numbers_of_variables_do_not_mix():
+    a, c = P("x"), parse_polynomial("x*z - y", ("x", "y", "z"))
+    for op in (operator.add, operator.sub, operator.mul, s_polynomial,
+               lambda f, g: reduce(f, [g]), lambda f, g: normal_form(f, [g]), exact_quotient,
+               lambda f, g: is_groebner_basis([f, g]), lambda f, g: buchberger_reduced([f, g])):
+        for f, g in ((a, c), (c, a)):
+            with pytest.raises(DomainError, match=f"in {f.nvars} and in {g.nvars} variables"):
+                op(f, g)
+    with pytest.raises(DomainError, match="needs 2 nonnegative exponents"):
+        leading_term_ideal([a, c])
 
 
 # -- reduction ----------------------------------------------------------------
@@ -664,9 +686,9 @@ def kernel_widths(monkeypatch):
     widths = []
     inner = poly._normal_form_dict
 
-    def spy(work, reducers, guard, quots=None):
+    def spy(work, reducers, guard, quots=None, zero_test=False):
         widths.append((guard & -guard).bit_length())  # the guard of the lowest field
-        return inner(work, reducers, guard, quots)
+        return inner(work, reducers, guard, quots, zero_test)
 
     for module in (poly, groebner):
         monkeypatch.setattr(module, "_normal_form_dict", spy)
@@ -704,6 +726,44 @@ def test_the_kernel_widens_its_fields_when_an_exponent_outgrows_them(kernel_widt
     rem, quots = reduce(f3, [g3])
     assert (rem, quots) == tuple_kernel.reduce(f3, [g3]) and rem == r3
     assert kernel_widths == [8, 16]
+
+
+def test_the_criterion_stops_before_a_key_that_would_overflow(kernel_widths, monkeypatch):
+    # the S-pair of y - z^100 and x*y + x*z + y*z^30 is -x*z^100 - x*z - y*z^30:
+    # no lead divides x*z^100, so the verdict is False before y*z^30 reduces to
+    # z^130, past the 127 that an 8-bit field holds, and the run is not restarted
+    fs = [parse_polynomial(t, ("x", "y", "z")) for t in ("y - z^100", "x*y + x*z + y*z^30")]
+    assert not is_groebner_basis(fs)
+    assert kernel_widths == [8]
+    assert not tuple_kernel.is_groebner_basis(fs)
+    del kernel_widths[:]
+    assert normal_form(s_polynomial(*fs), fs) == parse_polynomial(
+        "-x*z^100 - x*z - z^130", ("x", "y", "z"))  # the full remainder needs 16 bits
+    assert kernel_widths == [8, 16]
+    del kernel_widths[:]
+    monkeypatch.setattr(poly, "_start_width", lambda top: 16)
+    assert not is_groebner_basis(fs)  # the wide-field verdict
+    assert kernel_widths == [16]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["QQ", "GF2", "GF3"])
+def test_the_early_stop_gives_the_full_verdict_on_non_bases(field):
+    # random points of the census families, most of them no Groebner basis: the
+    # criterion stops at the first term no lead divides, the tuple kernel
+    # reduces every S-pair to its last term, and the verdicts agree
+    rng = random.Random(47 + (field.size if field.char else 0))
+    verdicts = collections.Counter()
+    for d in range(3, 7):
+        for E in enumerate_staircases(d):
+            family = generic_family(E.generators(minimal=True), 2, graded=False)
+            for _ in range(8):
+                values = [rng.choice(field.elements()) if field.char else field.of(rng.randint(-2, 2))
+                          for _ in range(family.nparams)]
+                fs = instantiate(family, values, field)
+                verdict = is_groebner_basis(fs)
+                assert verdict == tuple_kernel.is_groebner_basis(fs), fs
+                verdicts[verdict] += 1
+    assert verdicts[False] >= 100 and verdicts[True] >= 10, verdicts
 
 
 def test_the_lead_memo_skips_a_long_lead_list():
