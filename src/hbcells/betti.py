@@ -26,11 +26,20 @@ from .hilbert_burch import FRAME_CACHE_SIZE, _border_degrees, _slot_degree, slot
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ResolutionDegrees:
-    """Generator degrees a (length t+1), syzygy degrees b (length t) and the M(p)_j they carry."""
+    """The frame record of E: everything the Betti layer reads that depends on E alone.
+
+    Generator degrees a (length t+1) and syzygy degrees b (length t); the slots of
+    S(E) in column-major order, ``index`` mapping each to its 0-based place and
+    ``names`` the parameter names p1..p#S; and the M(p)_j of each degree j that
+    carries a row or a column, each piece with its derived forms built once.
+    """
 
     E: Staircase
     a: tuple
     b: tuple
+    slots: tuple
+    index: dict  # slot -> its 0-based place in ``slots``
+    names: tuple
     _pieces: dict  # degree j -> GradedPieceMatrix, in increasing j
 
     def w(self, j):
@@ -48,14 +57,17 @@ class ResolutionDegrees:
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def resolution_degrees(E):
     """The degrees a_i = t+1-i+m_(i-1) and b_i = a_(i+1)+1 of the resolution of E,
-    with M(p)_j of each degree j they carry (``graded_matrix`` reads it here)."""
+    the slots of S(E) with their index and names, and M(p)_j of each degree j they
+    carry (``graded_matrix`` and ``stratum_descriptor`` read it here)."""
     a, b = map(tuple, _border_degrees(E))
     rows, cols = {}, {}
     for degrees, out in ((a, rows), (b, cols)):
         for i, j in enumerate(degrees, 1):
             out.setdefault(j, []).append(i)
-    return ResolutionDegrees(E, a, b, {
-        j: _piece(E, j, tuple(rows.get(j, ())), tuple(cols.get(j, ())))
+    slots = slot_set(E)
+    index = {s: k for k, s in enumerate(slots)}
+    return ResolutionDegrees(E, a, b, slots, index, tuple(f"p{k + 1}" for k in range(len(slots))), {
+        j: _piece(E, j, tuple(rows.get(j, ())), tuple(cols.get(j, ())), index)
         for j in sorted(rows.keys() | cols.keys())})
 
 
@@ -83,15 +95,21 @@ def _tag_text(tag):
     return "1" if tag[0] == "one" else "0"
 
 
-def _numeric(entries, assignment, one):
-    """Each row of tags as a dict column -> value, zero values dropped."""
-    for row in entries:
-        values = {}
-        for k, tag in enumerate(row):
-            v = one if tag[0] == "one" else assignment[tag[1:]] if tag[0] == "p" else 0
-            if v:
-                values[k] = v
-        yield values
+def _ones(row):
+    """The columns of the 1-entries of a row of tags."""
+    return tuple([k for k, tag in enumerate(row) if tag[0] == "one"])
+
+
+def _support(row, index):
+    """The parameters of a row of tags, as (column, slot index) pairs."""
+    return tuple([(k, index[tag[1:]]) for k, tag in enumerate(row) if tag[0] == "p"])
+
+
+def _json_tags(strand, index):
+    """The tags of a strand row by row as JSON writes them: ["one"], ["zero"] or ["p", K]
+    for the K-th slot of S(E)."""
+    return tuple([("p", index[tag[1:]] + 1) if tag[0] == "p" else tag
+                  for row in strand for tag in row])
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -101,6 +119,13 @@ class GradedPieceMatrix:
     Entries are tags: ("zero",), ("one",), or ("p", i1, i2) where (i1, i2)
     indexes S(E).  The star form drops the rows and columns through the
     1-entries (indices in both w_j and v_j).
+
+    The forms its readers need are derived from the tags once, when
+    ``resolution_degrees`` builds the piece: ``_pattern`` holds each row as its
+    1-columns and its (column, slot index) pairs, for ``betti_numbers``;
+    ``_star_supports`` each star row's (column, slot index) pairs, for the
+    minors of ``stratum_descriptor``; ``_json`` and ``_star_json`` the tags as
+    ``to_json`` writes them, tuples that ``json`` writes as arrays.
     """
 
     E: Staircase
@@ -111,6 +136,10 @@ class GradedPieceMatrix:
     star_rows: tuple
     star_cols: tuple
     star_entries: tuple
+    _pattern: tuple = ()
+    _star_supports: tuple = ()
+    _json: tuple = ()
+    _star_json: tuple = ()
 
     @property
     def shape(self):
@@ -125,15 +154,10 @@ class GradedPieceMatrix:
         return [tag[1:] for row in self.entries for tag in row if tag[0] == "p"]
 
     def to_json(self):
-        index = {s: k + 1 for k, s in enumerate(slot_set(self.E))}
-
-        def tag_json(tag):
-            return ["p", index[tag[1:]]] if tag[0] == "p" else [tag[0]]
-
         return {"j": self.j, "rows": list(self.rows), "cols": list(self.cols),
-                "entries": [tag_json(tag) for row in self.entries for tag in row],
+                "entries": list(self._json),
                 "star_rows": list(self.star_rows), "star_cols": list(self.star_cols),
-                "star_entries": [tag_json(tag) for row in self.star_entries for tag in row]}
+                "star_entries": list(self._star_json)}
 
     def to_latex(self):
         """Bordered display of M(p)_j with the degree j on both borders."""
@@ -146,13 +170,17 @@ class GradedPieceMatrix:
         return "\n".join(lines)
 
 
-def _piece(E, j, rows, cols):
-    """M(p)_j on the rows w_j and columns v_j, and its star reduction."""
+def _piece(E, j, rows, cols, index):
+    """M(p)_j on the rows w_j and columns v_j, its star reduction, and their derived forms
+    over the slot ``index``."""
     shared = set(rows).intersection(cols)
     srows = tuple(i for i in rows if i not in shared)
     scols = tuple(i for i in cols if i not in shared)
-    return GradedPieceMatrix(E, j, rows, cols, _strand(E, rows, cols),
-                             srows, scols, _strand(E, srows, scols))
+    entries, star = _strand(E, rows, cols), _strand(E, srows, scols)
+    numeric = tuple([(_ones(row), _support(row, index)) for row in entries])
+    return GradedPieceMatrix(E, j, rows, cols, entries, srows, scols, star, numeric,
+                             tuple([_support(row, index) for row in star]),
+                             _json_tags(entries, index), _json_tags(star, index))
 
 
 def graded_matrix(E, j):
@@ -192,40 +220,48 @@ class BettiTable:
 def betti_numbers(E, assignment, field=QQ):
     """Graded Betti numbers of the ideal cut out by the parameter point.
 
-    ``assignment`` maps every slot of S(E) to a scalar.  Ranks are exact.
+    ``assignment`` maps every slot of S(E) to a scalar.  Ranks are exact.  Each
+    strand row is read at the point off its piece's numeric pattern: its 1-columns
+    and its (column, slot index) pairs, both built once per staircase.
     """
-    slots = slot_set(E)
-    missing = [s for s in slots if s not in assignment]
+    rd = resolution_degrees(E)
+    missing = [s for s in rd.slots if s not in assignment]
     if missing:
         raise ValueError(f"assignment misses S(E) slots {missing}")
-    known = set(slots)
-    unknown = [s for s in assignment if s not in known]
+    unknown = [s for s in assignment if s not in rd.index]
     if unknown:
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
-    assignment = {s: field.of(v) for s, v in assignment.items()}
+    values = [field.of(assignment[s]) for s in rd.slots]
+    one = field.one
     data = {}
-    for j, gm in resolution_degrees(E)._pieces.items():
+    for j, gm in rd._pieces.items():
         echelon = {}
-        r = sum(echelon_insert(echelon, row) is not None
-                for row in _numeric(gm.entries, assignment, field.one))
+        r = 0
+        for ones, params in gm._pattern:
+            row = dict.fromkeys(ones, one)
+            for k, s in params:
+                if values[s]:
+                    row[k] = values[s]
+            r += echelon_insert(echelon, row) is not None
         b0, b1 = len(gm.rows) - r, len(gm.cols) - r
         if b0 or b1:
             data[j] = (b0, b1)
     return BettiTable(data)
 
 
-def _minors(star, index, size):
-    """The nonzero size x size minors of the star tags, over the slots ``index`` numbers.
+def _minors(supports, n, size):
+    """The nonzero size x size minors of a star matrix over n slots, from its rows' supports.
 
-    Each entry is 0 or its own parameter, so a minor has one signed squarefree monomial
-    per nonzero transversal, and none cancel.  The walk picks a column per row from the
-    row's support and signs by the inversions of the picks.  Minors come out in
+    ``supports`` holds each star row's (column, slot index) pairs.  Each entry is 0 or its
+    own parameter, so a minor has one signed squarefree monomial per nonzero transversal,
+    and none cancel; a row with no parameter is in none, so there are no minors at all
+    when fewer than ``size`` rows hold one.  The walk picks a column per row from the row's
+    support and signs by the inversions of the picks.  Minors come out in
     ``itertools.combinations`` order over the rows, then the columns.
     """
-    n = len(index)
-    supports = []
-    for row in star:
-        supports.append([(k, index[tag[1:]]) for k, tag in enumerate(row) if tag[0] == "p"])
+    held = [row for row in supports if row]
+    if len(held) < size:
+        return []
 
     def walk(depth, cols, params, inv):
         if depth < size:
@@ -239,7 +275,7 @@ def _minors(star, index, size):
             minors.setdefault(tuple(sorted(cols)), {})[tuple(mono)] = -1 if inv & 1 else 1
 
     out = []
-    for rows in itertools.combinations(supports, size):
+    for rows in itertools.combinations(held, size):
         minors = {}
         walk(0, (), (), 0)
         out.extend(Polynomial.from_dict(QQ, n, minors[cols]) for cols in sorted(minors))
@@ -290,11 +326,12 @@ def stratum_descriptor(E, j, u):
     """
     if u < 0:
         raise ValueError("stratum level u must be nonnegative")
+    rd = resolution_degrees(E)
     gm = graded_matrix(E, j)
-    slots = slot_set(E)
+    n = len(rd.slots)
     nr, nc = gm.star_shape
     bound = nr - u
-    conditions = [Polynomial.constant(QQ, len(slots), 1)] if bound < 0 else []
+    conditions = [Polynomial.constant(QQ, n, 1)] if bound < 0 else []
     if 0 <= bound < min(nr, nc):
         size = bound + 1
         terms = math.comb(nr, size) * math.comb(nc, size) * math.factorial(size)
@@ -302,9 +339,8 @@ def stratum_descriptor(E, j, u):
             raise DomainError(
                 f"the stratum of j = {j}, u = {u} on a {nr} x {nc} star matrix takes {terms} "
                 f"Laplace terms, over the budget of {STRATUM_TERM_LIMIT} (betti.STRATUM_TERM_LIMIT)")
-        conditions = _minors(gm.star_entries, {s: k for k, s in enumerate(slots)}, size)
-    return StratumDescriptor(E, j, u, gm, bound, tuple(conditions),
-                             tuple(f"p{k + 1}" for k in range(len(slots))))
+        conditions = _minors(gm._star_supports, n, size)
+    return StratumDescriptor(E, j, u, gm, bound, tuple(conditions), rd.names)
 
 
 def strata_descriptors(E, beta):

@@ -309,8 +309,13 @@ def _reduced_basis(start):
 
 
 def is_groebner_basis(fs):
-    """Check Buchberger's criterion on the pairs that the Gebauer-Moeller update keeps."""
+    """Check Buchberger's criterion on the pairs that the Gebauer-Moeller update keeps.
+
+    The inputs are checked first (one field, one number of variables), so the pair
+    rule never reads the leads of a refused basis into its memo."""
     fs = [f for f in fs if not f.is_zero]
+    for f in fs[1:]:
+        fs[0]._same_field(f)
     pairs = _pairs_of([f.lt for f in fs])
 
     def run(P):

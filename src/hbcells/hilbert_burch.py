@@ -29,6 +29,7 @@ matrix costs what its nonzero entries cost, in time and in memory;
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import random
@@ -80,10 +81,35 @@ def _slot_degree(E, i, j):
 
 @functools.lru_cache(maxsize=FRAME_CACHE_SIZE)
 def slot_set(E):
-    """S(E) in column-major order; only a column with d_j > 0 holds a slot."""
-    rows = range(1, E.t + 2)
-    return tuple([(i, j) for j, dj in enumerate(E.d, 1) if dj
-                  for i in rows[j:] if _slot_degree(E, i, j) is not None])
+    """S(E) in column-major order, in O(t + |S(E)|) steps up to a log factor.
+
+    u_ij = c_j - G(i) with c_j = m_j - j and G(i) = m_(i-1) - i, so column j
+    holds the rows i > j with c_j - d_j < G(i) <= c_j, read off the rows of
+    each value of G by bisection.  G falls by at most 1 a row, so every value
+    from G(j+1) = c_j - 1 down to the least G(i), i > j, is taken by a row
+    past j: the walk over a column's values stops there, and each value it
+    visits but c_j yields a slot.
+    """
+    m, t = E.m, E.t
+    at = {}  # G(i) -> its rows i, rising
+    for i in range(1, t + 2):
+        at.setdefault(m[i - 1] - i, []).append(i)
+    low = [0] * (t + 1)  # low[j] = min G(i) over i > j
+    low[t] = m[t] - t - 1
+    for j in range(t - 1, 0, -1):
+        low[j] = min(low[j + 1], m[j] - j - 1)
+    out = []
+    for j, dj in enumerate(E.d, 1):
+        if dj:
+            c = m[j] - j
+            column = []
+            for g in range(max(c - dj + 1, low[j]), c + 1):
+                rows = at.get(g)
+                if rows:
+                    column.extend(rows[bisect.bisect_right(rows, j):])
+            column.sort()
+            out.extend((i, j) for i in column)
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

@@ -26,12 +26,14 @@ class Staircase:
     """The vector (m_0, ..., m_t) of a finite-colength monomial ideal.
 
     Entries must be integers: anything else (``1.5``, ``"1"``) raises
-    ``TypeError`` rather than being truncated.  The differences d are
-    stored on construction; equality and hashing read m alone.
+    ``TypeError`` rather than being truncated.  The differences d and the
+    hash of m are stored on construction; equality and hashing read m alone,
+    and a memo lookup hashes no tuple of t + 1 entries.
     """
 
     m: tuple
     d: tuple = field(compare=False)
+    _hash: int = field(compare=False)
 
     def __init__(self, m):
         m = tuple(map(operator.index, m))
@@ -47,6 +49,10 @@ class Staircase:
             raise DomainError(f"m must be nondecreasing: m_{i + 1}={m[i + 1]} < m_{i}={m[i]}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_hash", hash((m,)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_d(cls, d):

@@ -75,6 +75,20 @@ def test_slot_set_matches_degree_matrix_definition():
                                         if 0 <= U[i - 1][j - 1] < E.d[j - 1])
             count += 1
     assert count == 2713
+    # long staircases with long runs of d_j in {0, 1, >= 2}, over which
+    # G(i) = m_(i-1) - i stays, falls by one a row, or rises
+    rng = random.Random(33)
+    for _ in range(200):
+        t = rng.randint(1, 300)
+        d = []
+        while len(d) < t:
+            kind, run = rng.choice((0, 1, 2)), rng.randint(1, 60)
+            d.extend(rng.randint(2, 6) if kind == 2 else kind for _ in range(run))
+        d = [max(d[0], 1)] + d[1:t]
+        E = Staircase.from_d(d)
+        m = E.m
+        assert slot_set(E) == tuple((i, j) for j in range(1, t + 1) for i in range(j + 1, t + 2)
+                                    if 0 <= m[j] - m[i - 1] + i - j < d[j - 1])
 
 
 def _reference_strand(E, rows, cols):
@@ -89,10 +103,23 @@ def _reference_strand(E, rows, cols):
     return tuple(tuple(tag(i1, i2) for i2 in cols) for i1 in rows)
 
 
+def _reference_support(row, slots):
+    """The (column, 0-based slot index) pairs of the parameters of a row of tags."""
+    return tuple((k, slots.index(tag[1:])) for k, tag in enumerate(row) if tag[0] == "p")
+
+
+def _reference_json(strand, slots):
+    """The tags of a strand as the JSON output writes them, row by row."""
+    return [["p", slots.index(tag[1:]) + 1] if tag[0] == "p" else [tag[0]]
+            for row in strand for tag in row]
+
+
 def test_memoized_frame_functions_equal_a_fresh_computation():
     # slot_set and resolution_degrees depend on the staircase alone and are
     # memoized per staircase value; graded_matrix reads its piece off the
-    # resolution_degrees record, and the dense U(E) is built on each call
+    # resolution_degrees record, and the dense U(E) is built on each call.
+    # The record holds the slots, their index and names, and each piece the
+    # forms its readers take, each equal to the one derived from its tags
     frames = (slot_set, resolution_degrees)
     assert all(0 < fn.cache_info().maxsize < 10 ** 5 for fn in frames)
     assert not hasattr(degree_matrix, "cache_info")
@@ -106,6 +133,10 @@ def test_memoized_frame_functions_equal_a_fresh_computation():
             fresh = resolution_degrees.__wrapped__(E)
             assert (rd.a, rd.b, rd.degrees()) == (fresh.a, fresh.b, fresh.degrees())
             assert resolution_degrees(again) is rd
+            slots = slot_set(E)
+            assert rd.slots == slots
+            assert rd.index == {s: k for k, s in enumerate(slots)}
+            assert rd.names == tuple(f"p{k}" for k in range(1, len(slots) + 1))
             for j in rd.degrees():
                 assert graded_matrix(E, j) is graded_matrix(again, j)
             for j in range(min(rd.a) - 1, max(rd.b) + 2):
@@ -117,19 +148,33 @@ def test_memoized_frame_functions_equal_a_fresh_computation():
                 assert (gm.star_rows, gm.star_cols) == (srows, scols)
                 assert gm.entries == _reference_strand(E, gm.rows, gm.cols)
                 assert gm.star_entries == _reference_strand(E, srows, scols)
+                assert gm._pattern == tuple(
+                    (tuple(k for k, tag in enumerate(row) if tag == ("one",)),
+                     _reference_support(row, slots)) for row in gm.entries)
+                assert gm._star_supports == tuple(_reference_support(row, slots)
+                                                  for row in gm.star_entries)
+                data = json.loads(json.dumps(gm.to_json()))
+                assert data["entries"] == _reference_json(gm.entries, slots)
+                assert data["star_entries"] == _reference_json(gm.star_entries, slots)
 
 
 def test_resolution_degrees_and_every_strand_take_linear_time():
     # (x, y)^t: its t + 1 generators share degree t and its t syzygies degree
-    # t + 1; grouping them by tuple concatenation took 4.4-5.2 s (2 CPUs)
+    # t + 1; grouping them by tuple concatenation took 4.4-5.2 s (2 CPUs), and
+    # a slot_set that tried every (i, j) below the diagonal took 2.1 s at
+    # t = 4,000, though S(E) is empty
     t = 40_000
     start = time.perf_counter()
     E = Staircase(range(t + 1))
+    slots = slot_set(E)
     rd = resolution_degrees(E)
     pieces = [graded_matrix(E, j) for j in rd.degrees()]
+    stratum = stratum_descriptor(E, t, 1)
     assert time.perf_counter() - start < 1
+    assert slots == rd.slots == () and rd.names == ()
     assert rd.degrees() == [t, t + 1]
     assert [gm.shape for gm in pieces] == [(t + 1, 0), (0, t)]
+    assert stratum.matrix.star_shape == (t + 1, 0) and stratum.conditions == ()
 
 
 # -- graded piece matrices --------------------------------------------------------

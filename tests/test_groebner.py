@@ -130,6 +130,20 @@ def test_polynomials_in_different_numbers_of_variables_do_not_mix():
         leading_term_ideal([a, c])
 
 
+def test_a_refused_basis_leaves_the_lead_memo_as_it_was():
+    # the fields and variable counts are checked before the pair rule reads the
+    # leads: a basis mixing 2 and 3 variables used to leave a memo entry of
+    # truncated lead tuples behind its DomainError
+    a, c = P("x"), parse_polynomial("x*z - y", ("x", "y", "z"))
+    groebner._lead_facts.cache_clear()
+    for fs in ([a, c], [c, a], [P("x + 1"), P("y + 2", GF(5))]):
+        with pytest.raises(DomainError, match="do not mix"):
+            is_groebner_basis(fs)
+    assert groebner._lead_facts.cache_info().currsize == 0
+    assert is_groebner_basis([a, P("y")])
+    assert groebner._lead_facts.cache_info().currsize == 1
+
+
 # -- reduction ----------------------------------------------------------------
 
 def test_normal_form_rejects_a_zero_basis_element():
