@@ -172,15 +172,23 @@ class GradedPieceMatrix:
 
 def _piece(E, j, rows, cols, index):
     """M(p)_j on the rows w_j and columns v_j, its star reduction, and their derived forms
-    over the slot ``index``."""
-    shared = set(rows).intersection(cols)
-    srows = tuple(i for i in rows if i not in shared)
-    scols = tuple(i for i in cols if i not in shared)
-    entries, star = _strand(E, rows, cols), _strand(E, srows, scols)
+    over the slot ``index``.  The star's tags are read off the strand's; with no index in
+    both w_j and v_j the star is the strand itself, and shares its forms."""
+    entries = _strand(E, rows, cols)
     numeric = tuple([(_ones(row), _support(row, index)) for row in entries])
-    return GradedPieceMatrix(E, j, rows, cols, entries, srows, scols, star, numeric,
-                             tuple([_support(row, index) for row in star]),
-                             _json_tags(entries, index), _json_tags(star, index))
+    tags = _json_tags(entries, index)
+    if shared := set(rows).intersection(cols):
+        keep = [k for k, i in enumerate(cols) if i not in shared]
+        star = tuple([
+            tuple([row[k] for k in keep]) for i, row in zip(rows, entries) if i not in shared])
+        srows = tuple(i for i in rows if i not in shared)
+        scols = tuple(cols[k] for k in keep)
+        supports, star_tags = tuple([_support(row, index) for row in star]), _json_tags(star, index)
+    else:
+        srows, scols, star = rows, cols, entries
+        supports, star_tags = tuple([params for _, params in numeric]), tags
+    return GradedPieceMatrix(E, j, rows, cols, entries, srows, scols, star, numeric, supports,
+                             tags, star_tags)
 
 
 def graded_matrix(E, j):

@@ -326,7 +326,8 @@ def _eliminate_packed(eqs, P):
     e-th power of -rest/sign(c), kept per step as a term list, and a term is
     scaled by a power of |c| only when |c| is not 1.  ``_primitive`` drops the
     zeros, sorts and divides out the content on one list, and ``row`` reads the
-    new keys once.  The dedupe runs only on a step that rewrote a row.
+    new keys once.  The dedupe compares a row only with the rows on its support,
+    and only on the support of a rewritten row.
 
     The run raises ``_Overflow`` as soon as a product sets a guard bit.  Otherwise
     it returns P, the substitution log as packed (k, c, rest) steps, and the
@@ -382,7 +383,7 @@ def _eliminate_packed(eqs, P):
         # so both have one primitive form.  powers[e] is q^e as a term list.
         m = abs(c)
         powers = [None, [(key, -v) for key, v in rest] if c > 0 else list(rest)]
-        out, rewrote = [], False
+        out, rewritten = [], set()  # the supports of the rewritten rows
         for r in rows:
             if r is pick:
                 continue  # c*a_k + rest at a_k = -rest/c is 0
@@ -417,10 +418,22 @@ def _eliminate_packed(eqs, P):
                 terms = _primitive(acc)
                 if not terms:
                     continue
-                r, rewrote = row(terms), True
+                r = row(terms)
+                rewritten.add(r[1])
             out.append(r)
-        # the first of equal rows is kept; only a rewritten row can equal another
-        rows = list({r[0]: r for r in out}.values()) if rewrote else out
+        # the first of equal rows is kept.  Only a rewritten row can equal another, and
+        # equal rows share a support, so only rows on a rewritten support are compared
+        if not rewritten:
+            rows = out
+            continue
+        rows, kept = [], {}  # rewritten support -> the term tuples kept on it
+        for r in out:
+            if r[1] in rewritten:
+                on = kept.setdefault(r[1], [])
+                if r[0] in on:
+                    continue
+                on.append(r[0])
+            rows.append(r)
 
 
 def eliminate_linear(eqs, nparams, names=None):

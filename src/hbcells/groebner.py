@@ -355,42 +355,51 @@ def graded_beta0_profile(gens, up_to=None):
     beta_{0,j} = dim I_j - dim (R_1 * I_{j-1})_j for every j up to the
     largest generator degree (or ``up_to``), maintaining an echelon basis
     of each graded piece.  Purely linear algebra: no Groebner machinery.
+    The generators must share one field and one number of variables
+    (DomainError).
 
     The rows are keyed by packed monomials (``poly._Packing``) with fields
     of ``poly._start_width(top)`` bits.  No exponent exceeds ``top``, so no
     field overflows and the sweep needs no ``poly._widening``; within one
     degree, int order is lex order, and multiplying by a variable adds a
-    constant.
+    constant.  So a variable's multiples of an echelon basis have distinct
+    leads, each known: a multiple whose lead is free is stored as the row it
+    multiplies under a larger shift (``linalg.echelon_insert``), uncopied,
+    and only a multiple whose lead is taken is written out and reduced.
     """
+    gens = [g for g in gens if not g.is_zero]
+    for g in gens[1:]:
+        gens[0]._same_field(g)
     by_degree = {}
     for g in gens:
-        nvars = g.nvars
         degrees = {sum(m) for m, _ in g.terms}
         if len(degrees) > 1:
             raise ValueError("graded generator counts need homogeneous generators")
-        if degrees:
-            by_degree.setdefault(degrees.pop(), []).append(g)
+        by_degree.setdefault(degrees.pop(), []).append(g)
     if not by_degree:
         return {}
     top = max(by_degree)
     if up_to is not None:
         top = max(top, up_to)
-    P = _Packing(nvars, _start_width(top))
+    P = _Packing(gens[0].nvars, _start_width(top))
     variables = [1 << s for s in P.shifts]
     profile = {}
-    basis = []  # echelon rows of the current graded piece, as dicts
+    echelon = {}  # the echelon basis of the current graded piece: lead -> (row, shift)
     for j in range(min(by_degree), top + 1):
-        echelon = {}
-        for row in basis:
-            for v in variables:
-                echelon_insert(echelon, {m + v: c for m, c in row.items()})
+        basis, echelon = echelon, {}
+        for v in variables:  # x_1 first: its multiples all land on free leads
+            for lead, (row, s) in basis.items():
+                lead, s = lead + v, s + v
+                if lead in echelon:
+                    echelon_insert(echelon, {m + s: c for m, c in row.items()}, lead)
+                else:
+                    echelon[lead] = (row, s)
         before = len(echelon)
         for g in by_degree.get(j, ()):
-            echelon_insert(echelon, {P.pack(m): c for m, c in g.terms})
+            echelon_insert(echelon, dict(P.pack_terms(g.terms)))
         beta = len(echelon) - before
         if beta:
             profile[j] = beta
-        basis = list(echelon.values())
     return profile
 
 

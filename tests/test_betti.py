@@ -282,8 +282,8 @@ def test_betti_matches_oracle():
 def test_betti_syzygy_counts_match_hilbert_numerator():
     # beta0_j - beta1_j must equal the z^j coefficient of (1-z)^2 Hilb_I(z),
     # with the graded dimensions of I computed by direct rank sweeps
-    from hbcells.linalg import echelon_insert
     from hbcells.poly import mono_mul
+    from tuple_kernel import echelon_insert
 
     def hilbert_dims(gens, top):
         by_degree = {}

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -589,10 +590,10 @@ def _beta0_profile_by_tuples(gens, up_to=None):
         echelon = {}
         for row in basis:
             for v in variables:
-                echelon_insert(echelon, {mono_mul(m, v): c for m, c in row.items()})
+                tuple_kernel.echelon_insert(echelon, {mono_mul(m, v): c for m, c in row.items()})
         before = len(echelon)
         for g in by_degree.get(j, []):
-            echelon_insert(echelon, dict(g.terms))
+            tuple_kernel.echelon_insert(echelon, dict(g.terms))
         if len(echelon) > before:
             profile[j] = len(echelon) - before
         basis = list(echelon.values())
@@ -639,6 +640,105 @@ def test_packed_oracle_at_degree_zero():
     one = Polynomial.constant(QQ, 2, 1)
     assert graded_beta0_profile([one]) == {0: 1}
     assert graded_beta0_profile([one, P("x")], up_to=3) == {0: 1}
+
+
+def test_oracle_rejects_mixed_inputs():
+    x1 = parse_polynomial("x1", ("x1", "x2", "x3"), QQ)
+    with pytest.raises(DomainError, match="in 2 and in 3 variables"):
+        graded_beta0_profile([P("x"), x1])
+    with pytest.raises(DomainError, match="do not mix"):
+        graded_beta0_profile([P("x"), P("y", GF(3))])
+    with pytest.raises(DomainError, match="do not mix"):
+        graded_minimal_generators([P("x", GF(3)), P("y")], 1)
+
+
+def test_echelon_insert_against_a_shifted_pivot():
+    shared = {3: 2, 1: 4}
+    pivot = {5: (shared, 2)}  # the row 2*e5 + 4*e3, stored as ``shared`` under shift 2
+    echelon = dict(pivot)
+    # ints cross-multiply: 2*row - 3*pivot = 2*e4, divided by its content
+    assert echelon_insert(echelon, {5: 3, 4: 1, 3: 6}, 5) == 4
+    assert echelon[4] == ({4: 1}, 0) and shared == {3: 2, 1: 4}
+    # a row holding a Fraction is not divided by its content
+    echelon = dict(pivot)
+    assert echelon_insert(echelon, {5: 3, 4: Fraction(3, 2), 3: 6}) == 4
+    assert [(c, type(c)) for c in echelon[4][0].values()] == [(3, Fraction)]
+    # a field element pivot divides: row - (3/2)*pivot is 0 over GF(5)
+    F = GF(5)
+    echelon = {5: ({3: F.of(2), 1: F.of(4)}, 2)}
+    assert echelon_insert(echelon, {5: F.of(3), 3: F.of(1)}) is None
+    assert echelon_insert(echelon, {}) is None and len(echelon) == 1
+
+
+def _spy_on_the_kernel(monkeypatch):
+    """Record each row the oracle's kernel calls store, and whether the call knew its lead.
+
+    Each stored row has shift 0, and a row of ints, which the kernel divides by its
+    content, has entries under 64 bits: the spy fails at the first that does not, before
+    a run whose rows compound takes minutes.  A row holding a Fraction is not divided."""
+    stored, known = [], []
+
+    def spy(echelon, row, lead=None):
+        known.append(lead is not None)
+        got = echelon_insert(echelon, row, lead)
+        if got is not None:
+            row, shift = echelon[got]
+            assert shift == 0
+            ints = [c for c in row.values() if type(c) is int]
+            assert len(ints) < len(row) or max(abs(c) for c in ints).bit_length() < 64
+            stored.append(row)
+        return got
+
+    monkeypatch.setattr(groebner, "echelon_insert", spy)
+    return stored, known
+
+
+def test_oracle_rows_stay_primitive(monkeypatch):
+    # the integer rows multiplied from degree to degree are divided by their content
+    # when reduced, so their entries stay small: a kernel that never divided them let
+    # them reach 75,329 bits on these 60 ideals (those of the 4-QQ case above)
+    stored, _ = _spy_on_the_kernel(monkeypatch)
+    rng = random.Random(31 * 4)
+    for _ in range(60):
+        gens = [_random_homogeneous(rng, QQ, 4, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        graded_beta0_profile(gens, max(g.total_degree() for g in gens) + 3)
+    assert len(stored) > 1000
+    assert max(abs(c).bit_length() for row in stored for c in row.values()) < 64
+
+
+def _random_homogeneous_mixed(rng, field, nvars, deg):
+    """A random homogeneous polynomial of up to five terms; over QQ some coefficients
+    are Fractions."""
+    monos = monomials_of_degree(nvars, deg)
+    terms = {}
+    for m in rng.sample(monos, min(len(monos), rng.randint(1, 5))):
+        if field.char:
+            terms[m] = rng.choice(field.elements())
+        elif rng.random() < 0.3:
+            terms[m] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        else:
+            terms[m] = rng.randint(-5, 5)
+    return Polynomial(field, nvars, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(4)], ids=["QQ", "GF3", "GF4"])
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_oracle_matches_the_tuple_oracle_where_multiples_collide(field, nvars, monkeypatch):
+    # the multiples of a degree's rows stand uncopied on their leads, and only those
+    # whose lead is taken are written out and reduced; the tuple oracle reduces every one
+    stored, known = _spy_on_the_kernel(monkeypatch)
+    rng = random.Random(100 * nvars + field.size if field.char else nvars)
+    fractions = 0
+    for _ in range(40):
+        gens = [_random_homogeneous_mixed(rng, field, nvars, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))]
+        fractions += any(type(c) is Fraction for g in gens for _, c in g.terms)
+        top = max([g.total_degree() for g in gens if not g.is_zero], default=0)
+        for up_to in (None, top + 2):
+            assert graded_beta0_profile(gens, up_to) == _beta0_profile_by_tuples(gens, up_to), \
+                (gens, up_to)
+    assert sum(known) >= 100  # multiples whose lead was taken, reduced
+    assert field.char or fractions >= 10
 
 
 

@@ -4,7 +4,9 @@ This is the kernel of ``hbcells.poly`` written the plain way, every monomial
 an exponent tuple and every step a ``mono_*`` helper, and the Groebner
 entry points built on it.  The tests compare the library's packed kernel
 with it, and use it where they divide with coefficients that are not field
-elements (parameter polynomials).
+elements (parameter polynomials).  ``echelon_insert`` is the elimination
+kernel of ``hbcells.linalg`` written the same way, for the tuple references
+of the generator-count oracle.
 """
 
 from operator import sub
@@ -127,3 +129,33 @@ def buchberger_reduced(gens):
         rem[lead] = field.one
         basis.append(Polynomial.from_dict(field, nvars, rem))
     return basis
+
+
+def echelon_insert(echelon, row):
+    """Reduce ``row`` against an echelon dict (lead -> row) and insert it.
+
+    The library's elimination kernel written the plain way, rows keyed by any
+    ordered labels: each step replaces ``row`` by b*row - a*pivot, no row is
+    shared or divided by its content.  Returns the new pivot label, or None
+    when the row reduces to zero.  ``row`` is consumed.
+    """
+    while row:
+        lead = max(row)
+        pivot = echelon.get(lead)
+        if pivot is None:
+            echelon[lead] = row
+            return lead
+        a = row[lead]
+        b = pivot[lead]
+        new = {}
+        for k, v in row.items():
+            new[k] = b * v
+        for k, v in pivot.items():
+            w = new.get(k)
+            w = -(a * v) if w is None else w - a * v
+            if w:
+                new[k] = w
+            else:
+                new.pop(k, None)
+        row = new
+    return None
