@@ -6,7 +6,10 @@ The degree-j strand is governed by the scalar submatrix M(p)_j with rows
 w_j = {i : a_i = j} and columns v_j = {i : b_i = j}; its entries are 0, 1
 or single parameters, and beta_{0,j} = #w_j - rank M(p)_j.  Removing the
 rows and columns through the 1-entries gives the star matrix whose rank
-conditions cut out the Betti strata.
+conditions cut out the Betti strata.  An index i in both w_j and v_j has
+d_i = 0, so column i of S(E) holds no slot and column i of M(p)_j is the
+unit vector e_i: rank M(p)_j = #shared + rank star, and beta_{0,j} is
+#star rows - rank star over any field.
 """
 
 from __future__ import annotations
@@ -95,11 +98,6 @@ def _tag_text(tag):
     return "1" if tag[0] == "one" else "0"
 
 
-def _ones(row):
-    """The columns of the 1-entries of a row of tags."""
-    return tuple([k for k, tag in enumerate(row) if tag[0] == "one"])
-
-
 def _support(row, index):
     """The parameters of a row of tags, as (column, slot index) pairs."""
     return tuple([(k, index[tag[1:]]) for k, tag in enumerate(row) if tag[0] == "p"])
@@ -121,11 +119,10 @@ class GradedPieceMatrix:
     1-entries (indices in both w_j and v_j).
 
     The forms its readers need are derived from the tags once, when
-    ``resolution_degrees`` builds the piece: ``_pattern`` holds each row as its
-    1-columns and its (column, slot index) pairs, for ``betti_numbers``;
-    ``_star_supports`` each star row's (column, slot index) pairs, for the
-    minors of ``stratum_descriptor``; ``_json`` and ``_star_json`` the tags as
-    ``to_json`` writes them, tuples that ``json`` writes as arrays.
+    ``resolution_degrees`` builds the piece: ``_star_supports`` holds each star
+    row's (column, slot index) pairs, which ``betti_numbers`` ranks and the
+    minors of ``stratum_descriptor`` expand; ``_json`` and ``_star_json`` the
+    tags as ``to_json`` writes them, tuples that ``json`` writes as arrays.
     """
 
     E: Staircase
@@ -136,7 +133,6 @@ class GradedPieceMatrix:
     star_rows: tuple
     star_cols: tuple
     star_entries: tuple
-    _pattern: tuple = ()
     _star_supports: tuple = ()
     _json: tuple = ()
     _star_json: tuple = ()
@@ -173,9 +169,8 @@ class GradedPieceMatrix:
 def _piece(E, j, rows, cols, index):
     """M(p)_j on the rows w_j and columns v_j, its star reduction, and their derived forms
     over the slot ``index``.  The star's tags are read off the strand's; with no index in
-    both w_j and v_j the star is the strand itself, and shares its forms."""
+    both w_j and v_j the star is the strand itself, and shares its JSON tags."""
     entries = _strand(E, rows, cols)
-    numeric = tuple([(_ones(row), _support(row, index)) for row in entries])
     tags = _json_tags(entries, index)
     if shared := set(rows).intersection(cols):
         keep = [k for k, i in enumerate(cols) if i not in shared]
@@ -183,11 +178,11 @@ def _piece(E, j, rows, cols, index):
             tuple([row[k] for k in keep]) for i, row in zip(rows, entries) if i not in shared])
         srows = tuple(i for i in rows if i not in shared)
         scols = tuple(cols[k] for k in keep)
-        supports, star_tags = tuple([_support(row, index) for row in star]), _json_tags(star, index)
+        star_tags = _json_tags(star, index)
     else:
-        srows, scols, star = rows, cols, entries
-        supports, star_tags = tuple([params for _, params in numeric]), tags
-    return GradedPieceMatrix(E, j, rows, cols, entries, srows, scols, star, numeric, supports,
+        srows, scols, star, star_tags = rows, cols, entries, tags
+    supports = tuple([_support(row, index) for row in star])
+    return GradedPieceMatrix(E, j, rows, cols, entries, srows, scols, star, supports,
                              tags, star_tags)
 
 
@@ -229,8 +224,9 @@ def betti_numbers(E, assignment, field=QQ):
     """Graded Betti numbers of the ideal cut out by the parameter point.
 
     ``assignment`` maps every slot of S(E) to a scalar.  Ranks are exact.  Each
-    strand row is read at the point off its piece's numeric pattern: its 1-columns
-    and its (column, slot index) pairs, both built once per staircase.
+    piece's star is ranked at the point, its rows read off the supports that
+    ``stratum_descriptor`` expands; the shared indices add as many rows and
+    columns as rank, so beta_{0,j} = #star rows - rank, beta_{1,j} = #star cols - rank.
     """
     rd = resolution_degrees(E)
     missing = [s for s in rd.slots if s not in assignment]
@@ -240,18 +236,13 @@ def betti_numbers(E, assignment, field=QQ):
     if unknown:
         raise ValueError(f"assignment has slots outside S(E): {unknown}")
     values = [field.of(assignment[s]) for s in rd.slots]
-    one = field.one
     data = {}
     for j, gm in rd._pieces.items():
         echelon = {}
         r = 0
-        for ones, params in gm._pattern:
-            row = dict.fromkeys(ones, one)
-            for k, s in params:
-                if values[s]:
-                    row[k] = values[s]
-            r += echelon_insert(echelon, row) is not None
-        b0, b1 = len(gm.rows) - r, len(gm.cols) - r
+        for params in gm._star_supports:
+            r += echelon_insert(echelon, {k: values[s] for k, s in params if values[s]}) is not None
+        b0, b1 = len(gm.star_rows) - r, len(gm.star_cols) - r
         if b0 or b1:
             data[j] = (b0, b1)
     return BettiTable(data)

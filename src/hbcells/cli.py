@@ -83,13 +83,12 @@ def _dense_output_budget(E):
                           f"budget of {DENSE_OUTPUT_LIMIT} (cli.DENSE_OUTPUT_LIMIT)")
 
 
-def _emit(args, text_fn, json_obj, latex_fn=None):
-    """Print the form of ``--format``; ``json_obj`` may be a callable, built only for json."""
+def _emit(args, text_fn, json_fn, latex_fn=None):
+    """Print the form of ``--format``, built only for it; only a subcommand with a
+    ``latex_fn`` offers ``--format latex``."""
     if args.format == "json":
-        print(json.dumps(json_obj() if callable(json_obj) else json_obj, sort_keys=True))
+        print(json.dumps(json_fn(), sort_keys=True))
     elif args.format == "latex":
-        if latex_fn is None:
-            raise UsageExit("this subcommand has no latex form")
         print(latex_fn())
     else:
         print(text_fn())
@@ -126,7 +125,7 @@ def cmd_dims(args):
     E = _staircase(args)
     dims = {kind: hb.cell_dimension(E, kind) for kind in hb.CellKind}
     _emit(args, lambda: " ".join(f"{k}={dims[k]}" for k in hb.CellKind),
-          {"m": list(E.m), "dims": {str(k): v for k, v in dims.items()}})
+          lambda: {"m": list(E.m), "dims": {str(k): v for k, v in dims.items()}})
     return 0
 
 
@@ -150,7 +149,7 @@ def cmd_minors(args):
     N = _cell_matrix(args, E)
     fs = hb.minors_ideal(N)
     _emit(args, lambda: "\n".join(f.to_str() for f in fs),
-          {"m": list(E.m), "N": N.to_json()["N"], "generators": [f.to_str() for f in fs]},
+          lambda: {"m": list(E.m), "N": N.to_json()["N"], "generators": [f.to_str() for f in fs]},
           latex_fn=N.to_latex)
     return 0
 
@@ -175,7 +174,8 @@ def cmd_canonicalize(args):
 def cmd_kinds(args):
     gens = parse_ideal(args.ideal, ("x", "y"), args.field)
     kinds = sorted(hb.cell_kinds_of_ideal(gens), key=lambda k: k.value)
-    _emit(args, lambda: " ".join(str(k) for k in kinds), {"kinds": [str(k) for k in kinds]})
+    _emit(args, lambda: " ".join(str(k) for k in kinds),
+          lambda: {"kinds": [str(k) for k in kinds]})
     return 0
 
 
@@ -205,7 +205,7 @@ def cmd_betti(args):
     E = _staircase(args)
     table = betti_mod.betti_numbers(E, _parse_assignment(args.p, E))
     _emit(args, lambda: "\n".join(f"j={j}: beta0={b0} beta1={b1}" for j, (b0, b1) in table.items()),
-          {"m": list(E.m), "table": table.to_json()})
+          lambda: {"m": list(E.m), "table": table.to_json()})
     return 0
 
 
@@ -224,7 +224,7 @@ def cmd_stratum(args):
         lines.append("conditions: " + ("; ".join(f"{c} = 0" for c in conds) if conds else "none"))
         return "\n".join(lines)
 
-    _emit(args, text, desc.to_json(), latex_fn=desc.matrix.to_latex)
+    _emit(args, text, desc.to_json, latex_fn=desc.matrix.to_latex)
     return 0
 
 
@@ -233,7 +233,7 @@ def cmd_gdim(args):
     bella = betti_mod.g_dim(h, "bella")
     brutta = betti_mod.g_dim(h, "brutta")
     _emit(args, lambda: f"bella={bella} brutta={brutta} agree={'true' if bella == brutta else 'false'}",
-          {"h": list(h.h), "bella": bella, "brutta": brutta, "agree": bella == brutta})
+          lambda: {"h": list(h.h), "bella": bella, "brutta": brutta, "agree": bella == brutta})
     return 0
 
 
@@ -245,6 +245,7 @@ def cmd_generic(args):
             raise UsageExit(f"generators must be monomials, got {p.to_str(names)!r}")
         gens.append(p.lt)
     family, report = generic_cells.cell_report(gens, args.n, args.graded)
+    affine = generic_cells.affine_space_check(report)
 
     def text():
         lines = [f"initial={report.initial_count} eliminated={len(report.steps)} "
@@ -252,13 +253,11 @@ def cmd_generic(args):
                  "survivors: " + (" ".join(report.survivor_names) or "(none)")]
         for eq in report.residual_strings():
             lines.append(f"residual: {eq} = 0")
-        lines.append(f"affine_space={'true' if generic_cells.affine_space_check(report) else 'false'}")
+        lines.append(f"affine_space={'true' if affine else 'false'}")
         return "\n".join(lines)
 
-    payload = report.to_json(with_log=args.log)
-    payload["graded"] = args.graded
-    payload["affine_space"] = generic_cells.affine_space_check(report)
-    _emit(args, text, payload)
+    _emit(args, text, lambda: report.to_json(with_log=args.log) | {"graded": args.graded,
+                                                                   "affine_space": affine})
     return 0
 
 
@@ -266,9 +265,9 @@ def cmd_census(args):
     if args.brute_force and args.q is None:
         raise UsageExit("--brute-force needs --q, the order of the field GF(q)")
     census = census_mod.cell_census(args.d)
-    payload = census.to_json()
+    at_q = None
     if args.q is not None:
-        payload["at_q"] = at_q = {"q": args.q, "total": census.evaluate(args.q)}
+        at_q = {"q": args.q, "total": census.evaluate(args.q)}
         if args.brute_force:
             at_q["brute_force"] = census_mod.brute_force_ideal_count(args.d, args.q)
 
@@ -282,7 +281,7 @@ def cmd_census(args):
                 lines.append(f"brute_force({args.q}) = {at_q['brute_force']}")
         return "\n".join(lines)
 
-    _emit(args, text, payload)
+    _emit(args, text, lambda: census.to_json() | ({"at_q": at_q} if at_q else {}))
     return 0
 
 
@@ -291,8 +290,9 @@ def build_parser():
                                      description="Canonical Hilbert-Burch matrices and Groebner cells of k[x,y].")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, staircase=False, field=False):
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    def common(p, staircase=False, field=False, latex=False):
+        formats = ("text", "json", "latex") if latex else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         if staircase:
             p.add_argument("--m", type=_int_list, metavar="M0,M1,...",
                            help="staircase vector m")
@@ -304,7 +304,7 @@ def build_parser():
                                 "the order a prime below 2**31 or 4")
 
     p = sub.add_parser("frame", help="M0(E), degree matrix U(E) and slot set S(E)")
-    common(p, staircase=True)
+    common(p, staircase=True, latex=True)
     p.set_defaults(fn=cmd_frame)
 
     p = sub.add_parser("dims", help="dimensions of the four cells of E")
@@ -312,7 +312,7 @@ def build_parser():
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("minors", help="Groebner basis cut out by a cell matrix")
-    common(p, staircase=True, field=True)
+    common(p, staircase=True, field=True, latex=True)
     p.add_argument("--cell", help="cell matrix as JSON (schema of canonicalize --format json)")
     p.add_argument("--kind", choices=[k.value for k in hb.CellKind], default="V0",
                    help="random matrix kind when --cell is absent")
@@ -320,7 +320,7 @@ def build_parser():
     p.set_defaults(fn=cmd_minors)
 
     p = sub.add_parser("canonicalize", help="staircase and canonical cell matrix of an ideal")
-    common(p, field=True)
+    common(p, field=True, latex=True)
     p.add_argument("ideal", help="comma-separated polynomials in x, y")
     p.set_defaults(fn=cmd_canonicalize)
 
@@ -336,7 +336,7 @@ def build_parser():
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("stratum", help="determinantal descriptor of a Betti stratum")
-    common(p, staircase=True)
+    common(p, staircase=True, latex=True)
     p.add_argument("--j", type=int, required=True, help="degree")
     p.add_argument("--u", type=int, required=True, help="at least u minimal generators")
     p.set_defaults(fn=cmd_stratum)

@@ -39,19 +39,16 @@ class GenericFamily:
 
     ``members`` holds one entry per minimal generator, sorted by decreasing
     leading monomial: (lead, support) where support is a tuple of
-    (monomial, parameter_index) pairs in decreasing monomial order.
+    (monomial, parameter_index) pairs in decreasing monomial order; the
+    parameter indices run through 0..nparams-1.
     """
 
     E: MonomialIdeal
     nvars: int
     graded: bool
     members: tuple
-    pairs: tuple
+    nparams: int
     names: tuple
-
-    @property
-    def nparams(self):
-        return len(self.pairs)
 
 
 # Budget of the generic family: the most monomials its standard monomials are
@@ -101,16 +98,15 @@ def generic_family(gens, nvars, graded):
             raise _over_budget(graded, f"an exponent box of {box} monomials")
         standard = E.standard_monomials()
 
-    members, pairs = [], []
+    members, k = [], 0
     for lead in sorted(E.gens, reverse=True):
         support = _support(lead, by_degree[sum(lead)] if graded else standard)
-        k = len(pairs)
         members.append((lead, tuple(zip(support, range(k, k + len(support))))))
-        pairs += [(lead, m) for m in support]
-        if len(pairs) > FAMILY_LIMIT:
-            raise _over_budget(graded, f"{len(pairs)} parameters or more")
-    return GenericFamily(E, E.nvars, graded, tuple(members), tuple(pairs),
-                         tuple(f"a{k + 1}" for k in range(len(pairs))))
+        k += len(support)
+        if k > FAMILY_LIMIT:
+            raise _over_budget(graded, f"{k} parameters or more")
+    return GenericFamily(E, E.nvars, graded, tuple(members), k,
+                         tuple(f"a{i + 1}" for i in range(k)))
 
 
 def prune_multiples(eqs):

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -148,9 +149,6 @@ def test_memoized_frame_functions_equal_a_fresh_computation():
                 assert (gm.star_rows, gm.star_cols) == (srows, scols)
                 assert gm.entries == _reference_strand(E, gm.rows, gm.cols)
                 assert gm.star_entries == _reference_strand(E, srows, scols)
-                assert gm._pattern == tuple(
-                    (tuple(k for k, tag in enumerate(row) if tag == ("one",)),
-                     _reference_support(row, slots)) for row in gm.entries)
                 assert gm._star_supports == tuple(_reference_support(row, slots)
                                                   for row in gm.star_entries)
                 data = json.loads(json.dumps(gm.to_json()))
@@ -277,6 +275,63 @@ def test_betti_matches_oracle():
         oracle = graded_beta0_profile(fs)
         table = betti_numbers(E, p)
         assert oracle == {j: b0 for j, (b0, _) in table.items() if b0}
+
+
+def test_every_shared_column_of_a_strand_is_a_unit_vector():
+    # an index i in both w_j and v_j has d_i = 0, so column i of M(p)_j holds its
+    # 1 and nothing else: rank M(p)_j = #shared + rank star, over any field
+    pieces = with_shared = 0
+    for d in range(1, 19):
+        for E in enumerate_staircases(d):
+            for j in resolution_degrees(E).degrees():
+                gm = graded_matrix(E, j)
+                strand = _reference_strand(E, gm.rows, gm.cols)
+                shared = set(gm.rows) & set(gm.cols)
+                for c, i in enumerate(gm.cols):
+                    if i in shared:
+                        assert E.d[i - 1] == 0, (E.m, j, i)
+                        assert [row[c] for row in strand] == [
+                            ("one",) if r == i else ("zero",) for r in gm.rows], (E.m, j, i)
+                pieces += 1
+                with_shared += bool(shared)
+    assert (pieces, with_shared) == (9584, 4929)
+
+
+def _strand_betti(E, assignment, field):
+    """The Betti table ranked on the whole strand M(p)_j, its 1-entries included."""
+    from tuple_kernel import echelon_insert
+
+    data = {}
+    for j in resolution_degrees(E).degrees():
+        gm = graded_matrix(E, j)
+        echelon, r = {}, 0
+        for row in _reference_strand(E, gm.rows, gm.cols):
+            entries = {k: field.one if tag[0] == "one" else field.of(assignment[tag[1:]])
+                       for k, tag in enumerate(row) if tag[0] != "zero"}
+            r += echelon_insert(echelon, {k: v for k, v in entries.items() if v}) is not None
+        if len(gm.rows) - r or len(gm.cols) - r:
+            data[j] = (len(gm.rows) - r, len(gm.cols) - r)
+    return data
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(4)], ids=["QQ", "GF3", "GF4"])
+def test_betti_numbers_equal_the_rank_of_the_whole_strand(field):
+    # betti_numbers ranks only each star; the whole strand, 1-entries included,
+    # has #shared more rank and as many more rows and columns
+    rng = random.Random(35 + (field.size if field.char else 0))
+    fractions = 0
+    for d in range(1, 13):
+        for E in enumerate_staircases(d):
+            for _ in range(3):
+                if field.char:
+                    p = {s: rng.choice(field.elements()) for s in slot_set(E)}
+                else:
+                    p = {s: rng.choice([0, 0, rng.randint(-3, 3),
+                                        Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+                         for s in slot_set(E)}
+                    fractions += any(type(v) is Fraction for v in p.values())
+                assert betti_numbers(E, p, field).data == _strand_betti(E, p, field), (E.m, p)
+    assert field.char or fractions > 100
 
 
 def test_betti_syzygy_counts_match_hilbert_numerator():

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbcells
+import hbcells.cli
+from hbcells import betti, census, generic_cells
 from hbcells.cli import main
 from hbcells.hilbert_burch import CellMatrix
 
@@ -96,6 +98,60 @@ def test_canonicalize_outputs_in_every_format(capsys, monkeypatch):
         assert run(capsys, "canonicalize", ideal, "--format", fmt) == (0, out, "")
         assert len(built) == (fmt == "json")
         built.clear()
+
+
+def test_every_json_object_is_built_only_for_format_json(capsys, monkeypatch):
+    # as for canonicalize: text and latex build no JSON object, and stratum
+    # writes its conditions once, for the one form printed
+    built = []
+    for cls, name in ((CellMatrix, "to_json"), (betti.BettiTable, "to_json"),
+                      (betti.StratumDescriptor, "to_json"),
+                      (betti.StratumDescriptor, "condition_strings"),
+                      (census.CellCensus, "to_json"), (generic_cells.EliminationReport, "to_json")):
+        monkeypatch.setattr(cls, name, lambda self, *args, _fn=getattr(cls, name),
+                            _what=f"{cls.__name__}.{name}", **kwargs:
+                            built.append(_what) or _fn(self, *args, **kwargs))
+    builders = {
+        ("minors", "--m", "0,3,3,5", "--kind", "V3", "--seed", "1"): ["CellMatrix.to_json"],
+        ("betti", "--m", "0,1,3,4,4,5,7", "--p", "generic"): ["BettiTable.to_json"],
+        ("stratum", "--m", "0,1,3,4,4,5,7", "--j", "7", "--u", "1"): ["StratumDescriptor.to_json"],
+        ("generic", "--gens", "x4^2, x2*x4, x2^2, x1*x4", "--n", "4", "--log"):
+            ["EliminationReport.to_json"],
+        ("census", "--d", "3", "--q", "2", "--brute-force"): ["CellCensus.to_json"],
+    }
+    for argv, json_builders in builders.items():
+        conditions = ["StratumDescriptor.condition_strings"] * (argv[0] == "stratum")
+        formats = ("text", "json", "latex") if argv[0] in ("minors", "stratum") else ("text", "json")
+        for fmt in formats:
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "") and out, (argv, fmt)
+            expected = json_builders + conditions if fmt == "json" else conditions * (fmt == "text")
+            assert sorted(built) == sorted(expected), (argv, fmt, built)
+            built.clear()
+
+
+def test_latex_is_refused_before_any_work_where_there_is_no_display(capsys, monkeypatch):
+    # only frame, minors, canonicalize and stratum offer --format latex; argparse
+    # refuses it elsewhere (exit 2) before the subcommand runs, so census --d 30
+    # no longer enumerates 5,604 staircases first
+    ran = []
+    for name in ("frame", "dims", "minors", "canonicalize", "kinds", "betti", "stratum", "gdim",
+                 "generic", "census"):
+        monkeypatch.setattr(hbcells.cli, f"cmd_{name}", lambda args, _name=name: ran.append(_name) or 0)
+    argvs = {
+        "frame": ("--m", "0,3,3,5"), "dims": ("--m", "0,3,3,5"), "minors": ("--m", "0,3,3,5"),
+        "canonicalize": ("x^2, y",), "kinds": ("x^2, y",), "betti": ("--m", "0,3,3,5"),
+        "stratum": ("--m", "0,3,3,5", "--j", "4", "--u", "1"), "gdim": ("--h", "1,2,1"),
+        "generic": ("--gens", "x^2, y", "--n", "2"), "census": ("--d", "30"),
+    }
+    for name, argv in argvs.items():
+        code, out, err = run(capsys, name, *argv, "--format", "latex")
+        if name in ("frame", "minors", "canonicalize", "stratum"):
+            assert (code, out, err, ran) == (0, "", "", [name])
+        else:
+            assert code == 2 and out == "" and not ran, name
+            assert "--format: invalid choice: 'latex' (choose from 'text', 'json')" in err, name
+        ran.clear()
 
 
 def test_canonicalize_json_writes_integral_fractions_as_ints(capsys):
