@@ -61,11 +61,14 @@ class RationalField:
 
     @staticmethod
     def of(num, den=1):
-        """``num/den`` in QQ, an int when integral; ``DomainError`` for a scalar that is not rational."""
+        """``num/den`` in QQ, an int when integral; ``DomainError`` for a scalar that is not
+        rational or a zero denominator."""
         if type(num) is int and den == 1:
             return num
         if not isinstance(num, (int, Fraction)):
             raise DomainError(f"{num!r} ({type(num).__name__}) is not a scalar of QQ")
+        if not den:
+            raise DomainError(f"denominator {den!r} vanishes in QQ")
         q = Fraction(num, den)
         return q.numerator if q.denominator == 1 else q
 
@@ -290,15 +293,18 @@ class _FiniteField:
         return FFElement(v, self) if self._elements is None else self._elements[v]
 
     def of(self, num, den=1):
-        """``num/den`` in the field; ``DomainError`` for a scalar of another field."""
+        """``num/den`` in the field; ``DomainError`` for a scalar of another field or a
+        denominator that vanishes in the field."""
         if isinstance(num, FFElement):
             if num.field is not self:
                 raise DomainError(f"elements of {num.field!r} and of another field {self!r} do not mix")
-            return num if den == 1 else num / self.of(den)
+            return num if den == 1 else num * self.of(1, den)
         if isinstance(num, Fraction):
-            num, den = num.numerator * den, num.denominator
+            num, den = num.numerator, num.denominator * den
         elif not isinstance(num, int):
             raise DomainError(f"{num!r} ({type(num).__name__}) is not a scalar of {self!r}")
+        if den % self.char == 0:
+            raise DomainError(f"denominator {den} vanishes in {self!r}")
         return self._element(self._index(num, den))
 
     def div(self, a, b):
@@ -383,9 +389,7 @@ class QuarticField(_FiniteField):
         return {1: 1, 2: 3, 3: 2}[a]
 
     def _index(self, num, den):
-        if den % 2 == 0:
-            raise ZeroDivisionError("denominator vanishes in GF(4)")
-        return num % 2
+        return num % 2  # den is odd, so 1 in GF(2)
 
 
 # One shared field object per order: elements of a field only combine with
@@ -425,7 +429,7 @@ def scalar_from_json(field, v):
         num, _, den = v.partition("/")
         try:
             return field.of(int(num), int(den) if den else 1)
-        except ZeroDivisionError:
+        except DomainError:
             raise ValueError(f"zero denominator in {v!r} over {field!r}") from None
     if isinstance(v, int) and not isinstance(v, bool):
         return field.decode(v)

@@ -133,17 +133,22 @@ def canonical_frame(E, field=QQ):
     return CanonicalFrame(E, tuple(map(tuple, rows)), degree_matrix(E), slot_set(E), field)
 
 
+def _check_kind(kind):
+    """Raise ValueError unless ``kind`` is a ``CellKind`` member."""
+    if not isinstance(kind, CellKind):
+        raise ValueError(f"unknown cell kind {kind!r}")
+
+
 def cell_dimension(E, kind):
     """Dimensions of the four cells attached to E."""
+    _check_kind(kind)
     if kind == CellKind.V0:
         return E.colength + E.y_power
     if kind == CellKind.V1:
         return E.colength
     if kind == CellKind.V2:
         return E.colength - E.t
-    if kind == CellKind.V3:
-        return len(slot_set(E))
-    raise ValueError(f"unknown cell kind {kind!r}")
+    return len(slot_set(E))
 
 
 def _run_end(E, j):
@@ -319,17 +324,22 @@ def minors_ideal(N):
     deleted row times the determinant D[i] of the bottom-right Hessenberg
     block below it, and the D[i] follow a division-free linear recurrence.
     Every entry lies in k[y] except for the -x below the diagonal, so the
-    recurrence runs in k[y][x] and costs what the nonzero entries cost:
+    recurrence runs in k[y][x] and costs what the nonzero columns cost:
 
-    - D[i] is a dict {power of x: dense k[y] coefficient list} holding the
-      powers that received a term, each product is one ``_convolve`` per
-      such power, and the -x entry is one shifted subtraction;
-    - the entries come straight from N's store of nonzeros, so only the
-      nonzero entries below the subdiagonal are visited;
+    - D[i] is (powers, x_shift, negated), the value (-1)^negated x^x_shift
+      times powers, a dict {power of x: dense k[y] coefficient list}
+      holding the powers that received a term;
+    - a column with no entry below its diagonal makes D[i] = -x D[i+1]:
+      the same powers with x_shift + 1 and the sign flipped, nothing copied;
+    - only a column with entries builds a new dict, reading D[i+1] and the
+      D[r] it needs through their shift and sign, with one ``_convolve``
+      per power and entry; its entries come straight from N's store, so
+      only the nonzero ones are visited;
     - a product of diagonal entries is kept as y^s times a list, and a
       zero n_cc only adds d_c to s.  While every diagonal entry so far
-      vanishes, P_i is y^(m_i) and f_i = +-P_i D[i] is an exponent shift;
-      that is every V1, V2 and V3 matrix.
+      vanishes, P_i is y^(m_i), and f_i shifts the terms of its powers,
+      written and signed once per dict, by (x_shift, s); that is every
+      V1, V2 and V3 matrix.
     """
     E, field = N.E, N.field
     t = E.t
@@ -347,17 +357,24 @@ def minors_ideal(N):
         else:
             below.setdefault(c, []).append((r, n.coeffs))
 
-    # D[i] = det of rows i+2..t+1, cols i+1..t
+    # D[i] = det of rows i+2..t+1, cols i+1..t; no dict or list is changed
+    # once it is stored, since the D of an empty column share them
     D = [None] * (t + 1)
-    D[t] = {0: unit}
+    D[t] = ({0: unit}, 0, False)
     for i in range(t - 1, -1, -1):
-        col = below.get(i + 1, ())
-        nxt = D[i + 1]
+        col = below.get(i + 1)
+        nxt, xs, ng = D[i + 1]
+        if col is None:
+            D[i] = (nxt, xs + 1, not ng)
+            continue
         # a = 1: the entry n_(i+2,i+1) - x times D[i+1]
-        sub = col[0][1] if col and col[0][0] == i + 2 else None
-        acc = {k: _convolve(p, sub, zero) for k, p in nxt.items()} if sub else {}
+        sub = col[0][1] if col[0][0] == i + 2 else None
+        acc = {}
+        if sub:
+            sub = [-c for c in sub] if ng else sub
+            acc = {k + xs: _convolve(p, sub, zero) for k, p in nxt.items()}
         for k, p in nxt.items():
-            _add_into(acc.setdefault(k + 1, []), p, True, zero)
+            _add_into(acc.setdefault(k + xs + 1, []), p, not ng, zero)
         # a >= 2: n_(i+1+a,i+1) h_(i+2)...h_(i+a) D[i+a], alternating in sign;
         # y^s core = h_(i+2)...h_c
         s, core, c = 0, unit, i + 1
@@ -370,27 +387,33 @@ def minors_ideal(N):
                 else:
                     core = _convolve(core, h[c], zero)
             e = [zero] * s + (list(n) if core is unit else _convolve(n, core, zero))
-            for k, p in D[r].items():
-                _add_into(acc.setdefault(k, []), _convolve(p, e, zero), (r - i) % 2 == 0, zero)
-        D[i] = acc
+            powers, xr, nr = D[r]
+            for k, p in powers.items():
+                _add_into(acc.setdefault(k + xr, []), _convolve(p, e, zero), ((r - i) % 2 == 0) != nr, zero)
+        D[i] = (acc, 0, False)
 
     fs = []
     s, core = 0, unit  # y^s core = P_i
+    last = None
     for i in range(t + 1):
         if i >= 1:
             if h[i] is None:
                 s += d[i - 1]
             else:
                 core = _convolve(core, h[i], zero)
-        neg = (t - i) % 2 == 1
-        Di = D[i]
-        terms = []
-        for k in sorted(Di, reverse=True):
-            p = Di[k] if core is unit else _convolve(Di[k], core, zero)
-            # ints where integral, as in Polynomial arithmetic
-            terms.extend(((k, j + s), _integral(-p[j] if neg else p[j]))
-                         for j in range(len(p) - 1, -1, -1) if p[j])
-        fs.append(Polynomial._raw(field, 2, tuple(terms)))
+        powers, xs, ng = D[i]
+        neg = ((t - i) % 2 == 1) != ng
+        # the signed (k, j, c) terms of core times powers in decreasing order,
+        # ints where integral; f_i shifts them by (xs, s).  While core = 1 one
+        # template serves all D sharing a dict: they are consecutive, and
+        # each shift flips both signs
+        if powers is not last or core is not unit:
+            last = powers
+            template = [(k, j, _integral(-p[j] if neg else p[j]))
+                        for k in sorted(powers, reverse=True)
+                        for p in (powers[k] if core is unit else _convolve(powers[k], core, zero),)
+                        for j in range(len(p) - 1, -1, -1) if p[j]]
+        fs.append(Polynomial._raw(field, 2, tuple([((k + xs, j + s), c) for k, j, c in template])))
     return fs
 
 
@@ -549,6 +572,7 @@ def random_cell_matrix(E, kind, seed, field=QQ):
     The entries meet the shape and degree bounds by construction, so the
     matrix is built by the trusted constructor from its nonzero draws.
     """
+    _check_kind(kind)
     rng = random.Random(seed)
     if field.char == 0:
         draw = lambda: field.of(rng.randint(-4, 4))

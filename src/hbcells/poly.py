@@ -818,10 +818,13 @@ def parse_polynomial(text, variables, field=QQ):
 
     Terms are separated by ``+``/``-``; a term is a ``*``-separated product
     of rational numbers (``3``, ``3/2``) and powers ``name^e`` of the given
-    variables.  Printing and reparsing is the identity.
+    variables, whose names must be distinct (``ValueError`` otherwise).
+    Printing and reparsing is the identity.
     """
     names = list(variables)
     index = {n: i for i, n in enumerate(names)}
+    if len(index) < len(names):
+        raise ValueError(f"a variable name repeats in {names!r}")
     nvars = len(names)
     tokens = _tokenize(text)
     k = 0
@@ -849,7 +852,7 @@ def parse_polynomial(text, variables, field=QQ):
                 dk, dv, dpos = take("num")
                 try:
                     return field.of(num, int(dv)), (0,) * nvars
-                except ZeroDivisionError:
+                except DomainError:
                     raise ParseError(f"zero denominator over {field!r}", dpos) from None
             return field.of(num), (0,) * nvars
         if kind == "name":

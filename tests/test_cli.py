@@ -1,5 +1,6 @@
 """Command line front end: outputs, exit codes, JSON round trips."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import hbcells
 import hbcells.cli
 from hbcells import betti, census, generic_cells
-from hbcells.cli import main
+from hbcells.cli import build_parser, main
 from hbcells.hilbert_burch import CellMatrix
 
 
@@ -514,7 +515,7 @@ _VALUES = {
               ("x^2", "x +", "1", "0", "z")),
     "--m": (("0,1", "0,2,2", "0,1,3,4", "0,3,3,5"), ("1,0", "0,-1", "", "0,x")),
     "--d": (("3,0,2", "1", "2", "3"), ("0", "-1,2", "", "101")),
-    "--format": (("text", "json", "latex"), ("xml",)),
+    "--format": ((), ("xml",)),  # the valid formats are each subcommand's own
     "--field": (("q", "p:2", "p:3", "p:4"), ("p:6", "p:", "p:1")),
     "--kind": (("V0", "V1", "V2", "V3"), ("V4",)),
     "--seed": (("0", "1", "7"), ("-1", "x")),
@@ -526,6 +527,24 @@ _VALUES = {
     "--n": (("1", "2", "3"), ("0", "-1", "x")),
     "--q": (("2", "3", "4", "5"), ("6", "0")),
 }
+
+
+
+def _format_choices():
+    """Each subcommand's --format choices, read off the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: tuple(next(a.choices for a in p._actions if a.dest == "format"))
+            for name, p in sub.choices.items()}
+
+
+_FORMATS = _format_choices()
+
+
+def test_the_fuzz_draws_each_subcommands_own_formats():
+    assert sorted(_FORMATS) == sorted(_OPTIONS)
+    assert {name for name, formats in _FORMATS.items() if "latex" in formats} == {
+        "frame", "minors", "canonicalize", "stratum"}
+    assert all(formats[:2] == ("text", "json") for formats in _FORMATS.values())
 
 
 @settings(max_examples=250, deadline=None)
@@ -544,6 +563,7 @@ def test_fuzzed_argv_exits_0_1_or_2(data):
             argv.append(json.dumps(draw(_CELLS)))
         elif option in _VALUES:
             valid, invalid = _VALUES[option]
+            valid = _FORMATS[command] if option == "--format" else valid
             argv.append(draw(st.sampled_from(invalid if draw(st.integers(0, 4)) == 0 else valid)))
     if draw(st.integers(0, 4)) == 0:  # a stray token anywhere
         argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))

@@ -21,9 +21,12 @@ from hbcells.hilbert_burch import (CellKind, CellMatrix, _y_coefficients,
                                    cell_matrix_from_parameters, minors_ideal,
                                    random_cell_matrix, slot_set,
                                    validate_cell_matrix)
-from hbcells.poly import Polynomial, UniPoly, _convolve, parse_ideal, parse_polynomial
+from hbcells.poly import (Polynomial, UniPoly, _add_into, _convolve, parse_ideal,
+                          parse_polynomial)
 from hbcells.staircase import (Staircase, enumerate_staircases,
                                staircase_from_monomial_ideal)
+
+import copying_minors
 
 E335 = Staircase((0, 3, 3, 5))
 
@@ -73,6 +76,14 @@ def test_dimensions_point():
 def test_dimensions_section4_example():
     assert cell_dimension(Staircase((0, 1, 3, 4, 4, 5, 7)), CellKind.V3) == 8
 
+
+@pytest.mark.parametrize("kind", ["V3", "V0", "V9", None, 3, 0])
+def test_a_kind_that_is_not_a_cell_kind_is_refused(kind):
+    # a draw used to fall through to V1 on anything but CellKind.V3
+    with pytest.raises(ValueError, match="unknown cell kind"):
+        random_cell_matrix(E335, kind, 1)
+    with pytest.raises(ValueError, match="unknown cell kind"):
+        cell_dimension(E335, kind)
 
 def test_dimension_sums_match_slot_count():
     for d in range(1, 11):
@@ -540,6 +551,62 @@ def test_minors_of_a_power_of_x_take_linearly_many_products(monkeypatch):
         assert [counts[name, n] <= 3 * n for n in (100, 200, 400)] == [True] * 3, counts
         assert counts[name, 400] - counts[name, 200] <= 2 * (counts[name, 200] - counts[name, 100]) + 2
     assert counts["V0", 100] >= 100  # column 1 of the V0 draw is nonzero
+
+
+
+def _terms_and_types(fs):
+    return [[(m, type(c), c) for m, c in f.terms] for f in fs]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(4)], ids=str)
+def test_minors_match_the_copying_recurrence_across_empty_columns(field):
+    # a few nonzero columns among up to 60, so long runs of empty columns lie
+    # before each; draws of every kind, thinned, with Fraction entries over QQ
+    rng = random.Random(36)
+    zero = UniPoly.zero(field)
+    for trial in range(24):
+        t = rng.randint(2, 60)
+        d = [0] * t
+        for k in [0] + rng.sample(range(1, t), rng.randint(1, min(3, t - 1))):
+            d[k] = rng.randint(1, 3)
+        E = Staircase.from_d(d)
+        for kind in CellKind:
+            rows = [[zero] * t for _ in range(t + 1)]
+            for (i, j), n in random_cell_matrix(E, kind, trial, field=field).nonzeros:
+                if rng.random() < 0.6:
+                    rows[i - 1][j - 1] = n if field is not QQ else UniPoly(
+                        QQ, [Fraction(c, rng.randint(1, 3)) for c in n.coeffs])
+            N = CellMatrix(E, rows, field)
+            assert _terms_and_types(minors_ideal(N)) == _terms_and_types(
+                copying_minors.minors_ideal(N)), (d, kind, trial)
+
+
+def test_minors_across_empty_columns_take_the_kernel_calls_of_the_nonzero_columns(monkeypatch):
+    # a sparse V3 matrix whose five slots sit in two columns n + 3 apart: an
+    # empty column shifts D instead of copying it, so the k[y] kernel calls
+    # stay the same as the runs of empty columns grow t
+    calls = {"_add_into": 0, "_convolve": 0}
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(hilbert_burch, "_add_into", counting("_add_into", _add_into))
+    monkeypatch.setattr(hilbert_burch, "_convolve", counting("_convolve", _convolve))
+    counts = []
+    for n in (10, 40, 160):
+        E = Staircase.from_d([3, 0, 1] + [0] * n + [2, 1] + [0] * n + [1])
+        N = cell_matrix_from_parameters(E, {s: k + 2 for k, s in enumerate(slot_set(E))})
+        assert len(N.nonzeros) == 5 and len({j for (_, j), _ in N.nonzeros}) == 2
+        for name in calls:
+            calls[name] = 0
+        fs = minors_ideal(N)
+        counts.append(dict(calls))
+        assert _terms_and_types(fs) == _terms_and_types(copying_minors.minors_ideal(N))
+    assert counts[0] == counts[1] == counts[2], counts
+    assert min(counts[0].values()) >= 1, counts
 
 
 def test_canonicalize_rejects_bad_ideals():

@@ -16,7 +16,7 @@ from hbcells.errors import DomainError, ParseError
 from hbcells.field import GF, QQ, PrimeField, scalar_from_json, scalar_to_json
 from hbcells.hilbert_burch import CellMatrix, slot_set
 from hbcells.poly import (Polynomial, UniPoly, divide_univariate, exact_quotient,
-                          lex_compare, parse_polynomial, polynomial_to_str)
+                          lex_compare, parse_ideal, parse_polynomial, polynomial_to_str)
 from hbcells.staircase import Staircase
 
 GF5 = GF(5)
@@ -290,6 +290,26 @@ DOORS = {
     "betti_numbers": lambda F, c: betti_numbers(E02, dict.fromkeys(slot_set(E02), c), F),
 }
 
+
+def test_a_vanishing_denominator_is_a_domain_error():
+    # in every field, whatever the numerator; not a ZeroDivisionError, which
+    # stays the error of dividing by a zero element
+    assert not issubclass(DomainError, ZeroDivisionError)
+    cases = ((QQ, 1, 0), (QQ, Fraction(1, 2), 0), (GF(3), 1, 3), (GF5, 2, 10), (GF5, Fraction(1, 5), 1),
+             (GF5, GF5.of(2), 5), (GF(4), 1, 2), (GF(4), Fraction(1, 2), 1), (GF(4), GF(4).one, 4),
+             (GF(2), 1, 4))
+    for field, num, den in cases:
+        with pytest.raises(DomainError, match="vanishes"):
+            field.of(num, den)
+    with pytest.raises(DomainError, match="vanishes"):
+        E = Staircase.from_d([2, 1])
+        betti_numbers(E, {s: Fraction(1, 3) for s in slot_set(E)}, field=GF(3))
+    # (a/b)/den: the denominators multiply
+    assert GF5.of(Fraction(1, 2), 3) == GF5.of(1, 6) == GF5.one
+    assert GF5.of(GF5.of(2), 3) == GF5.of(4) and GF(4).of(Fraction(3, 5), 7) == GF(4).one
+    assert QQ.of(Fraction(1, 2), 3) == Fraction(1, 6)
+    with pytest.raises(ZeroDivisionError):
+        _ = GF5.one / GF5.zero
 
 @pytest.mark.parametrize("door", DOORS.values(), ids=DOORS.keys())
 @pytest.mark.parametrize("c, mapped", [
@@ -594,6 +614,14 @@ def test_parse_examples():
     p = poly_of("y^2 + y^2")
     assert p == poly_of("2*y^2")
 
+
+def test_parsing_refuses_repeated_variable_names():
+    for names in (("x", "x"), ("x", "y", "x"), ["a", "b", "b"]):
+        with pytest.raises(ValueError, match="repeats"):
+            parse_polynomial("x", names)
+        with pytest.raises(ValueError, match="repeats"):
+            parse_ideal("x, 1", names)
+    assert parse_ideal("x", ("y", "x")) == [Polynomial.variable(QQ, 2, 1)]
 
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
