@@ -59,11 +59,10 @@ def _prime_power(text):
 
 
 def _staircase(args):
-    if getattr(args, "m", None) is not None:
-        return Staircase(args.m)
-    if getattr(args, "d", None) is not None:
-        return Staircase.from_d(args.d)
-    raise UsageExit("one of --m or --d is required")
+    m, d = args.m, args.d
+    if (m is None) == (d is None):
+        raise UsageExit("exactly one of --m or --d is required")
+    return Staircase(m) if d is None else Staircase.from_d(d)
 
 
 class UsageExit(Exception):
@@ -194,6 +193,8 @@ def _parse_assignment(text, E):
         k = int(name[1:])
         if not 1 <= k <= len(slots):
             raise UsageExit(f"parameter {name} out of range (S(E) has {len(slots)} slots)")
+        if slots[k - 1] in values:
+            raise UsageExit(f"parameter {name} given twice")
         values[slots[k - 1]] = scalar_from_json(QQ, val)
     missing = [k + 1 for k, s in enumerate(slots) if s not in values]
     if missing:

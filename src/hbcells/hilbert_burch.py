@@ -289,6 +289,7 @@ def validate_cell_matrix(N, kind):
 
     Only a nonzero entry can violate a condition: each walks N's column-major store.
     """
+    _check_kind(kind)
     E = N.E
     if kind == CellKind.V0:
         return True, None
@@ -302,53 +303,35 @@ def validate_cell_matrix(N, kind):
             if i > j and n.coeffs[0] and i <= _run_end(E, j) + 1:
                 return False, f"condition (2) fails at ({i},{j}): constant term must vanish"
         return True, None
-    if kind == CellKind.V3:
-        for (i, j), n in N.nonzeros:
-            if (u := _slot_degree(E, i, j)) is None:
-                return False, f"condition (3) fails at ({i},{j}): entry outside S(E) must vanish"
-            if any(c for k, c in enumerate(n.coeffs) if k != u):
-                return False, (f"condition (3) fails at ({i},{j}): "
-                               f"entry must be a scalar multiple of y^{u}")
-        return True, None
-    raise ValueError(f"unknown cell kind {kind!r}")
+    for (i, j), n in N.nonzeros:  # V3
+        if (u := _slot_degree(E, i, j)) is None:
+            return False, f"condition (3) fails at ({i},{j}): entry outside S(E) must vanish"
+        if any(c for k, c in enumerate(n.coeffs) if k != u):
+            return False, (f"condition (3) fails at ({i},{j}): "
+                           f"entry must be a scalar multiple of y^{u}")
+    return True, None
 
 
 # ---------------------------------------------------------------------------
 # the bijection
 
 def minors_ideal(N):
-    """Signed maximal minors f_0..f_t of M0(E) + N.
+    """Signed maximal minors f_0..f_t of M0(E) + N, solved from the column relations.
 
-    f_i is (-1)^(t-i) times the minor deleting row i+1: the product
-    P_i = h_1...h_i of the diagonal entries h_c = y^(d_c) + n_cc above the
-    deleted row times the determinant D[i] of the bottom-right Hessenberg
-    block below it, and the D[i] follow a division-free linear recurrence.
-    Every entry lies in k[y] except for the -x below the diagonal, so the
-    recurrence runs in k[y][x] and costs what the nonzero columns cost:
-
-    - D[i] is (powers, x_shift, negated), the value (-1)^negated x^x_shift
-      times powers, a dict {power of x: dense k[y] coefficient list}
-      holding the powers that received a term;
-    - a column with no entry below its diagonal makes D[i] = -x D[i+1]:
-      the same powers with x_shift + 1 and the sign flipped, nothing copied;
-    - only a column with entries builds a new dict, reading D[i+1] and the
-      D[r] it needs through their shift and sign, with one ``_convolve``
-      per power and entry; its entries come straight from N's store, so
-      only the nonzero ones are visited;
-    - a product of diagonal entries is kept as y^s times a list, and a
-      zero n_cc only adds d_c to s.  While every diagonal entry so far
-      vanishes, P_i is y^(m_i), and f_i shifts the terms of its powers,
-      written and signed once per dict, by (x_shift, s); that is every
-      V1, V2 and V3 matrix.
+    Column k gives h_k f_(k-1) = x f_k - sum_(j>=k) n_(j+1,k) f_j with
+    h_k = y^(d_k) + n_kk, and f_t = h_1...h_t.  Each f_i is (powers, x_shift,
+    y_shift), x^x_shift y^y_shift times {power of x: dense k[y] list}, where
+    y_shift sums d_c over the monomial h_c = y^(d_c), c <= i.  An empty column
+    with a monomial diagonal shifts the dict of f_k, nothing copied; any other
+    builds the right side once, from N's nonzeros, and divides each power of x
+    by h_k exactly, or lowers y_shift by d_k when h_k is monomial.
     """
     E, field = N.E, N.field
-    t = E.t
-    d = E.d
+    t, d = E.t, E.d
     zero, one = field.zero, field.one
-    unit = [one]
 
     # h[c] = y^(d_c) + n_cc as a list, or None for the monomial y^(d_c);
-    # below[c]: the (row, coefficients) of the nonzeros under n_cc, rows rising
+    # below[c]: the (row, coefficients) of the nonzeros under n_cc
     h = [None] * (t + 1)
     below = {}
     for (r, c), n in N.nonzeros:
@@ -357,63 +340,42 @@ def minors_ideal(N):
         else:
             below.setdefault(c, []).append((r, n.coeffs))
 
-    # D[i] = det of rows i+2..t+1, cols i+1..t; no dict or list is changed
-    # once it is stored, since the D of an empty column share them
-    D = [None] * (t + 1)
-    D[t] = ({0: unit}, 0, False)
-    for i in range(t - 1, -1, -1):
-        col = below.get(i + 1)
-        nxt, xs, ng = D[i + 1]
-        if col is None:
-            D[i] = (nxt, xs + 1, not ng)
+    ys, top = 0, [one]  # f_t = y^ys top
+    for c in range(1, t + 1):
+        if h[c] is None:
+            ys += d[c - 1]
+        else:
+            top = _convolve(top, h[c], zero)
+    # no dict or list is changed once it is stored, since the f of an
+    # empty column share them
+    f = [None] * t + [({0: top}, 0, ys)]
+    for k in range(t, 0, -1):
+        powers, xs, ys = f[k]
+        col = below.get(k)
+        if col is None and h[k] is None:
+            f[k - 1] = (powers, xs + 1, ys - d[k - 1])
             continue
-        # a = 1: the entry n_(i+2,i+1) - x times D[i+1]
-        sub = col[0][1] if col[0][0] == i + 2 else None
-        acc = {}
-        if sub:
-            sub = [-c for c in sub] if ng else sub
-            acc = {k + xs: _convolve(p, sub, zero) for k, p in nxt.items()}
-        for k, p in nxt.items():
-            _add_into(acc.setdefault(k + xs + 1, []), p, not ng, zero)
-        # a >= 2: n_(i+1+a,i+1) h_(i+2)...h_(i+a) D[i+a], alternating in sign;
-        # y^s core = h_(i+2)...h_c
-        s, core, c = 0, unit, i + 1
-        for row, n in col[1:] if sub else col:
-            r = row - 1
-            while c < r:
-                c += 1
-                if h[c] is None:
-                    s += d[c - 1]
-                else:
-                    core = _convolve(core, h[c], zero)
-            e = [zero] * s + (list(n) if core is unit else _convolve(n, core, zero))
-            powers, xr, nr = D[r]
-            for k, p in powers.items():
-                _add_into(acc.setdefault(k + xr, []), _convolve(p, e, zero), ((r - i) % 2 == 0) != nr, zero)
-        D[i] = (acc, 0, False)
+        # x f_k - sum n_(j+1,k) f_j, over y^ys
+        acc = {a + xs + 1: list(p) for a, p in powers.items()}
+        for row, n in col or ():
+            pj, xj, yj = f[row - 1]
+            e = [zero] * (yj - ys) + list(n)
+            for a, p in pj.items():
+                _add_into(acc.setdefault(a + xj, []), _convolve(p, e, zero), True, zero)
+        if h[k] is None:
+            f[k - 1] = (acc, 0, ys - d[k - 1])
+        else:
+            f[k - 1] = ({a: _divmod(p, h[k], field)[0] for a, p in acc.items()}, 0, ys)
 
-    fs = []
-    s, core = 0, unit  # y^s core = P_i
-    last = None
-    for i in range(t + 1):
-        if i >= 1:
-            if h[i] is None:
-                s += d[i - 1]
-            else:
-                core = _convolve(core, h[i], zero)
-        powers, xs, ng = D[i]
-        neg = ((t - i) % 2 == 1) != ng
-        # the signed (k, j, c) terms of core times powers in decreasing order,
-        # ints where integral; f_i shifts them by (xs, s).  While core = 1 one
-        # template serves all D sharing a dict: they are consecutive, and
-        # each shift flips both signs
-        if powers is not last or core is not unit:
+    fs, last = [], None
+    for powers, xs, ys in f:
+        # the (a, j, c) terms of a dict in decreasing order, ints where
+        # integral, written once for the consecutive f that share it
+        if powers is not last:
             last = powers
-            template = [(k, j, _integral(-p[j] if neg else p[j]))
-                        for k in sorted(powers, reverse=True)
-                        for p in (powers[k] if core is unit else _convolve(powers[k], core, zero),)
-                        for j in range(len(p) - 1, -1, -1) if p[j]]
-        fs.append(Polynomial._raw(field, 2, tuple([((k + xs, j + s), c) for k, j, c in template])))
+            template = [(a, j, _integral(p[j])) for a in sorted(powers, reverse=True)
+                        for p in (powers[a],) for j in range(len(p) - 1, -1, -1) if p[j]]
+        fs.append(Polynomial._raw(field, 2, tuple([((a + xs, j + ys), c) for a, j, c in template])))
     return fs
 
 

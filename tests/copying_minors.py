@@ -1,9 +1,11 @@
-"""The minors recurrence with every D[i] copied: the reference of the shifted one.
+"""The signed minors by a Hessenberg recurrence: the reference of the solved ones.
 
-``hbcells.hilbert_burch.minors_ideal`` carries D[i] = -x D[i+1] across a
-column with no entries as a shift and a sign on a shared dict.  This is the
-recurrence it replaced, which builds a new dict for every column; the tests
-compare the two term for term and type for type.
+``hbcells.hilbert_burch.minors_ideal`` solves the column relations of
+M0(E) + N for f_(k-1), k = t..1, and carries an empty column as a shift of
+a shared dict.  This is a different algorithm: it expands the minor that
+deletes row i+1 as P_i D[i], the diagonal entries above it times a
+Hessenberg determinant below it, and builds a new dict for every column;
+the tests compare the two term for term and type for type.
 """
 
 from hbcells.poly import Polynomial, _add_into, _convolve, _integral

@@ -406,6 +406,10 @@ def test_usage_error_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "dims")
     assert code == 2 and "--m or --d" in err
+    code, out, err = run(capsys, "dims", "--m", "0,1", "--d", "2,3")
+    assert code == 2 and "--m or --d" in err and out == ""
+    code, out, err = run(capsys, "betti", "--d", "2,1", "--p", "p1=1,p2=0,p1=5")
+    assert code == 2 and "p1 given twice" in err and out == ""
     code, _, err = run(capsys, "generic", "--gens", "x1 + x2", "--n", "3")
     assert code == 2 and "monomial" in err
     code, _, err = run(capsys, "minors", "--m", "0,1", "--cell", "{}")

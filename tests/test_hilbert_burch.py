@@ -84,6 +84,8 @@ def test_a_kind_that_is_not_a_cell_kind_is_refused(kind):
         random_cell_matrix(E335, kind, 1)
     with pytest.raises(ValueError, match="unknown cell kind"):
         cell_dimension(E335, kind)
+    with pytest.raises(ValueError, match="unknown cell kind"):
+        validate_cell_matrix(CellMatrix.zero(E335), kind)
 
 def test_dimension_sums_match_slot_count():
     for d in range(1, 11):
@@ -535,13 +537,14 @@ def test_minors_of_a_power_of_x_take_linearly_many_products(monkeypatch):
         return _convolve(a, b, zero)
 
     monkeypatch.setattr(hilbert_burch, "_convolve", counting)
-    counts = {}
+    counts, below = {}, {}
     for n in (100, 200, 400):
         E = Staircase((0,) + (1,) * n)
         for name, N in (("zero", CellMatrix.zero(E)), ("V0", random_cell_matrix(E, CellKind.V0, n))):
             calls[0] = 0
             fs = minors_ideal(N)
             counts[name, n] = calls[0]
+            below[name, n] = sum(1 for (i, j), _ in N.nonzeros if j == 1 and i > 1)
             assert len(fs) == n + 1 and fs[-1].lt == (0, 1)
             if n == 100:
                 monkeypatch.setattr(hilbert_burch, "_convolve", _convolve)
@@ -550,7 +553,10 @@ def test_minors_of_a_power_of_x_take_linearly_many_products(monkeypatch):
     for name in ("zero", "V0"):
         assert [counts[name, n] <= 3 * n for n in (100, 200, 400)] == [True] * 3, counts
         assert counts[name, 400] - counts[name, 200] <= 2 * (counts[name, 200] - counts[name, 100]) + 2
-    assert counts["V0", 100] >= 100  # column 1 of the V0 draw is nonzero
+    # column 1 of the V0 draw is nonzero below its diagonal, and the relation
+    # of column 1 takes one product per such entry
+    assert [below["V0", n] for n in (100, 200, 400)] == [91, 184, 354], below
+    assert all(counts["V0", n] >= below["V0", n] for n in (100, 200, 400)), counts
 
 
 
@@ -581,10 +587,29 @@ def test_minors_match_the_copying_recurrence_across_empty_columns(field):
                 copying_minors.minors_ideal(N)), (d, kind, trial)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_minors_match_the_copying_recurrence_with_zero_and_nonzero_diagonals(field):
+    # V0 draws with every other diagonal entry zeroed: f_i divides by y^(d_c)
+    # for the zero diagonals c <= i only, and that is the shift each f_i keeps
+    zero = UniPoly.zero(field)
+    mixed = 0
+    for d in range(2, 8):
+        for E in enumerate_staircases(d):
+            rows = [list(row) for row in random_cell_matrix(E, CellKind.V0, d, field=field).entries]
+            for c in range(0, E.t, 2):
+                rows[c][c] = zero
+            N = CellMatrix(E, rows, field)
+            diagonal = {i for (i, j), _ in N.nonzeros if i == j}
+            mixed += 0 < len(diagonal) < sum(1 for dc in E.d if dc)
+            assert _terms_and_types(minors_ideal(N)) == _terms_and_types(
+                copying_minors.minors_ideal(N)), (E, field)
+    assert mixed >= 10, mixed
+
+
 def test_minors_across_empty_columns_take_the_kernel_calls_of_the_nonzero_columns(monkeypatch):
     # a sparse V3 matrix whose five slots sit in two columns n + 3 apart: an
-    # empty column shifts D instead of copying it, so the k[y] kernel calls
-    # stay the same as the runs of empty columns grow t
+    # empty column shifts f_k by x and y^(-d_k) instead of copying it, so the
+    # k[y] kernel calls stay the same as the runs of empty columns grow t
     calls = {"_add_into": 0, "_convolve": 0}
 
     def counting(name, kernel):
