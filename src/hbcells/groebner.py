@@ -45,8 +45,9 @@ class MonomialIdeal:
     gens: tuple
 
     def __init__(self, nvars, gens):
-        """Exponents are read with ``operator.index``; each generator needs ``nvars`` of them,
-        none negative (DomainError)."""
+        """``nvars`` and the exponents are read with ``operator.index``; each generator needs
+        ``nvars`` exponents, none negative (DomainError)."""
+        nvars = operator.index(nvars)
         gens = sorted({tuple(map(operator.index, g)) for g in gens})
         if bad := [g for g in gens if len(g) != nvars or min(g, default=0) < 0]:
             raise DomainError(f"a generator needs {nvars} nonnegative exponents, got {bad[0]}")
@@ -353,10 +354,10 @@ def graded_beta0_profile(gens, up_to=None):
 
     For a homogeneous ideal I given by homogeneous ``gens``, computes
     beta_{0,j} = dim I_j - dim (R_1 * I_{j-1})_j for every j up to the
-    largest generator degree (or ``up_to``), maintaining an echelon basis
-    of each graded piece.  Purely linear algebra: no Groebner machinery.
-    The generators must share one field and one number of variables
-    (DomainError).
+    largest generator degree (or ``up_to``, read with ``operator.index``),
+    maintaining an echelon basis of each graded piece.  Purely linear
+    algebra: no Groebner machinery.  The generators must share one field
+    and one number of variables (DomainError).
 
     The rows are keyed by packed monomials (``poly._Packing``) with fields
     of ``poly._start_width(top)`` bits.  No exponent exceeds ``top``, so no
@@ -364,9 +365,14 @@ def graded_beta0_profile(gens, up_to=None):
     degree, int order is lex order, and multiplying by a variable adds a
     constant.  So a variable's multiples of an echelon basis have distinct
     leads, each known: a multiple whose lead is free is stored as the row it
-    multiplies under a larger shift (``linalg.echelon_insert``), uncopied,
-    and only a multiple whose lead is taken is written out and reduced.
+    multiplies under a larger shift (``linalg.echelon_insert``), uncopied.
+    A multiple whose lead is held by the same row object is that pivot
+    (a pivot's lead is its row's largest key plus its shift, so the shifts
+    agree, and stored rows are never changed) and is skipped; only a
+    multiple whose lead another row holds is written out and reduced.
     """
+    if up_to is not None:
+        up_to = operator.index(up_to)
     gens = [g for g in gens if not g.is_zero]
     for g in gens[1:]:
         gens[0]._same_field(g)
@@ -390,10 +396,11 @@ def graded_beta0_profile(gens, up_to=None):
         for v in variables:  # x_1 first: its multiples all land on free leads
             for lead, (row, s) in basis.items():
                 lead, s = lead + v, s + v
-                if lead in echelon:
-                    echelon_insert(echelon, {m + s: c for m, c in row.items()}, lead)
-                else:
+                pivot = echelon.get(lead)
+                if pivot is None:
                     echelon[lead] = (row, s)
+                elif pivot[0] is not row:  # the same row on the same lead is the same multiple
+                    echelon_insert(echelon, {m + s: c for m, c in row.items()}, lead)
         before = len(echelon)
         for g in by_degree.get(j, ()):
             echelon_insert(echelon, dict(P.pack_terms(g.terms)))
@@ -404,5 +411,9 @@ def graded_beta0_profile(gens, up_to=None):
 
 
 def graded_minimal_generators(gens, j):
-    """beta_{0,j}: minimal generators of degree j of a homogeneous ideal."""
-    return graded_beta0_profile(gens, up_to=j).get(j, 0)
+    """beta_{0,j}: minimal generators of degree j of a homogeneous ideal.
+
+    No minimal generator lies above the largest generator degree, so the
+    sweep stops there whatever ``j`` is (read with ``operator.index``).
+    """
+    return graded_beta0_profile(gens).get(operator.index(j), 0)

@@ -337,25 +337,7 @@ def test_betti_numbers_equal_the_rank_of_the_whole_strand(field):
 def test_betti_syzygy_counts_match_hilbert_numerator():
     # beta0_j - beta1_j must equal the z^j coefficient of (1-z)^2 Hilb_I(z),
     # with the graded dimensions of I computed by direct rank sweeps
-    from hbcells.poly import mono_mul
-    from tuple_kernel import echelon_insert
-
-    def hilbert_dims(gens, top):
-        by_degree = {}
-        for g in gens:
-            by_degree.setdefault(g.total_degree(), []).append(g)
-        dims = {}
-        basis = []
-        for j in range(min(by_degree), top + 1):
-            ech = {}
-            for row in basis:
-                for v in ((1, 0), (0, 1)):
-                    echelon_insert(ech, {mono_mul(m, v): c for m, c in row.items()})
-            for g in by_degree.get(j, []):
-                echelon_insert(ech, dict(g.terms))
-            dims[j] = len(ech)
-            basis = list(ech.values())
-        return dims
+    from tuple_kernel import graded_sweep
 
     rng = random.Random(99)
     for _ in range(50):
@@ -364,7 +346,7 @@ def test_betti_syzygy_counts_match_hilbert_numerator():
         fs = minors_ideal(cell_matrix_from_parameters(E, p))
         table = betti_numbers(E, p)
         top = max(j for j, _ in table.items()) + 1
-        dims = hilbert_dims(fs, top)
+        dims = {j: after for j, _, after in graded_sweep(fs, top)}
         for j, (b0, b1) in table.items():
             numer = dims.get(j, 0) - 2 * dims.get(j - 1, 0) + dims.get(j - 2, 0)
             assert b0 - b1 == numer, (E.m, j)

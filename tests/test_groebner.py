@@ -97,6 +97,12 @@ def test_monomial_ideal_rejects_malformed_generators():
             MonomialIdeal(2, gens)
     with pytest.raises(TypeError):
         MonomialIdeal(2, [(1.5, 2)])
+    # the number of variables is read as an index too
+    for nvars in ("2", 2.0):
+        with pytest.raises(TypeError):
+            MonomialIdeal(nvars, [(1, 0), (0, 1)])
+        with pytest.raises(TypeError):
+            generic_family([(1, 0), (0, 1)], nvars, True)
     assert MonomialIdeal(2, [[2, 0], range(2)]) == MonomialIdeal(2, [(2, 0), (0, 1)])
 
 
@@ -578,26 +584,11 @@ def _beta0_profile_by_tuples(gens, up_to=None):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return {}
-    nvars = gens[0].nvars
-    by_degree = {}
-    for g in gens:
-        by_degree.setdefault(g.total_degree(), []).append(g)
-    top = max(by_degree) if up_to is None else max(max(by_degree), up_to)
-    variables = [tuple(1 if k == i else 0 for k in range(nvars)) for i in range(nvars)]
-    profile = {}
-    basis = []
-    for j in range(min(by_degree), top + 1):
-        echelon = {}
-        for row in basis:
-            for v in variables:
-                tuple_kernel.echelon_insert(echelon, {mono_mul(m, v): c for m, c in row.items()})
-        before = len(echelon)
-        for g in by_degree.get(j, []):
-            tuple_kernel.echelon_insert(echelon, dict(g.terms))
-        if len(echelon) > before:
-            profile[j] = len(echelon) - before
-        basis = list(echelon.values())
-    return profile
+    top = max(g.total_degree() for g in gens)
+    if up_to is not None:
+        top = max(top, up_to)
+    return {j: after - before for j, before, after in tuple_kernel.graded_sweep(gens, top)
+            if after > before}
 
 
 def test_packed_oracle_matches_the_tuple_oracle_on_the_criterion_05_sweep():
@@ -626,13 +617,17 @@ def test_packed_oracle_matches_the_tuple_oracle_in_more_variables(field, nvars):
     for _ in range(60):
         gens = [_random_homogeneous(rng, field, nvars, rng.randint(0 if nvars == 1 else 1, 4))
                 for _ in range(rng.randint(1, 4))]
-        top = max(g.total_degree() for g in gens)
+        top = max([g.total_degree() for g in gens if not g.is_zero], default=0)
         for up_to in (None, top + 1, top + 3):
             profile = graded_beta0_profile(gens, up_to)
             assert profile == _beta0_profile_by_tuples(gens, up_to), (gens, up_to)
             nonzero += bool(profile)
         # past the top degree, no new minimal generator appears
         assert graded_minimal_generators(gens, top + 3) == 0
+        # the count of one degree reads the profile of the generator degrees, and equals
+        # the count of a sweep up to that degree
+        assert [graded_minimal_generators(gens, j) for j in range(top + 4)] == \
+            [graded_beta0_profile(gens, up_to=j).get(j, 0) for j in range(top + 4)]
     assert nonzero >= 100
 
 
@@ -640,6 +635,33 @@ def test_packed_oracle_at_degree_zero():
     one = Polynomial.constant(QQ, 2, 1)
     assert graded_beta0_profile([one]) == {0: 1}
     assert graded_beta0_profile([one, P("x")], up_to=3) == {0: 1}
+
+
+def test_a_generator_count_sweeps_no_degree_past_the_generators(monkeypatch):
+    # the sweep past the top generator degree adds nothing; at degree 10**6 it ran
+    # for minutes, so the spy refuses a sweep sized for any other top
+    tops = []
+
+    def spy(top):
+        tops.append(top)
+        assert top == 1
+        return start_width(top)
+
+    start_width = groebner._start_width
+    monkeypatch.setattr(groebner, "_start_width", spy)
+    assert graded_minimal_generators([P("x")], 10 ** 6) == 0
+    assert graded_minimal_generators([P("x")], 1) == 1
+    assert tops == [1, 1]
+
+
+def test_oracle_reads_degrees_as_indices():
+    for bad in (2.5, "3"):
+        with pytest.raises(TypeError):
+            graded_beta0_profile([P("x")], up_to=bad)
+        with pytest.raises(TypeError):
+            graded_minimal_generators([P("x")], bad)
+    with pytest.raises(TypeError):
+        graded_beta0_profile([], up_to=2.5)
 
 
 def test_oracle_rejects_mixed_inputs():
@@ -725,11 +747,12 @@ def _random_homogeneous_mixed(rng, field, nvars, deg):
 @pytest.mark.parametrize("nvars", [2, 3, 4])
 def test_oracle_matches_the_tuple_oracle_where_multiples_collide(field, nvars, monkeypatch):
     # the multiples of a degree's rows stand uncopied on their leads, and only those
-    # whose lead is taken are written out and reduced; the tuple oracle reduces every one
+    # whose lead another row holds are written out and reduced; the tuple oracle
+    # reduces every one
     stored, known = _spy_on_the_kernel(monkeypatch)
     rng = random.Random(100 * nvars + field.size if field.char else nvars)
     fractions = 0
-    for _ in range(40):
+    for _ in range(80):
         gens = [_random_homogeneous_mixed(rng, field, nvars, rng.randint(1, 3))
                 for _ in range(rng.randint(1, 4))]
         fractions += any(type(c) is Fraction for g in gens for _, c in g.terms)
@@ -739,6 +762,25 @@ def test_oracle_matches_the_tuple_oracle_where_multiples_collide(field, nvars, m
                 (gens, up_to)
     assert sum(known) >= 100  # multiples whose lead was taken, reduced
     assert field.char or fractions >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_a_principal_ideal_reaches_the_kernel_only_for_its_generator(field, nvars, monkeypatch):
+    # every row of a principal ideal's echelon basis is its generator's row under a
+    # shift, so each multiple whose lead is taken lands on its own row and is skipped
+    _, known = _spy_on_the_kernel(monkeypatch)
+    rng = random.Random(7 * nvars + field.char)
+    cases = 0
+    while cases < 6:
+        f = _random_homogeneous_mixed(rng, field, nvars, rng.randint(1, 3))
+        if f.is_zero:
+            continue
+        cases += 1
+        known.clear()
+        up_to = f.total_degree() + 8
+        assert graded_beta0_profile([f], up_to) == _beta0_profile_by_tuples([f], up_to)
+        assert known == [False], f  # the generator, and no multiple
 
 
 

@@ -5,8 +5,9 @@ an exponent tuple and every step a ``mono_*`` helper, and the Groebner
 entry points built on it.  The tests compare the library's packed kernel
 with it, and use it where they divide with coefficients that are not field
 elements (parameter polynomials).  ``echelon_insert`` is the elimination
-kernel of ``hbcells.linalg`` written the same way, for the tuple references
-of the generator-count oracle.
+kernel of ``hbcells.linalg`` written the same way, and ``graded_sweep`` the
+degree sweep on it that the tuple references of the generator-count oracle
+read.
 """
 
 from operator import sub
@@ -159,3 +160,29 @@ def echelon_insert(echelon, row):
                 new.pop(k, None)
         row = new
     return None
+
+
+def graded_sweep(gens, top):
+    """The dimensions of the graded pieces of the ideal of ``gens``, one degree at a time.
+
+    ``gens`` are nonzero homogeneous polynomials, at least one.  For each degree j
+    from the least generator degree to ``top``, yields (j, dim (R_1 I_(j-1))_j,
+    dim I_j): the echelon basis of degree j - 1 times every variable, each multiple
+    reduced on ``echelon_insert``, then the generators of degree j.
+    """
+    by_degree = {}
+    for g in gens:
+        by_degree.setdefault(g.total_degree(), []).append(g)
+    nvars = gens[0].nvars
+    variables = [tuple(1 if k == i else 0 for k in range(nvars)) for i in range(nvars)]
+    basis = []
+    for j in range(min(by_degree), top + 1):
+        echelon = {}
+        for row in basis:
+            for v in variables:
+                echelon_insert(echelon, {mono_mul(m, v): c for m, c in row.items()})
+        before = len(echelon)
+        for g in by_degree.get(j, []):
+            echelon_insert(echelon, dict(g.terms))
+        yield j, before, len(echelon)
+        basis = list(echelon.values())
